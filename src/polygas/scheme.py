@@ -5,7 +5,9 @@ nonlinear system for the new nodal velocities and one pressure-like unknown
 per cell (the new pressure in pointwise-EOS mode, the two-layer half-sum
 pressure in conservative mode).  Radii, densities and internal energies are
 eliminated in closed form, so the Newton system is pentadiagonal in the
-interleaved unknown ordering [u_0, q_0, u_1, q_1, ..., u_N].
+interleaved unknown ordering [u_0, q_0, u_1, q_1, ..., u_N].  Its Jacobian
+is assembled analytically from the residual's own intermediates; the tests
+check it against a finite-difference Jacobian kept there as the oracle.
 
 The difference equations are built so that, at the solution, discrete
 analogues of mass, momentum, energy and center-of-mass balance telescope to
@@ -28,12 +30,9 @@ from .state import (
     backward_s_cellfield,
     cell_average,
     forward_s,
-    interp_nodal_pressure,
     time_diff,
     weighted,
 )
-
-_SQRT_EPS = math.sqrt(np.finfo(float).eps)
 
 GEOMETRIES = (0, 1, 2)  # plane, cylinder, sphere
 EOS_MODES = ("pointwise", "conservative")
@@ -218,6 +217,25 @@ def _eos_bracket(r_lo, r_hi, n: int):
     if n == 1:
         return -0.25 * d * d
     return -(np.asarray(r_hi, dtype=float) + np.asarray(r_lo, dtype=float)) * d * d / 3.0
+
+
+def _r_factor_slope(r_lo, r_hi, n: int):
+    """dR/dr_hi of r_factor: 0 for n = 0, 1/2 for n = 1, (2 r_hi + r_lo)/3 for n = 2."""
+    if n == 0:
+        return 0.0
+    if n == 1:
+        return 0.5
+    return (2.0 * r_hi + r_lo) / 3.0
+
+
+def _eos_bracket_slope(r_lo, r_hi, n: int):
+    """d/dr_hi of _eos_bracket, with d = r_hi - r_lo: 0, -d/2 or -(d^2 + 2(r_hi + r_lo) d)/3."""
+    d = r_hi - r_lo
+    if n == 0:
+        return np.zeros_like(d)
+    if n == 1:
+        return -0.5 * d
+    return -(d * d + 2.0 * (r_hi + r_lo) * d) / 3.0
 
 
 def viscous_pressure(view: TwoLayerView, params: SchemeParams) -> np.ndarray:
@@ -421,6 +439,7 @@ class _StepSystem:
         else:
             f_node[-1] = u_t[-1] + big_r[-1] * (self.pb_right - p_eff[-1]) / (0.5 * self.h[-1])
 
+        brack_s = None
         if params.is_conservative:
             ut2_avg = cell_average(u_t * u_t)
             brack = _eos_bracket(lo.r, r_hat, params.n)
@@ -437,8 +456,97 @@ class _StepSystem:
         f[0::2] = f_node
         f[1::2] = f_cell
         aux = {"u_hat": u_hat, "q": q, "r_hat": r_hat, "rho_hat": rho_hat,
-               "eps_hat": eps_hat, "delta": delta, "omega": omega}
+               "eps_hat": eps_hat, "delta": delta, "omega": omega,
+               "v": v, "big_r": big_r, "d_rv": d_rv, "p_eff": p_eff, "u_t": u_t,
+               "brack_s": brack_s}
         return f, aux
+
+    def jacobian(self, aux: dict) -> np.ndarray:
+        """Analytic Jacobian of residual() at the point aux came from.
+
+        Returned in solve_banded layout with bandwidths (2, 2):
+        ab[2 + row - col, col] = d f[row] / d x[col].  Node rows (even) touch
+        u_{i-1}, q_{i-1}, u_i, q_i, u_{i+1}; cell rows (odd) touch u_j, q_j,
+        u_{j+1}.  Every intermediate is differentiated in closed form, using
+        d r_hat / d u_hat = tau/2 and d rho_hat / d delta = -rho_hat^2.
+        """
+        lo, tau, params, h, n = self.lo, self.tau, self.params, self.h, self.params.n
+        v, r_hat, big_r = aux["v"], aux["r_hat"], aux["big_r"]
+        delta, rho_hat, p_eff, q = aux["delta"], aux["rho_hat"], aux["p_eff"], aux["q"]
+        half_tau = 0.5 * tau
+
+        # dR/du_hat and d(R v)/du_hat per node
+        d_big_r = half_tau * _r_factor_slope(lo.r, r_hat, n)
+        d_rv_node = d_big_r * v + 0.5 * big_r
+        # d delta_j / d u_j and d delta_j / d u_{j+1}
+        dd_lo = -tau * d_rv_node[:-1] / h
+        dd_hi = tau * d_rv_node[1:] / h
+
+        # d p_eff_j / d u_j, d u_{j+1}; d p_eff / d q is the constant weight a
+        a = 1.0 if params.is_conservative else self.alpha_eff
+        if params.visc_nu > 0.0:
+            du = v[1:] - v[:-1]
+            nu = np.where(aux["d_rv"] < 0.0, params.visc_nu, 0.0)
+            rho_half = 0.5 * (lo.rho + rho_hat)
+            drho_coef = -0.5 * rho_hat * rho_hat * du * du
+            dp_lo = nu * (drho_coef * dd_lo - rho_half * du)
+            dp_hi = nu * (drho_coef * dd_hi + rho_half * du)
+        else:
+            dp_lo = dp_hi = 0.0
+
+        # d eps_hat_j / d u_j, d u_{j+1}, d q_j
+        de_lo = -(dp_lo * delta + p_eff * dd_lo)
+        de_hi = -(dp_hi * delta + p_eff * dd_hi)
+        de_q = -a * delta
+
+        if params.is_conservative:
+            u_t = aux["u_t"]
+            d_brack = half_tau * _eos_bracket_slope(lo.r, r_hat, n)
+            half_q = 0.5 * q
+            c = half_q / self.gm1
+            c_lo = 0.5 * de_lo - c * dd_lo + 0.125 * tau * u_t[:-1] + half_q * d_brack[:-1] / h
+            c_hi = 0.5 * de_hi - c * dd_hi + 0.125 * tau * u_t[1:] - half_q * d_brack[1:] / h
+            c_q = (0.5 * de_q - (self.inv_rho + 0.5 * delta) / self.gm1
+                   - 0.5 * aux["brack_s"])
+        else:
+            c = q / self.gm1
+            c_lo = de_lo - c * dd_lo
+            c_hi = de_hi - c * dd_hi
+            c_q = de_q - (self.inv_rho + delta) / self.gm1
+
+        # node rows: f_i = u_t_i + R_i * w_i * (P_{i+1} - P_i), where P pads the
+        # cell pressures with the external ones and w is 1/hbar inside,
+        # 1/(h/2) at a pressure boundary
+        n_nodes = v.size
+        w = np.empty(n_nodes)
+        w[1:-1] = 1.0 / self.hbar
+        w[0] = 1.0 / (0.5 * h[0])
+        w[-1] = 1.0 / (0.5 * h[-1])
+        jump = np.empty(n_nodes)
+        jump[1:-1] = p_eff[1:] - p_eff[:-1]
+        jump[0] = p_eff[0] - self.pb_left if self.pb_left is not None else 0.0
+        jump[-1] = self.pb_right - p_eff[-1] if self.pb_right is not None else 0.0
+        rw = big_r * w
+        diag = 1.0 / tau + d_big_r * w * jump
+        diag[:-1] += rw[:-1] * dp_lo
+        diag[1:] -= rw[1:] * dp_hi
+
+        ab = np.zeros((5, self.n_unknowns))
+        ab[0, 2::2] = rw[:-1] * dp_hi      # node i, u_{i+1}
+        ab[1, 1::2] = rw[:-1] * a          # node i, q_i
+        ab[1, 2::2] = c_hi                 # cell j, u_{j+1}
+        ab[2, 0::2] = diag                 # node i, u_i
+        ab[2, 1::2] = c_q                  # cell j, q_j
+        ab[3, 0:-1:2] = c_lo               # cell j, u_j
+        ab[3, 1::2] = -rw[1:] * a          # node i, q_{i-1}
+        ab[4, 0:-2:2] = -rw[1:] * dp_lo    # node i, u_{i-1}
+        if self.bc_left.kind == "wall":
+            ab[2, 0] = 1.0
+            ab[1, 1] = ab[0, 2] = 0.0
+        if self.bc_right.kind == "wall":
+            ab[2, -1] = 1.0
+            ab[3, -2] = ab[4, -3] = 0.0
+        return ab
 
     def scales(self, aux: dict) -> np.ndarray:
         """Row scaling for the convergence test: velocity rows by max(1, |u|),
@@ -457,30 +565,6 @@ def _scaled_norm(f: np.ndarray, scales: np.ndarray) -> float:
     if not np.all(np.isfinite(a)):
         return math.inf
     return float(a.max())
-
-
-def _fd_banded_jacobian(residual, x: np.ndarray, f0: np.ndarray) -> np.ndarray:
-    """Finite-difference Jacobian in solve_banded layout, bandwidths (2, 2).
-
-    Every equation touches unknowns at most two slots away in the interleaved
-    ordering, so columns j, j+5, j+10, ... have disjoint row footprints and
-    can be perturbed together: 5 residual evaluations total.
-    """
-    m = x.size
-    ab = np.zeros((5, m))
-    rows = np.arange(m)
-    for group in range(5):
-        cols = np.arange(group, m, 5)
-        steps = _SQRT_EPS * np.maximum(np.abs(x[cols]), 1.0)
-        dx = np.zeros(m)
-        dx[cols] = steps
-        f1, _ = residual(x + dx)
-        df = (f1 - f0)
-        for c, st in zip(cols, steps):
-            lo_r = max(0, c - 2)
-            hi_r = min(m, c + 3)
-            ab[2 + rows[lo_r:hi_r] - c, c] = df[lo_r:hi_r] / st
-    return ab
 
 
 def step(lo: GridLayer, tau: float, params: SchemeParams,
@@ -513,7 +597,7 @@ def step(lo: GridLayer, tau: float, params: SchemeParams,
         if len(history) > params.newton_max_iter:
             raise reject(f"no Newton convergence in {params.newton_max_iter} iterations "
                          f"(residual {norm:.3e})")
-        ab = _fd_banded_jacobian(system.residual, x, f)
+        ab = system.jacobian(aux)
         if not np.all(np.isfinite(ab)):
             raise reject("non-finite Jacobian")
         try:

@@ -133,49 +133,34 @@ def weighted(lo_value, hi_value, alpha: float):
     return alpha * np.asarray(hi_value) + (1.0 - alpha) * np.asarray(lo_value)
 
 
-def forward_s(f_nodal: np.ndarray, mesh: MassMesh, i: int | None = None):
-    """Cell-based difference of a nodal field: (f_{i+1} - f_i)/h_i.
-
-    Returns the full (N,) array, or a single value when a cell index is given.
-    """
+def forward_s(f_nodal: np.ndarray, mesh: MassMesh) -> np.ndarray:
+    """Cell-based difference of a nodal field: (f_{i+1} - f_i)/h_i, shape (N,)."""
     f = np.asarray(f_nodal)
-    if i is None:
-        return (f[1:] - f[:-1]) / mesh.h
-    if not 0 <= i < mesh.n_cells:
-        raise IndexError(f"cell index {i} out of range [0, {mesh.n_cells})")
-    return (f[i + 1] - f[i]) / mesh.h[i]
+    return (f[1:] - f[:-1]) / mesh.h
 
 
-def backward_s_cellfield(g_cells: np.ndarray, mesh: MassMesh, i: int | None = None):
+def backward_s_cellfield(g_cells: np.ndarray, mesh: MassMesh) -> np.ndarray:
     """Node-based difference of a cell field on the staggered spacing.
 
     At interior node i: (g_{i+1/2} - g_{i-1/2}) / ((h_{i-1} + h_i)/2).
-    Boundary nodes have no two-sided value; asking for one is an error.
-    Returns the (N-1,) interior-node array, or a single value for index i.
+    Boundary nodes have no two-sided value, so the result has shape (N-1,)
+    and covers interior nodes 1..N-1.
     """
     g = np.asarray(g_cells)
-    if i is None:
-        return (g[1:] - g[:-1]) / mesh.interior_spacings()
-    if not 1 <= i <= mesh.n_cells - 1:
-        raise IndexError(f"node index {i} is not interior (valid: 1..{mesh.n_cells - 1})")
-    return (g[i] - g[i - 1]) / (0.5 * (mesh.h[i - 1] + mesh.h[i]))
+    return (g[1:] - g[:-1]) / mesh.interior_spacings()
 
 
-def interp_nodal_pressure(p_cells: np.ndarray, mesh: MassMesh, i: int | None = None):
+def interp_nodal_pressure(p_cells: np.ndarray, mesh: MassMesh) -> np.ndarray:
     """Width-weighted interpolation of a cell field to interior nodes.
 
     p*_i = (h_i p_{i-1/2} + h_{i-1} p_{i+1/2}) / (h_{i-1} + h_i): the weights
     are swapped relative to naive linear interpolation, which is exactly what
     makes the energy flux telescope.  Output lies between the adjacent cell
-    values.  Interior nodes only.
+    values.  Interior nodes 1..N-1 only, shape (N-1,).
     """
     p = np.asarray(p_cells)
     h = mesh.h
-    if i is None:
-        return (h[1:] * p[:-1] + h[:-1] * p[1:]) / (h[:-1] + h[1:])
-    if not 1 <= i <= mesh.n_cells - 1:
-        raise IndexError(f"node index {i} is not interior (valid: 1..{mesh.n_cells - 1})")
-    return (h[i] * p[i - 1] + h[i - 1] * p[i]) / (h[i - 1] + h[i])
+    return (h[1:] * p[:-1] + h[:-1] * p[1:]) / (h[:-1] + h[1:])
 
 
 def cell_average(f_nodal: np.ndarray) -> np.ndarray:
