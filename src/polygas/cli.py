@@ -192,6 +192,9 @@ def resolve_config(raw: dict) -> RunConfig:
     snapshot_every = int(raw.get("snapshot_every", 0))
     if snapshot_every < 0:
         raise ConfigError("snapshot_every must be >= 0")
+    max_halvings = int(time_block.get("max_halvings", 10))
+    if max_halvings < 0:
+        raise ConfigError("max_halvings must be >= 0")
 
     return RunConfig(
         profile=profile, params=params, t_end=t_end, tau=tau,
@@ -200,7 +203,7 @@ def resolve_config(raw: dict) -> RunConfig:
         laws=_parse_laws(raw.get("audit", "all")),
         budget_tol=budget_tol,
         allow_tau_halving=bool(time_block.get("allow_tau_halving", False)),
-        max_halvings=int(time_block.get("max_halvings", 10)),
+        max_halvings=max_halvings,
         problem_name=name, problem_options=options, mesh_spec=dict(mesh_spec))
 
 
@@ -237,7 +240,6 @@ class SimulationResult:
     failure: str | None
     exit_code: int
     reports: list
-    views: list[TwoLayerView] | None = None
 
 
 def _totals(layer: GridLayer, n: int) -> dict:
@@ -251,7 +253,7 @@ def _totals(layer: GridLayer, n: int) -> dict:
     return out
 
 
-def run_simulation(cfg: RunConfig, out_dir=None, capture_views: bool = False) -> SimulationResult:
+def run_simulation(cfg: RunConfig, out_dir=None) -> SimulationResult:
     """Advance the configured run to t_end, auditing every step.
 
     Writes snapshots/ledger/summary when out_dir is given.  A rejected step
@@ -267,7 +269,6 @@ def run_simulation(cfg: RunConfig, out_dir=None, capture_views: bool = False) ->
     records: list[dict] = []
     violations: list[dict] = []
     reports = []
-    views: list[TwoLayerView] | None = [] if capture_views else None
     failure = None
     step_index = 0
     last_written = 0
@@ -296,8 +297,6 @@ def run_simulation(cfg: RunConfig, out_dir=None, capture_views: bool = False) ->
             if budget.applicable and budget.expected_zero and budget.relative_defect > cfg.budget_tol:
                 violations.append(record)
         reports.append(report)
-        if views is not None:
-            views.append(view)
         layer = hi
         step_index += 1
         log.debug("step %d: t=%g, %d Newton iterations, residual %.3e",
@@ -336,8 +335,7 @@ def run_simulation(cfg: RunConfig, out_dir=None, capture_views: bool = False) ->
         log.info("run finished: %d steps to t=%g", step_index, layer.t)
     return SimulationResult(
         initial_layer=initial, final_layer=layer, steps=step_index, records=records,
-        violations=violations, failure=failure, exit_code=exit_code, reports=reports,
-        views=views)
+        violations=violations, failure=failure, exit_code=exit_code, reports=reports)
 
 
 # --- convergence study --------------------------------------------------------------

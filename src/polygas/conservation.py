@@ -18,14 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .state import TwoLayerView, cell_average, interp_nodal_pressure, weighted
-from .scheme import (
-    SchemeParams,
-    boundary_pressure,
-    effective_boundaries,
-    r_factor,
-    viscous_pressure,
-)
+from .state import TwoLayerView, cell_average, forward_s, interp_nodal_pressure, weighted
+from .scheme import SchemeParams, boundary_pressure, effective_boundaries, r_factor
 
 
 class LawId(enum.Enum):
@@ -105,13 +99,26 @@ def _kinematics(view: TwoLayerView, n: int):
     return v, big_r
 
 
+def effective_cell_pressure(view: TwoLayerView, params: SchemeParams) -> np.ndarray:
+    """Alpha-weighted cell pressure plus the artificial viscosity visc_nu *
+    rho^{(1/2)} * (du)^2 where the cell compresses, (R v)_s < 0; shape (N,)."""
+    p_eff = weighted(view.lo.p, view.hi.p, params.alpha_effective)
+    if params.visc_nu == 0.0:
+        return p_eff
+    v, big_r = _kinematics(view, params.n)
+    du = v[1:] - v[:-1]
+    rho_half = 0.5 * (view.lo.rho + view.hi.rho)
+    compressing = forward_s(big_r * v, view.mesh) < 0.0
+    return p_eff + np.where(compressing, params.visc_nu * rho_half * du * du, 0.0)
+
+
 def pressure_star(view: TwoLayerView, params: SchemeParams) -> np.ndarray:
     """Nodal flux pressure, shape (N+1): width-weighted interpolation of the
     effective cell pressure at interior nodes, boundary closure at the ends
     (adjacent cell value for a wall, the alpha-weighted trace for a pressure
     boundary)."""
     alpha_eff = params.alpha_effective
-    p_eff = weighted(view.lo.p, view.hi.p, alpha_eff) + viscous_pressure(view, params)
+    p_eff = effective_cell_pressure(view, params)
     bc_left, bc_right = effective_boundaries(params, float(view.lo.r[0]))
     star = np.empty(view.mesh.n_nodes)
     star[1:-1] = interp_nodal_pressure(p_eff, view.mesh)
@@ -195,7 +202,7 @@ def audit_momentum(view: TwoLayerView, params: SchemeParams) -> ConservationBudg
     if params.n != 0:
         return _not_applicable(LawId.MOMENTUM, f"momentum balance needs n=0, run has n={params.n}")
     star = pressure_star(view, params)
-    p_eff = weighted(view.lo.p, view.hi.p, params.alpha_effective) + viscous_pressure(view, params)
+    p_eff = effective_cell_pressure(view, params)
     u_t = (view.hi.u - view.lo.u) / view.tau
     res = u_t[1:-1] + (p_eff[1:] - p_eff[:-1]) / view.mesh.interior_spacings()
     return _nodal_budget(LawId.MOMENTUM, view, view.lo.u, view.hi.u, res,
@@ -209,7 +216,7 @@ def audit_center_of_mass(view: TwoLayerView, params: SchemeParams) -> Conservati
                                f"center-of-mass balance needs n=0, run has n={params.n}")
     time = view.time
     star = pressure_star(view, params)
-    p_eff = weighted(view.lo.p, view.hi.p, params.alpha_effective) + viscous_pressure(view, params)
+    p_eff = effective_cell_pressure(view, params)
     d_lo = view.lo.r - view.lo.t * view.lo.u
     d_hi = view.hi.r - view.hi.t * view.hi.u
     res = ((d_hi - d_lo)[1:-1] / view.tau

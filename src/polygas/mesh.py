@@ -7,6 +7,7 @@ pressure, internal energy) on the N cells between them.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -23,6 +24,8 @@ class MassMesh:
 
     Cell widths and midpoints are always derived from ``s`` so there is a
     single source of truth; the node array is made read-only on construction.
+    Widths, nodal masses and staggered spacings are computed once per mesh
+    and handed out read-only.
     """
 
     s: np.ndarray
@@ -47,30 +50,35 @@ class MassMesh:
     def n_nodes(self) -> int:
         return self.s.size
 
-    @property
+    @cached_property
     def h(self) -> np.ndarray:
         """Cell widths h_i = s_{i+1} - s_i, shape (N,)."""
-        return np.diff(self.s)
+        return _read_only(np.diff(self.s))
 
     @property
     def midpoints(self) -> np.ndarray:
         """Cell midpoints s_{i+1/2}, shape (N,)."""
         return 0.5 * (self.s[:-1] + self.s[1:])
 
-    @property
+    @cached_property
     def nodal_masses(self) -> np.ndarray:
         """Mass lumped onto each node: half of each adjacent cell, shape (N+1,)."""
         h = self.h
-        m = np.empty(self.n_nodes)
-        m[0] = 0.5 * h[0]
-        m[-1] = 0.5 * h[-1]
-        m[1:-1] = 0.5 * (h[:-1] + h[1:])
-        return m
+        return _read_only(np.concatenate(([0.5 * h[0]], self._hbar, [0.5 * h[-1]])))
 
     def interior_spacings(self) -> np.ndarray:
         """Staggered spacings (h_{i-1} + h_i)/2 at interior nodes 1..N-1."""
+        return self._hbar
+
+    @cached_property
+    def _hbar(self) -> np.ndarray:
         h = self.h
-        return 0.5 * (h[:-1] + h[1:])
+        return _read_only(0.5 * (h[:-1] + h[1:]))
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 def build_mesh(s) -> MassMesh:

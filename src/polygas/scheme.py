@@ -9,6 +9,10 @@ interleaved unknown ordering [u_0, q_0, u_1, q_1, ..., u_N].  Its Jacobian
 is assembled analytically from the residual's own intermediates; the tests
 check it against a finite-difference Jacobian kept there as the oracle.
 
+The equations are written once, in _StepSystem.  Newton runs its kernel on
+a layer eliminated from (u_hat, q); step_residuals, the post-accept check,
+runs it on the stored new layer and adds the eliminated rows.
+
 The difference equations are built so that, at the solution, discrete
 analogues of mass, momentum, energy and center-of-mass balance telescope to
 round-off; in conservative mode two additional quadratic balances hold as
@@ -22,17 +26,7 @@ import numpy as np
 from scipy.linalg import solve_banded
 from scipy.linalg import LinAlgError
 
-from .mesh import MassMesh
-from .state import (
-    GridLayer,
-    LayerError,
-    TwoLayerView,
-    backward_s_cellfield,
-    cell_average,
-    forward_s,
-    time_diff,
-    weighted,
-)
+from .state import GridLayer, LayerError, TwoLayerView, cell_average
 
 GEOMETRIES = (0, 1, 2)  # plane, cylinder, sphere
 EOS_MODES = ("pointwise", "conservative")
@@ -161,8 +155,9 @@ class StepReport:
     """Diagnostics of one attempted step.
 
     residual_max maps each equation family (mass, momentum, energy,
-    trajectory, eos) to the max |residual| recomputed from the accepted
-    layers; residuals keeps the per-cell/per-node arrays themselves.
+    trajectory, eos) to the max |residual| that step_residuals recomputes
+    from the accepted layers; residuals keeps the per-cell/per-node arrays
+    themselves.  The boundary closures are rows 0 and -1 of "momentum".
     history is the scaled Newton residual norm per iteration.
     """
 
@@ -238,25 +233,6 @@ def _eos_bracket_slope(r_lo, r_hi, n: int):
     return -(d * d + 2.0 * (r_hi + r_lo) * d) / 3.0
 
 
-def viscous_pressure(view: TwoLayerView, params: SchemeParams) -> np.ndarray:
-    """Quadratic artificial viscosity per cell, active only under compression.
-
-    omega = visc_nu * rho^{(1/2)} * (du)^2 where du is the jump of the
-    time-centered velocity across the cell; zero where the swept-volume rate
-    (R v)_s is nonnegative.  Added to the cell pressure everywhere except in
-    the gas-law residual.
-    """
-    n_cells = view.mesh.n_cells
-    if params.visc_nu == 0.0:
-        return np.zeros(n_cells)
-    v = 0.5 * (view.lo.u + view.hi.u)
-    big_r = r_factor(view.lo.r, view.hi.r, params.n)
-    d_rv = forward_s(big_r * v, view.mesh)
-    du = v[1:] - v[:-1]
-    rho_half = 0.5 * (view.lo.rho + view.hi.rho)
-    return np.where(d_rv < 0.0, params.visc_nu * rho_half * du * du, 0.0)
-
-
 def effective_boundaries(params: SchemeParams, r_left: float) -> tuple[BoundaryCondition, BoundaryCondition]:
     """Resolve the boundary pair, enforcing the coordinate-origin rule.
 
@@ -277,100 +253,6 @@ def boundary_pressure(bc: BoundaryCondition, t_lo: float, t_hi: float, alpha_eff
     if not (np.isfinite(p_lo) and np.isfinite(p_hi)):
         raise ConfigError(f"boundary pressure trace not finite on [{t_lo}, {t_hi}]")
     return alpha_eff * p_hi + (1.0 - alpha_eff) * p_lo
-
-
-def effective_cell_pressure(view: TwoLayerView, params: SchemeParams) -> np.ndarray:
-    """Alpha-weighted cell pressure plus artificial viscosity, shape (N,)."""
-    p_w = weighted(view.lo.p, view.hi.p, params.alpha_effective)
-    return p_w + viscous_pressure(view, params)
-
-
-# --- residuals of the difference equations (recomputed from raw layers) ------
-
-def residual_mass(view: TwoLayerView, params: SchemeParams) -> np.ndarray:
-    """Per cell: (1/rho)_t - (R v)_s."""
-    v = 0.5 * (view.lo.u + view.hi.u)
-    big_r = r_factor(view.lo.r, view.hi.r, params.n)
-    spec_vol_t = time_diff(1.0 / view.lo.rho, 1.0 / view.hi.rho, view.tau)
-    return spec_vol_t - forward_s(big_r * v, view.mesh)
-
-
-def residual_momentum(view: TwoLayerView, params: SchemeParams,
-                      p_weighted: np.ndarray | None = None) -> np.ndarray:
-    """Per interior node: u_t + R * (P + omega)_s-staggered."""
-    if p_weighted is None:
-        p_weighted = weighted(view.lo.p, view.hi.p, params.alpha_effective)
-    p_eff = p_weighted + viscous_pressure(view, params)
-    big_r = r_factor(view.lo.r, view.hi.r, params.n)
-    u_t = time_diff(view.lo.u, view.hi.u, view.tau)
-    return u_t[1:-1] + big_r[1:-1] * backward_s_cellfield(p_eff, view.mesh)
-
-
-def residual_energy(view: TwoLayerView, params: SchemeParams,
-                    p_weighted: np.ndarray | None = None) -> np.ndarray:
-    """Per cell: eps_t + (P + omega) * (R v)_s."""
-    if p_weighted is None:
-        p_weighted = weighted(view.lo.p, view.hi.p, params.alpha_effective)
-    p_eff = p_weighted + viscous_pressure(view, params)
-    v = 0.5 * (view.lo.u + view.hi.u)
-    big_r = r_factor(view.lo.r, view.hi.r, params.n)
-    eps_t = time_diff(view.lo.eps, view.hi.eps, view.tau)
-    return eps_t + p_eff * forward_s(big_r * v, view.mesh)
-
-
-def residual_trajectory(view: TwoLayerView, params: SchemeParams) -> np.ndarray:
-    """Per node: r_t - u^{(1/2)}."""
-    del params  # geometry-independent
-    r_t = time_diff(view.lo.r, view.hi.r, view.tau)
-    return r_t - 0.5 * (view.lo.u + view.hi.u)
-
-
-def residual_eos(view: TwoLayerView, params: SchemeParams) -> np.ndarray:
-    """Per cell: defect of the ideal-gas closure in the selected mode.
-
-    Pointwise: eps_hat - p_hat / ((gamma - 1) rho_hat) on the new layer.
-    Conservative: two-layer form written for the half-sum pressure, with the
-    O(tau^2) velocity and geometry corrections included; this is the variant
-    whose quadratic balances telescope exactly at gamma = gamma_star.
-    """
-    gm1 = params.gamma - 1.0
-    if not params.is_conservative:
-        return view.hi.eps - view.hi.p / (gm1 * view.hi.rho)
-    q = weighted(view.lo.p, view.hi.p, 0.5)
-    inv_rho_half = 0.5 * (1.0 / view.lo.rho + 1.0 / view.hi.rho)
-    u_t = time_diff(view.lo.u, view.hi.u, view.tau)
-    ut2_avg = cell_average(u_t * u_t)
-    brack = _eos_bracket(view.lo.r, view.hi.r, params.n)
-    rhs = (q * inv_rho_half / gm1
-           - 0.125 * view.tau ** 2 * ut2_avg
-           + 0.5 * q * forward_s(brack, view.mesh))
-    return weighted(view.lo.eps, view.hi.eps, 0.5) - rhs
-
-
-def boundary_residuals(view: TwoLayerView, params: SchemeParams) -> np.ndarray:
-    """Residuals of the two boundary closures, [left, right].
-
-    Wall: u_hat - u_wall.  Pressure: one-sided momentum balance against the
-    alpha-weighted external pressure on the half-width boundary cell.
-    """
-    bc_left, bc_right = effective_boundaries(params, float(view.lo.r[0]))
-    p_eff = effective_cell_pressure(view, params)
-    big_r = r_factor(view.lo.r, view.hi.r, params.n)
-    u_t = time_diff(view.lo.u, view.hi.u, view.tau)
-    h = view.mesh.h
-    alpha_eff = params.alpha_effective
-    out = np.empty(2)
-    if bc_left.kind == "wall":
-        out[0] = view.hi.u[0] - bc_left.u_wall
-    else:
-        pb = boundary_pressure(bc_left, view.lo.t, view.hi.t, alpha_eff)
-        out[0] = u_t[0] + big_r[0] * (p_eff[0] - pb) / (0.5 * h[0])
-    if bc_right.kind == "wall":
-        out[1] = view.hi.u[-1] - bc_right.u_wall
-    else:
-        pb = boundary_pressure(bc_right, view.lo.t, view.hi.t, alpha_eff)
-        out[1] = u_t[-1] + big_r[-1] * (pb - p_eff[-1]) / (0.5 * h[-1])
-    return out
 
 
 # --- the Newton solve ---------------------------------------------------------
@@ -402,32 +284,34 @@ class _StepSystem:
         x[1::2] = self.lo.p
         return x
 
-    def residual(self, x: np.ndarray) -> tuple[np.ndarray, dict]:
-        lo, tau, params = self.lo, self.tau, self.params
-        u_hat = x[0::2]
-        q = x[1::2]
-        v = 0.5 * (lo.u + u_hat)
-        r_hat = lo.r + tau * v
-        big_r = r_factor(lo.r, r_hat, params.n)
+    def swept_rate(self, v: np.ndarray, r_hat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Area factor R per node and swept-volume rate (R v)_s per cell."""
+        big_r = r_factor(self.lo.r, r_hat, self.params.n)
         rv = big_r * v
-        d_rv = (rv[1:] - rv[:-1]) / self.h
-        delta = tau * d_rv  # change of specific volume over the step
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            rho_hat = lo.rho / (1.0 + lo.rho * delta)
+        return big_r, (rv[1:] - rv[:-1]) / self.h
+
+    def effective_pressure(self, v: np.ndarray, d_rv: np.ndarray, rho_hat: np.ndarray,
+                           q: np.ndarray) -> np.ndarray:
+        """Pressure of the momentum and energy equations: q (conservative) or
+        alpha q + (1 - alpha) p, plus the artificial viscosity omega =
+        visc_nu * rho^{(1/2)} * (du)^2 where the cell compresses, (R v)_s < 0."""
+        params = self.params
+        a = self.alpha_eff
+        p_w = q if params.is_conservative else a * q + (1.0 - a) * self.lo.p
+        omega = 0.0
         if params.visc_nu > 0.0:
             du = v[1:] - v[:-1]
-            rho_half = 0.5 * (lo.rho + rho_hat)
+            rho_half = 0.5 * (self.lo.rho + rho_hat)
             omega = np.where(d_rv < 0.0, params.visc_nu * rho_half * du * du, 0.0)
-        else:
-            omega = np.zeros(self.h.size)
-        if params.is_conservative:
-            p_w = q
-        else:
-            p_w = self.alpha_eff * q + (1.0 - self.alpha_eff) * lo.p
-        p_eff = p_w + omega
-        eps_hat = lo.eps - p_eff * delta  # energy equation, eliminated
-        u_t = (u_hat - lo.u) / tau
+        return p_w + omega
 
+    def rows(self, u_hat, q, r_hat, big_r, delta, p_eff, eps_hat):
+        """Momentum rows per node and gas-law rows per cell; delta is the step's
+        change of specific volume.  Momentum rows 0 and -1 are the boundary
+        closures: u_hat - u_wall at a wall, else a one-sided balance on the
+        half-width cell.  Returns (momentum, gas law, u_t, (bracket)_s)."""
+        lo, tau, params = self.lo, self.tau, self.params
+        u_t = (u_hat - lo.u) / tau
         f_node = np.empty(u_hat.size)
         f_node[1:-1] = u_t[1:-1] + big_r[1:-1] * (p_eff[1:] - p_eff[:-1]) / self.hbar
         if self.bc_left.kind == "wall":
@@ -441,6 +325,8 @@ class _StepSystem:
 
         brack_s = None
         if params.is_conservative:
+            # two-layer gas law for the half-sum pressure q, with the O(tau^2)
+            # velocity and geometry corrections that close the quadratic balances
             ut2_avg = cell_average(u_t * u_t)
             brack = _eos_bracket(lo.r, r_hat, params.n)
             brack_s = (brack[1:] - brack[:-1]) / self.h
@@ -451,14 +337,30 @@ class _StepSystem:
         else:
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                 f_cell = eps_hat - q * (self.inv_rho + delta) / self.gm1
+        return f_node, f_cell, u_t, brack_s
+
+    def residual(self, x: np.ndarray) -> tuple[np.ndarray, dict]:
+        """Residual at x = (u_hat, q), with the trajectory, mass and energy
+        equations solved for r_hat, rho_hat and eps_hat in closed form."""
+        lo, tau = self.lo, self.tau
+        u_hat = x[0::2]
+        q = x[1::2]
+        v = 0.5 * (lo.u + u_hat)
+        r_hat = lo.r + tau * v
+        big_r, d_rv = self.swept_rate(v, r_hat)
+        delta = tau * d_rv  # change of specific volume over the step
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            rho_hat = lo.rho / (1.0 + lo.rho * delta)
+        p_eff = self.effective_pressure(v, d_rv, rho_hat, q)
+        eps_hat = lo.eps - p_eff * delta  # energy equation, eliminated
+        f_node, f_cell, u_t, brack_s = self.rows(u_hat, q, r_hat, big_r, delta, p_eff, eps_hat)
 
         f = np.empty(self.n_unknowns)
         f[0::2] = f_node
         f[1::2] = f_cell
         aux = {"u_hat": u_hat, "q": q, "r_hat": r_hat, "rho_hat": rho_hat,
-               "eps_hat": eps_hat, "delta": delta, "omega": omega,
-               "v": v, "big_r": big_r, "d_rv": d_rv, "p_eff": p_eff, "u_t": u_t,
-               "brack_s": brack_s}
+               "eps_hat": eps_hat, "delta": delta, "v": v, "big_r": big_r,
+               "d_rv": d_rv, "p_eff": p_eff, "u_t": u_t, "brack_s": brack_s}
         return f, aux
 
     def jacobian(self, aux: dict) -> np.ndarray:
@@ -634,28 +536,44 @@ def step(lo: GridLayer, tau: float, params: SchemeParams,
     except LayerError as exc:
         raise reject(f"positivity/ordering failure: {exc}") from exc
 
-    view = TwoLayerView(lo=lo, hi=hi, tau=tau)
-    residuals = {
-        "mass": residual_mass(view, params),
-        "momentum": residual_momentum(view, params),
-        "energy": residual_energy(view, params),
-        "trajectory": residual_trajectory(view, params),
-        "eos": residual_eos(view, params),
-        "boundary": boundary_residuals(view, params),
-    }
-    residual_max = {name: float(np.max(np.abs(residuals[name])))
-                    for name in RESIDUAL_FAMILIES}
-    residual_max["momentum"] = max(residual_max["momentum"],
-                                   float(np.max(np.abs(residuals["boundary"]))))
+    residuals = step_residuals(TwoLayerView(lo=lo, hi=hi, tau=tau), params)
+    residual_max = {name: float(np.max(np.abs(residuals[name]))) for name in RESIDUAL_FAMILIES}
     report = StepReport(accepted=True, iterations=len(history),
                         final_residual_norm=norm, history=history,
                         residual_max=residual_max, residuals=residuals)
     return hi, report
 
 
+def step_residuals(view: TwoLayerView, params: SchemeParams) -> dict[str, np.ndarray]:
+    """Residual of every difference equation on a stored pair of layers.
+
+    Feeds view.hi to the kernel the Newton solve uses, with q = p_hat
+    (pointwise) or (p + p_hat)/2 (conservative), and adds the mass, energy
+    and trajectory rows the solve eliminates.  Keys are RESIDUAL_FAMILIES;
+    rows 0 and -1 of "momentum" are the boundary closures.
+    """
+    lo, hi, tau = view.lo, view.hi, view.tau
+    system = _StepSystem(lo, tau, params)
+    v = 0.5 * (lo.u + hi.u)
+    big_r, d_rv = system.swept_rate(v, hi.r)
+    delta = 1.0 / hi.rho - 1.0 / lo.rho
+    q = 0.5 * (lo.p + hi.p) if params.is_conservative else hi.p
+    p_eff = system.effective_pressure(v, d_rv, hi.rho, q)
+    momentum, eos, _, _ = system.rows(hi.u, q, hi.r, big_r, delta, p_eff, hi.eps)
+    return {
+        "mass": delta / tau - d_rv,
+        "momentum": momentum,
+        "energy": (hi.eps - lo.eps) / tau + p_eff * d_rv,
+        "trajectory": (hi.r - lo.r) / tau - v,
+        "eos": eos,
+    }
+
+
 def step_with_retry(lo: GridLayer, tau: float, params: SchemeParams,
                     max_halvings: int = 10) -> tuple[GridLayer, StepReport, float]:
     """step() with tau-halving on rejection; returns (hi, report, tau_used)."""
+    if max_halvings < 0:
+        raise ConfigError(f"max_halvings must be >= 0, got {max_halvings}")
     last: StepRejected | None = None
     for _ in range(max_halvings + 1):
         try:

@@ -16,9 +16,11 @@ from polygas import (
     additional_1_residuals,
     additional_2_residuals,
     effective_cell_pressure,
+    make_initial_layer,
 )
 from polygas.cli import convergence_study, resolve_config, run_simulation
 from polygas.state import cell_average, total_cell_quantity
+from conftest import advance
 
 # pinned tolerances ------------------------------------------------------------------
 TOL_STATIC_DEFECT = 1e-13      # budgets on a resting uniform state
@@ -53,7 +55,20 @@ def _run(name: str, n: int, gamma: float, eos_mode: str, cells: int,
         "time": {"t_end": t_end, "tau": tau},
     }
     cfg = resolve_config(raw)
-    return cfg, run_simulation(cfg, capture_views=True)
+    return cfg, run_simulation(cfg)
+
+
+@lru_cache(maxsize=None)
+def _views(*key):
+    """The layer pairs of the _run(*key) run, stepped again with its config and
+    the step lengths its ledger records (the last step may be shortened)."""
+    cfg, result = _run(*key)
+    layer = make_initial_layer(cfg.profile, cfg.params.n)
+    views = []
+    for rec in _law_records(result, LawId.MASS):
+        views += advance(layer, cfg.params, rec["tau"], 1)
+        layer = views[-1].hi
+    return views
 
 
 def _law_records(result, law: LawId) -> list[dict]:
@@ -141,9 +156,10 @@ def test_c4_discrete_work_balance(capsys):
     worst = 0.0
     for key in (("smooth_pulse", 0, 1.4, "pointwise", 50, 0.004, 0.2),
                 ("smooth_pulse", 0, 3.0, "conservative", 50, 0.02, 0.5)):
-        cfg, result = _run(*key)
-        assert result.views
-        for view in result.views:
+        cfg, _ = _run(*key)
+        views = _views(*key)
+        assert views
+        for view in views:
             p_eff = effective_cell_pressure(view, cfg.params)
             balance = ((view.hi.eps - view.lo.eps)
                        + p_eff * (1.0 / view.hi.rho - 1.0 / view.lo.rho)) / view.tau
@@ -155,6 +171,11 @@ def test_c4_discrete_work_balance(capsys):
 
 
 # C5 ---------------------------------------------------------------------------------
+
+KEY_A = ("smooth_pulse", 0, 3.0, "conservative", 50, 0.02, 0.5)
+KEY_PW = ("smooth_pulse", 0, 3.0, "pointwise", 50, 0.02, 0.5)
+KEY_G = ("smooth_pulse", 0, 1.4, "conservative", 50, 0.02, 0.5)
+
 
 def test_c5_quadratic_balances_at_design_gamma(capsys):
     on_design = 0.0
@@ -168,23 +189,23 @@ def test_c5_quadratic_balances_at_design_gamma(capsys):
         assert all(rec["applicable"] and rec["expected_zero"] for rec in records)
         on_design = max(on_design, max(rec["relative_defect"] for rec in records),
                         max(rec["per_cell_residual_max"] for rec in records))
-    cfg_a, run_a = _run("smooth_pulse", 0, 3.0, "conservative", cells=50, tau=0.02, t_end=0.5)
+    cfg_a, _ = _run(*KEY_A)
     raw_on = max(float(np.max(np.abs(additional_1_residuals(v, cfg_a.params))))
-                 for v in run_a.views)
+                 for v in _views(*KEY_A))
 
-    cfg_pw, run_pw = _run("smooth_pulse", 0, 3.0, "pointwise", cells=50, tau=0.02, t_end=0.5)
+    cfg_pw, _ = _run(*KEY_PW)
     raw_pw = max(float(np.max(np.abs(additional_1_residuals(v, cfg_pw.params))))
-                 for v in run_pw.views)
+                 for v in _views(*KEY_PW))
 
-    cfg_g, run_g = _run("smooth_pulse", 0, 1.4, "conservative", cells=50, tau=0.02, t_end=0.5)
+    cfg_g, _ = _run(*KEY_G)
     raw_gamma = max(float(np.max(np.abs(additional_1_residuals(v, cfg_g.params))))
-                    for v in run_g.views)
+                    for v in _views(*KEY_G))
 
     with_corr = max(float(np.max(np.abs(additional_2_residuals(v, cfg_a.params))))
-                    for v in run_a.views)
+                    for v in _views(*KEY_A))
     ablated = max(float(np.max(np.abs(
         additional_2_residuals(v, cfg_a.params, include_correction=False))))
-        for v in run_a.views)
+        for v in _views(*KEY_A))
 
     controls_ok = (raw_pw >= CONTROL_FACTOR * raw_on
                    and raw_gamma >= CONTROL_FACTOR * raw_on

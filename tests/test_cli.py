@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from polygas import ConfigError, LawId
+from polygas import ConfigError, LawId, make_initial_layer, step_with_retry
 from polygas.cli import (
     RunConfig,
     audit_snapshots,
@@ -220,6 +220,20 @@ def test_run_simulation_tau_halving_retries():
     assert result.exit_code == 0
     assert result.final_layer.t == pytest.approx(0.02, abs=1e-12)
     assert result.steps >= 1
+
+
+def test_negative_max_halvings_is_a_config_error(tmp_path, capsys):
+    raw = _pulse_raw()
+    raw["time"] = {"t_end": 0.02, "tau": 0.01, "allow_tau_halving": True, "max_halvings": -1}
+    with pytest.raises(ConfigError, match="max_halvings"):
+        resolve_config(raw)
+    path = _write_config(tmp_path, raw)
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 3
+    assert "max_halvings" in capsys.readouterr().err
+    cfg = resolve_config(_pulse_raw())
+    layer = make_initial_layer(cfg.profile, cfg.params.n)
+    with pytest.raises(ConfigError, match="max_halvings"):
+        step_with_retry(layer, cfg.tau, cfg.params, max_halvings=-1)
 
 
 def test_runs_are_deterministic(tmp_path):

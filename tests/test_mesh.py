@@ -21,6 +21,11 @@ def test_hand_mesh_geometry():
     assert np.array_equal(mesh.midpoints, [0.5, 2.0, 4.5])
     assert np.array_equal(mesh.nodal_masses, [0.5, 1.5, 2.5, 1.5])
     assert np.array_equal(mesh.interior_spacings(), [1.5, 2.5])
+    # derived once per mesh and handed out read-only
+    assert mesh.h is mesh.h and mesh.interior_spacings() is mesh.interior_spacings()
+    for derived in (mesh.h, mesh.nodal_masses, mesh.interior_spacings()):
+        with pytest.raises(ValueError):
+            derived[0] = 0.0
 
 
 def test_nodal_masses_sum_to_total_mass(rng):

@@ -11,20 +11,15 @@ from polygas import (
     SchemeParams,
     StepRejected,
     TwoLayerView,
-    boundary_residuals,
     build_mesh,
+    effective_cell_pressure,
     make_initial_layer,
     problem_library,
     r_factor,
-    residual_energy,
-    residual_eos,
-    residual_mass,
-    residual_momentum,
-    residual_trajectory,
     step,
+    step_residuals,
     step_with_retry,
     total_nodal_quantity,
-    viscous_pressure,
 )
 from conftest import advance, pulse_start
 
@@ -53,7 +48,7 @@ def test_r_factor_rejects_bad_geometry():
         r_factor(1.0, 2.0, 3)
 
 
-def _plane_view(u_lo, u_hi, rho=1.0, p=1.0, tau=0.1):
+def _plane_view(u_lo, u_hi, rho=1.0, p=(1.0, 1.0), tau=0.1):
     """Two layers on a 2-cell unit-width mesh with prescribed velocities."""
     mesh = build_mesh([0.0, 1.0, 2.0])
     r = np.array([0.0, 1.0, 2.0])
@@ -61,21 +56,26 @@ def _plane_view(u_lo, u_hi, rho=1.0, p=1.0, tau=0.1):
     u_hi = np.asarray(u_hi, dtype=float)
     r_hi = r + tau * 0.5 * (u_lo + u_hi)
     make = lambda t, rr, uu: GridLayer(mesh=mesh, t=t, r=rr, u=uu,
-                                       rho=np.full(2, rho), p=np.full(2, p),
+                                       rho=np.full(2, rho), p=np.asarray(p, dtype=float),
                                        eps=np.full(2, 1.0))
     return TwoLayerView(lo=make(0.0, r, u_lo), hi=make(tau, r_hi, u_hi), tau=tau)
 
 
 def test_viscous_pressure_hand_value():
     # time-centered velocity jump of -0.5 per cell, rho_half = 1, nu = 2 -> 0.5
+    # on top of p = 1; eps is constant, so the energy row is p_eff * (R v)_s
+    # with (R v)_s = -0.5, in the solver's kernel and in the audit alike
     view = _plane_view([0.5, 0.0, -0.5], [0.5, 0.0, -0.5])
     params = SchemeParams(n=0, gamma=1.4, visc_nu=2.0)
-    assert viscous_pressure(view, params) == pytest.approx([0.5, 0.5], rel=1e-14)
+    assert effective_cell_pressure(view, params) == pytest.approx([1.5, 1.5], rel=1e-14)
+    assert step_residuals(view, params)["energy"] == pytest.approx([-0.75, -0.75], rel=1e-14)
     # expansion: switch off
     view = _plane_view([-0.5, 0.0, 0.5], [-0.5, 0.0, 0.5])
-    assert np.all(viscous_pressure(view, params) == 0.0)
+    assert np.all(effective_cell_pressure(view, params) == 1.0)
+    assert np.all(step_residuals(view, params)["energy"] == 0.5)
     params = SchemeParams(n=0, gamma=1.4, visc_nu=0.0)
-    assert np.all(viscous_pressure(view, params) == 0.0)
+    assert np.all(effective_cell_pressure(view, params) == 1.0)
+    assert np.all(step_residuals(view, params)["energy"] == 0.5)
 
 
 def test_momentum_residual_desk_case():
@@ -83,10 +83,11 @@ def test_momentum_residual_desk_case():
     # u_hat = u - tau makes the residual vanish identically.
     tau = 0.1
     u = np.array([0.2, -0.1, 0.4])
-    view = _plane_view(u, u - tau, tau=tau)
-    res = residual_momentum(view, SchemeParams(n=0, gamma=1.4),
-                            p_weighted=np.array([1.0, 2.0]))
-    assert res == pytest.approx([0.0], abs=1e-14)
+    view = _plane_view(u, u - tau, p=(1.0, 2.0), tau=tau)
+    res = step_residuals(view, SchemeParams(n=0, gamma=1.4))["momentum"]
+    assert res[1:-1] == pytest.approx([0.0], abs=1e-14)
+    # rows 0 and -1 are the wall closures u_hat - u_wall
+    assert res[[0, -1]] == pytest.approx(u[[0, -1]] - tau, abs=1e-15)
 
 
 def test_trajectory_residual_desk_case():
@@ -97,7 +98,7 @@ def test_trajectory_residual_desk_case():
     hi = GridLayer(mesh=mesh, t=1.0, r=r + 2.0, u=3.0 * np.ones(3),
                    rho=np.ones(2), p=np.ones(2), eps=np.ones(2))
     view = TwoLayerView(lo=lo, hi=hi, tau=1.0)
-    assert np.all(residual_trajectory(view, SchemeParams(n=0, gamma=1.4)) == 0.0)
+    assert np.all(step_residuals(view, SchemeParams(n=0, gamma=1.4))["trajectory"] == 0.0)
 
 
 # --- static preservation ------------------------------------------------------------
@@ -125,19 +126,34 @@ def test_galilean_shift_leaves_plane_residuals_unchanged(rng):
     shifted = TwoLayerView(
         lo=layer.with_fields(u=layer.u + c),
         hi=hi.with_fields(u=hi.u + c, r=hi.r + c * tau), tau=tau)
-    for res in (residual_mass, residual_energy, residual_eos, residual_trajectory):
-        assert np.allclose(res(view, params), res(shifted, params), atol=1e-12)
-    assert np.allclose(residual_momentum(view, params),
-                       residual_momentum(shifted, params), atol=1e-12)
+    plain = step_residuals(view, params)
+    moved = step_residuals(shifted, params)
+    for family in ("mass", "energy", "eos", "trajectory"):
+        assert np.allclose(plain[family], moved[family], atol=1e-12), family
+    # the wall closures at rows 0 and -1 see the shifted velocity itself
+    assert np.allclose(plain["momentum"][1:-1], moved["momentum"][1:-1], atol=1e-12)
 
 
 # --- the Newton step ------------------------------------------------------------------
 
-def test_accepted_step_meets_its_own_tolerances():
-    layer, params = pulse_start(n=0, gamma=3.0, cells=40, eos_mode="conservative")
+_LINEAR_TRACE = BoundaryCondition.pressure(PressureTrace("linear", p0=1.0, rate=0.5))
+
+
+@pytest.mark.parametrize("boundary", ("wall", "linear"))
+@pytest.mark.parametrize("visc_nu", (0.0, 2.0))
+@pytest.mark.parametrize("eos_mode", ("pointwise", "conservative"))
+@pytest.mark.parametrize("n", (0, 1, 2))
+def test_accepted_step_meets_its_own_tolerances(n, eos_mode, visc_nu, boundary):
+    gamma = 1.0 + 2.0 / (n + 1) if eos_mode == "conservative" else 1.4
+    bcs = {}
+    if boundary == "linear":  # the r = 0 node of n >= 1 stays a wall
+        bcs = {"bc_left" if n == 0 else "bc_right": _LINEAR_TRACE}
+    layer, params = pulse_start(n=n, gamma=gamma, cells=40, eos_mode=eos_mode,
+                                visc_nu=visc_nu, **bcs)
     hi, report = step(layer, 0.01, params)
     assert report.accepted
     assert report.final_residual_norm <= params.newton_tol
+    assert set(report.residual_max) == {"mass", "momentum", "energy", "trajectory", "eos"}
     for family, value in report.residual_max.items():
         assert value <= 100.0 * params.newton_tol, (family, value)
     assert report.history[0] > report.history[-1]  # it actually had work to do
@@ -211,7 +227,7 @@ def test_piston_wall_moves_the_boundary():
     assert hi.u[0] == pytest.approx(0.1, abs=1e-13)
     assert hi.r[0] == pytest.approx(layer.r[0] + 0.01 * 0.05, abs=1e-14)
     view = TwoLayerView(lo=layer, hi=hi, tau=0.01)
-    assert np.max(np.abs(boundary_residuals(view, params))) <= 1e-12
+    assert np.max(np.abs(step_residuals(view, params)["momentum"][[0, -1]])) <= 1e-12
 
 
 def test_pressure_boundary_pulls_gas_outward():
