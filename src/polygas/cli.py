@@ -78,6 +78,13 @@ def _check_keys(mapping: dict, allowed: set, context: str) -> None:
         raise ConfigError(f"unknown key(s) in {context}: {sorted(unknown)}")
 
 
+def _integer(value, context: str) -> int:
+    """A JSON integer (2 or 2.0); a fraction, a boolean or a string is an error."""
+    if type(value) is not int and not (type(value) is float and value.is_integer()):
+        raise ConfigError(f"{context} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _parse_trace(raw, context: str) -> PressureTrace:
     if isinstance(raw, (int, float)):
         return PressureTrace(kind="constant", p0=float(raw))
@@ -131,7 +138,7 @@ def _resolve_mesh(spec: dict, profile: EulerProfile, options: dict, n: int) -> E
         raise ConfigError(f"mesh spec must be one of {[sorted(f) for f in _MESH_FORMS]}, "
                           f"got keys {sorted(keys)}")
     if keys == {"cells"}:
-        cells = int(spec["cells"])
+        cells = _integer(spec["cells"], "config.mesh.cells")
         r_min = float(options.get("r_min", 0.0))
         r_max = float(options.get("r_max", 1.0))
         return profile.with_r_nodes(np.linspace(r_min, r_max, cells + 1))
@@ -140,7 +147,7 @@ def _resolve_mesh(spec: dict, profile: EulerProfile, options: dict, n: int) -> E
     if keys == {"s_nodes"}:
         s = np.asarray(spec["s_nodes"], dtype=float)
     else:
-        cells = int(spec["cells"])
+        cells = _integer(spec["cells"], "config.mesh.cells")
         s = np.linspace(float(spec["s_min"]), float(spec["s_max"]), cells + 1)
     return profile.with_r_nodes(invert_mass_coordinate(profile, n, s))
 
@@ -165,8 +172,9 @@ def resolve_config(raw: dict) -> RunConfig:
         overrides["bc_left"] = _parse_bc(overrides["bc_left"], "config.params.bc_left")
     if "bc_right" in overrides:
         overrides["bc_right"] = _parse_bc(overrides["bc_right"], "config.params.bc_right")
-    if "n" in overrides:
-        overrides["n"] = int(overrides["n"])
+    for key in ("n", "newton_max_iter"):
+        if key in overrides:
+            overrides[key] = _integer(overrides[key], f"config.params.{key}")
     params = dataclasses.replace(params, **overrides)
 
     # the profile's gamma must match the scheme's so eps = p/((gamma-1) rho)
@@ -189,12 +197,15 @@ def resolve_config(raw: dict) -> RunConfig:
     budget_tol = float(raw.get("budget_tol", 1e-10))
     if not budget_tol > 0.0:
         raise ConfigError("budget_tol must be positive")
-    snapshot_every = int(raw.get("snapshot_every", 0))
+    snapshot_every = _integer(raw.get("snapshot_every", 0), "config.snapshot_every")
     if snapshot_every < 0:
         raise ConfigError("snapshot_every must be >= 0")
-    max_halvings = int(time_block.get("max_halvings", 10))
+    max_halvings = _integer(time_block.get("max_halvings", 10), "config.time.max_halvings")
     if max_halvings < 0:
         raise ConfigError("max_halvings must be >= 0")
+    allow_tau_halving = time_block.get("allow_tau_halving", False)
+    if type(allow_tau_halving) is not bool:
+        raise ConfigError(f"config.time.allow_tau_halving must be a boolean, got {allow_tau_halving!r}")
 
     return RunConfig(
         profile=profile, params=params, t_end=t_end, tau=tau,
@@ -202,7 +213,7 @@ def resolve_config(raw: dict) -> RunConfig:
         output_dir=raw.get("output_dir"),
         laws=_parse_laws(raw.get("audit", "all")),
         budget_tol=budget_tol,
-        allow_tau_halving=bool(time_block.get("allow_tau_halving", False)),
+        allow_tau_halving=allow_tau_halving,
         max_halvings=max_halvings,
         problem_name=name, problem_options=options, mesh_spec=dict(mesh_spec))
 
@@ -375,28 +386,19 @@ def convergence_study(cfg: RunConfig, levels: int = 3, mode: str = "both") -> di
                               f"{result.failure}")
         return result.final_layer.u
 
-    if mode in ("spatial", "both"):
-        fields = [run_level(base_cells * 2 ** k, cfg.tau / 4 ** k) for k in range(levels)]
-        errors = [float(np.max(np.abs(fine[::2] - coarse)))
+    # study -> (cells per level, tau per level, stride to the coarse level's nodes)
+    studies = {"spatial": ([base_cells * 2 ** k for k in range(levels)],
+                           [cfg.tau / 4 ** k for k in range(levels)], 2),
+               "temporal": ([base_cells] * levels, [cfg.tau / 2 ** k for k in range(levels)], 1)}
+    for study, (cells, taus, stride) in studies.items():
+        if mode not in (study, "both"):
+            continue
+        fields = [run_level(c, tau) for c, tau in zip(cells, taus)]
+        errors = [float(np.max(np.abs(fine[::stride] - coarse)))
                   for coarse, fine in zip(fields, fields[1:])]
         scale = float(np.max(np.abs(fields[-1])))
-        report["spatial"] = {
-            "cells": [base_cells * 2 ** k for k in range(levels)],
-            "tau": [cfg.tau / 4 ** k for k in range(levels)],
-            "errors": errors,
-            "orders": _order_pairs(errors, scale),
-        }
-    if mode in ("temporal", "both"):
-        fields = [run_level(base_cells, cfg.tau / 2 ** k) for k in range(levels)]
-        errors = [float(np.max(np.abs(fine - coarse)))
-                  for coarse, fine in zip(fields, fields[1:])]
-        scale = float(np.max(np.abs(fields[-1])))
-        report["temporal"] = {
-            "cells": [base_cells] * levels,
-            "tau": [cfg.tau / 2 ** k for k in range(levels)],
-            "errors": errors,
-            "orders": _order_pairs(errors, scale),
-        }
+        report[study] = {"cells": cells, "tau": taus, "errors": errors,
+                         "orders": _order_pairs(errors, scale)}
     return report
 
 

@@ -506,6 +506,10 @@ def step(lo: GridLayer, tau: float, params: SchemeParams,
             dx = solve_banded((2, 2), ab, -f)
         except (LinAlgError, ValueError) as exc:
             raise reject(f"linear solve failed: {exc}") from exc
+        # a wall row is the identity: its update is exact, not the solve's round-off
+        for i, bc in ((0, system.bc_left), (-1, system.bc_right)):
+            if bc.kind == "wall":
+                dx[i] = bc.u_wall - x[i]
         # damped update: halve until the scaled norm stops growing
         best = None
         lam = 1.0

@@ -236,6 +236,42 @@ def test_negative_max_halvings_is_a_config_error(tmp_path, capsys):
         step_with_retry(layer, cfg.tau, cfg.params, max_halvings=-1)
 
 
+@pytest.mark.parametrize("where, key, value", [
+    ("time", "allow_tau_halving", "false"),
+    ("time", "allow_tau_halving", 0),
+    ("time", "allow_tau_halving", None),
+    ("time", "max_halvings", 2.7),
+    ("time", "max_halvings", True),
+    ("time", "max_halvings", "3"),
+    ("top", "snapshot_every", 2.7),
+    ("top", "snapshot_every", False),
+    ("params", "n", 1.5),
+    ("params", "n", True),
+    ("params", "newton_max_iter", 7.5),
+    ("mesh", "cells", 20.5),
+])
+def test_config_types_are_strict(tmp_path, capsys, where, key, value):
+    raw = _pulse_raw()
+    {"top": raw, "time": raw["time"], "params": raw["params"],
+     "mesh": raw.setdefault("mesh", {})}[where][key] = value
+    with pytest.raises(ConfigError, match=key):
+        resolve_config(raw)
+    path = _write_config(tmp_path, raw)
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 3
+    assert key in capsys.readouterr().err
+
+
+def test_integral_numbers_and_booleans_are_accepted():
+    raw = _pulse_raw(snapshot_every=2.0, mesh={"cells": 24.0})
+    raw["time"].update(allow_tau_halving=True, max_halvings=3.0)
+    raw["params"].update(n=1.0, newton_max_iter=40)
+    cfg = resolve_config(raw)
+    assert (cfg.snapshot_every, cfg.max_halvings, cfg.params.n, cfg.params.newton_max_iter) == (2, 3, 1, 40)
+    assert all(type(x) is int for x in (cfg.snapshot_every, cfg.max_halvings, cfg.params.n))
+    assert cfg.allow_tau_halving is True and cfg.profile.n_cells == 24
+    assert resolve_config(_pulse_raw()).allow_tau_halving is False
+
+
 def test_runs_are_deterministic(tmp_path):
     raw = _pulse_raw(snapshot_every=1)
     raw["params"]["eos_mode"] = "conservative"

@@ -28,6 +28,7 @@ from polygas import (
     weighted,
     write_ledger,
 )
+from polygas import conservation
 from conftest import advance, pulse_start, random_view
 
 
@@ -113,6 +114,24 @@ def test_audit_all_order_and_selection(rng):
 
 
 # --- flux pressure closures -----------------------------------------------------------
+
+@pytest.mark.parametrize("visc_nu", (0.0, 2.0))
+def test_audit_all_recomputes_shared_intermediates_once(monkeypatch, rng, visc_nu):
+    view = random_view(rng, n_cells=10)
+    params = SchemeParams(n=0, gamma=2.0, eos_mode="conservative", visc_nu=visc_nu)
+    alone = [audit(view, params).to_record() for audit in (
+        audit_mass, audit_energy, audit_momentum, audit_center_of_mass,
+        audit_additional_1, audit_additional_2)]
+    calls = []
+    for name in ("r_factor", "interp_nodal_pressure"):
+        def counted(*args, _real=getattr(conservation, name), _name=name):
+            calls.append(_name)
+            return _real(*args)
+        monkeypatch.setattr(conservation, name, counted)
+    shared = [budget.to_record() for budget in audit_all(view, params)]
+    assert sorted(calls) == ["interp_nodal_pressure", "r_factor"]  # once each per view
+    assert json.dumps(shared) == json.dumps(alone)
+
 
 def test_pressure_star_interior_and_wall_closure(rng):
     view = random_view(rng, n_cells=6)

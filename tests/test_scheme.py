@@ -230,6 +230,25 @@ def test_piston_wall_moves_the_boundary():
     assert np.max(np.abs(step_residuals(view, params)["momentum"][[0, -1]])) <= 1e-12
 
 
+@pytest.mark.parametrize("u_wall", (0.0, -1.0))
+@pytest.mark.parametrize("eos_mode", ("pointwise", "conservative"))
+@pytest.mark.parametrize("n", (0, 1, 2))
+def test_wall_nodes_move_exactly_with_their_walls(n, eos_mode, u_wall):
+    # a wall row of the Newton system is the identity, so the wall node's
+    # velocity and radius are exact, with none of the banded solve's round-off.
+    # tau/h >= 1 makes the solve pivot away from the left wall row (a plane
+    # resting wall then drifted by ~1e-250); the piston needs tau*|u_wall| < h.
+    layer, params = pulse_start(n=n, cells=300, eos_mode=eos_mode,
+                                bc_right=BoundaryCondition.wall(u_wall))
+    layer = layer.with_fields(u=np.concatenate((layer.u[:-1], [u_wall])))
+    tau = 5e-3 if u_wall == 0.0 else 5e-4
+    for _ in range(10):
+        hi, _ = step(layer, tau, params)
+        assert hi.u[0] == 0.0 and hi.r[0] == layer.r[0]
+        assert hi.u[-1] == u_wall and hi.r[-1] == layer.r[-1] + tau * u_wall
+        layer = hi
+
+
 def test_pressure_boundary_pulls_gas_outward():
     profile, params = problem_library("expansion", cells=20, rate=1.0)
     layer = make_initial_layer(profile, 0)

@@ -1,6 +1,11 @@
+import math
+import struct
+import types
+from fractions import Fraction
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from polygas import (
     GridLayer,
@@ -15,6 +20,8 @@ from polygas import (
     uniform_mesh,
     weighted,
 )
+from polygas import state
+from polygas.state import exact_sum
 from conftest import random_layer, random_mesh
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
@@ -95,6 +102,76 @@ def test_interp_output_between_adjacent_values(h_left, h_right, p_left, p_right)
 def test_weighted_stays_between_endpoints(lo, hi, alpha):
     w = weighted(lo, hi, alpha)
     assert min(lo, hi) - 1e-9 * (1 + abs(lo)) <= w <= max(lo, hi) + 1e-9 * (1 + abs(hi))
+
+
+# --- exact sums --------------------------------------------------------------------
+
+@st.composite
+def sum_inputs(draw):
+    """Float arrays with sizes on both sides of exact_sum's dispatch, exponents
+    anywhere in the double range (subnormals included), exact or near-exact
+    cancellation, and signed zeros, infinities and nan at random places."""
+    size = draw(st.one_of(st.integers(1, 40), st.integers(300, 1300)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    e_lo = draw(st.integers(-1074, 1023))
+    e_hi = draw(st.integers(e_lo, 1023))
+    a = rng.uniform(-1.0, 1.0, size) * np.exp2(rng.integers(e_lo, e_hi + 1, size).astype(float))
+    cancel = draw(st.sampled_from(("none", "exact", "near")))
+    if cancel == "exact":
+        a = np.concatenate((a, -a))
+    elif cancel == "near":
+        try:
+            a = np.concatenate((a, [-math.fsum(a)]))
+        except OverflowError:
+            pass
+    specials = draw(st.lists(st.floats(allow_nan=True, allow_infinity=True) | st.just(-0.0),
+                             max_size=3))
+    a = np.concatenate((a, specials))
+    rng.shuffle(a)
+    return a
+
+
+def _outcome(fn, a):
+    """The result's bits (sign of zero included; nan by kind), or the exception."""
+    try:
+        x = fn(a)
+    except (ValueError, OverflowError) as exc:
+        return type(exc), str(exc)
+    return "nan" if math.isnan(x) else struct.pack("<d", x)
+
+
+@settings(max_examples=400, deadline=None)
+@given(a=sum_inputs())
+def test_exact_sum_is_math_fsum_bit_for_bit(a):
+    assert _outcome(exact_sum, a) == _outcome(math.fsum, a)
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=sum_inputs())
+def test_exact_sum_kernel_matches_math_fsum_at_every_size(a):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(state, "_EXACT_SUM_MIN_SIZE", 1)
+        assert _outcome(exact_sum, a) == _outcome(math.fsum, a)
+
+
+def test_exact_sum_takes_the_limb_path_on_long_finite_input(monkeypatch):
+    rng = np.random.default_rng(4)
+    # a Gaussian tail spanning ~900 binary exponents, the slow case for math.fsum
+    tail = np.exp(-rng.uniform(0.0, 620.0, 1601)) * rng.choice([-1.0, 1.0], 1601)
+    cases = [tail, np.full(2000, 0.1), np.concatenate((tail, -tail[:-1]))]
+    # the exact rational sum, rounded once, is an oracle independent of math.fsum
+    expected = [float(sum(map(Fraction, a.tolist()))) for a in cases]
+    monkeypatch.setattr(state, "math", types.SimpleNamespace(fsum=None))
+    for a, want in zip(cases, expected):
+        assert struct.pack("<d", exact_sum(a)) == struct.pack("<d", want)
+    with pytest.raises(TypeError):  # too short: math.fsum's turn
+        exact_sum(tail[:10])
+
+
+def test_exact_sum_zero_totals_keep_math_fsum_sign():
+    a = np.linspace(1.0, 2.0, 500)
+    for zeros in (np.full(500, -0.0), np.concatenate((a, -a)), np.concatenate((-a, a, [-0.0]))):
+        assert struct.pack("<d", exact_sum(zeros)) == struct.pack("<d", math.fsum(zeros))
 
 
 # --- layers and views -------------------------------------------------------------
