@@ -2,19 +2,15 @@
 mass-Lagrangian coordinates (plane, cylindrical and spherical symmetry), with
 per-step audits of the discrete conservation laws."""
 
-from .mesh import MassMesh, MeshError, TimeLayer, build_mesh, uniform_mesh
+from .mesh import MassMesh, MeshError
 from .state import (
     GridLayer,
     LayerError,
     TwoLayerView,
-    backward_s_cellfield,
     cell_average,
-    forward_s,
     interp_nodal_pressure,
-    time_diff,
     total_cell_quantity,
     total_nodal_quantity,
-    weighted,
 )
 from .scheme import (
     BoundaryCondition,
@@ -26,7 +22,6 @@ from .scheme import (
     r_factor,
     step,
     step_residuals,
-    step_with_retry,
 )
 from .conservation import (
     ALL_LAWS,
@@ -35,12 +30,6 @@ from .conservation import (
     additional_1_residuals,
     additional_2_residuals,
     audit_all,
-    audit_additional_1,
-    audit_additional_2,
-    audit_center_of_mass,
-    audit_energy,
-    audit_mass,
-    audit_momentum,
     effective_cell_pressure,
     pressure_star,
     write_ledger,
@@ -49,7 +38,6 @@ from .problems import (
     EulerProfile,
     ProblemError,
     invert_mass_coordinate,
-    library_names,
     make_initial_layer,
     mass_coordinate,
     problem_library,
@@ -87,27 +75,16 @@ __all__ = [
     "SnapshotError",
     "StepRejected",
     "StepReport",
-    "TimeLayer",
     "TwoLayerView",
     "additional_1_residuals",
     "additional_2_residuals",
     "audit_all",
-    "audit_additional_1",
-    "audit_additional_2",
-    "audit_center_of_mass",
-    "audit_energy",
-    "audit_mass",
-    "audit_momentum",
     "audit_snapshots",
-    "backward_s_cellfield",
-    "build_mesh",
     "cell_average",
     "convergence_study",
     "effective_cell_pressure",
-    "forward_s",
     "interp_nodal_pressure",
     "invert_mass_coordinate",
-    "library_names",
     "load_config",
     "make_initial_layer",
     "mass_coordinate",
@@ -120,12 +97,8 @@ __all__ = [
     "run_simulation",
     "step",
     "step_residuals",
-    "step_with_retry",
-    "time_diff",
     "total_cell_quantity",
     "total_nodal_quantity",
-    "uniform_mesh",
-    "weighted",
     "with_resolution",
     "write_ledger",
     "write_snapshot",

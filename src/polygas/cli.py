@@ -31,7 +31,6 @@ from .scheme import (
     SchemeParams,
     StepRejected,
     step,
-    step_with_retry,
 )
 from .snapshots import SnapshotError, read_snapshot, read_snapshot_meta, write_snapshot
 from .state import GridLayer, LayerError, TwoLayerView, cell_average, total_cell_quantity, total_nodal_quantity
@@ -53,7 +52,11 @@ _TRACE_KEYS = {"kind", "p0", "rate"}
 
 @dataclass
 class RunConfig:
-    """A fully resolved run: profile + scheme parameters + schedule."""
+    """A fully resolved run: profile + scheme parameters + schedule.
+
+    max_halvings is how often a rejected step is retried at half its tau
+    (0: never); the config sets it under "time" when allow_tau_halving is true.
+    """
 
     profile: EulerProfile
     params: SchemeParams
@@ -63,8 +66,7 @@ class RunConfig:
     output_dir: str | None = None
     laws: tuple[LawId, ...] = ALL_LAWS
     budget_tol: float = 1e-10
-    allow_tau_halving: bool = False
-    max_halvings: int = 10
+    max_halvings: int = 0
     problem_name: str = ""
     problem_options: dict = dataclasses.field(default_factory=dict)
     mesh_spec: dict = dataclasses.field(default_factory=dict)
@@ -85,13 +87,27 @@ def _integer(value, context: str) -> int:
     return int(value)
 
 
+def _number(value, context: str) -> float:
+    """A finite JSON number; a boolean, a string, Infinity or NaN is an error."""
+    if type(value) not in (int, float) or not math.isfinite(value):
+        raise ConfigError(f"{context} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _number_list(value, context: str) -> np.ndarray:
+    """A JSON list of finite numbers, as a float array."""
+    if not isinstance(value, list):
+        raise ConfigError(f"{context} must be a list of numbers, got {value!r}")
+    return np.array([_number(x, context) for x in value])
+
+
 def _parse_trace(raw, context: str) -> PressureTrace:
-    if isinstance(raw, (int, float)):
-        return PressureTrace(kind="constant", p0=float(raw))
+    if not isinstance(raw, dict):
+        return PressureTrace(kind="constant", p0=_number(raw, context))
     _check_keys(raw, _TRACE_KEYS, context)
     return PressureTrace(kind=raw.get("kind", "constant"),
-                         p0=float(raw.get("p0", 1.0)),
-                         rate=float(raw.get("rate", 0.0)))
+                         p0=_number(raw.get("p0", 1.0), f"{context}.p0"),
+                         rate=_number(raw.get("rate", 0.0), f"{context}.rate"))
 
 
 def _parse_bc(raw, context: str) -> BoundaryCondition:
@@ -101,14 +117,14 @@ def _parse_bc(raw, context: str) -> BoundaryCondition:
         extra = set(raw) & {"p0", "trace"}
         if extra:
             raise ConfigError(f"{context}: wall boundary takes no {sorted(extra)}")
-        return BoundaryCondition.wall(float(raw.get("u_wall", 0.0)))
+        return BoundaryCondition.wall(_number(raw.get("u_wall", 0.0), f"{context}.u_wall"))
     if kind == "pressure":
         if "u_wall" in raw:
             raise ConfigError(f"{context}: pressure boundary takes no 'u_wall'")
         if "trace" in raw:
             return BoundaryCondition.pressure(_parse_trace(raw["trace"], f"{context}.trace"))
         if "p0" in raw:
-            return BoundaryCondition.pressure(float(raw["p0"]))
+            return BoundaryCondition.pressure(_number(raw["p0"], f"{context}.p0"))
         raise ConfigError(f"{context}: pressure boundary needs 'trace' or 'p0'")
     raise ConfigError(f"{context}: boundary kind must be 'wall' or 'pressure', got {kind!r}")
 
@@ -143,12 +159,13 @@ def _resolve_mesh(spec: dict, profile: EulerProfile, options: dict, n: int) -> E
         r_max = float(options.get("r_max", 1.0))
         return profile.with_r_nodes(np.linspace(r_min, r_max, cells + 1))
     if keys == {"r_nodes"}:
-        return profile.with_r_nodes(np.asarray(spec["r_nodes"], dtype=float))
+        return profile.with_r_nodes(_number_list(spec["r_nodes"], "config.mesh.r_nodes"))
     if keys == {"s_nodes"}:
-        s = np.asarray(spec["s_nodes"], dtype=float)
+        s = _number_list(spec["s_nodes"], "config.mesh.s_nodes")
     else:
         cells = _integer(spec["cells"], "config.mesh.cells")
-        s = np.linspace(float(spec["s_min"]), float(spec["s_max"]), cells + 1)
+        s = np.linspace(_number(spec["s_min"], "config.mesh.s_min"),
+                        _number(spec["s_max"], "config.mesh.s_max"), cells + 1)
     return profile.with_r_nodes(invert_mass_coordinate(profile, n, s))
 
 
@@ -158,28 +175,37 @@ def resolve_config(raw: dict) -> RunConfig:
     problem = raw.get("problem", "uniform")
     if isinstance(problem, str):
         name, options = problem, {}
-    else:
-        _check_keys(problem, set(problem) | {"name"}, "config.problem")
-        if "name" not in problem:
-            raise ConfigError("config.problem needs a 'name'")
+    elif isinstance(problem, dict) and "name" in problem:
         options = {k: v for k, v in problem.items() if k != "name"}
         name = problem["name"]
+    else:
+        raise ConfigError(f"config.problem must be a name or an object with a 'name', "
+                          f"got {problem!r}")
+    # problem options are numbers (cells integral); the rest keep their JSON type
+    for key, value in options.items():
+        if key == "cells":
+            options[key] = _integer(value, "config.problem.cells")
+        else:
+            _number(value, f"config.problem.{key}")
     profile, params = problem_library(name, **options)
 
-    overrides = dict(raw.get("params", {}))
+    overrides = raw.get("params", {})
     _check_keys(overrides, _PARAM_KEYS, "config.params")
-    if "bc_left" in overrides:
-        overrides["bc_left"] = _parse_bc(overrides["bc_left"], "config.params.bc_left")
-    if "bc_right" in overrides:
-        overrides["bc_right"] = _parse_bc(overrides["bc_right"], "config.params.bc_right")
-    for key in ("n", "newton_max_iter"):
-        if key in overrides:
-            overrides[key] = _integer(overrides[key], f"config.params.{key}")
+    overrides = dict(overrides)
+    for key, value in overrides.items():
+        context = f"config.params.{key}"
+        if key in ("bc_left", "bc_right"):
+            overrides[key] = _parse_bc(value, context)
+        elif key in ("n", "newton_max_iter"):
+            overrides[key] = _integer(value, context)
+        elif key != "eos_mode":
+            _number(value, context)
     params = dataclasses.replace(params, **overrides)
 
     # the profile's gamma must match the scheme's so eps = p/((gamma-1) rho)
     profile = dataclasses.replace(profile, gamma=params.gamma)
     mesh_spec = raw.get("mesh", {})
+    _check_keys(mesh_spec, set().union(*_MESH_FORMS), "config.mesh")
     profile = _resolve_mesh(mesh_spec, profile, options, params.n)
 
     time_block = raw.get("time")
@@ -187,14 +213,14 @@ def resolve_config(raw: dict) -> RunConfig:
         raise ConfigError("config needs a 'time' block with t_end and tau")
     _check_keys(time_block, _TIME_KEYS, "config.time")
     try:
-        t_end = float(time_block["t_end"])
-        tau = float(time_block["tau"])
+        t_end = _number(time_block["t_end"], "config.time.t_end")
+        tau = _number(time_block["tau"], "config.time.tau")
     except KeyError as exc:
         raise ConfigError(f"config.time needs {exc.args[0]!r}") from None
     if not t_end > 0.0 or not tau > 0.0:
         raise ConfigError(f"t_end and tau must be positive, got {t_end}, {tau}")
 
-    budget_tol = float(raw.get("budget_tol", 1e-10))
+    budget_tol = _number(raw.get("budget_tol", 1e-10), "config.budget_tol")
     if not budget_tol > 0.0:
         raise ConfigError("budget_tol must be positive")
     snapshot_every = _integer(raw.get("snapshot_every", 0), "config.snapshot_every")
@@ -213,8 +239,7 @@ def resolve_config(raw: dict) -> RunConfig:
         output_dir=raw.get("output_dir"),
         laws=_parse_laws(raw.get("audit", "all")),
         budget_tol=budget_tol,
-        allow_tau_halving=allow_tau_halving,
-        max_halvings=max_halvings,
+        max_halvings=max_halvings if allow_tau_halving else 0,
         problem_name=name, problem_options=options, mesh_spec=dict(mesh_spec))
 
 
@@ -231,12 +256,10 @@ def with_resolution(cfg: RunConfig, cells: int, tau: float) -> RunConfig:
     """Same run at a different resolution; needs a 'cells'-style mesh."""
     if cfg.mesh_spec and set(cfg.mesh_spec) != {"cells"}:
         raise ConfigError("convergence studies need a mesh given as {'cells': ...}")
-    options = dict(cfg.problem_options)
-    r_min = float(options.get("r_min", 0.0))
-    r_max = float(options.get("r_max", 1.0))
-    profile = cfg.profile.with_r_nodes(np.linspace(r_min, r_max, cells + 1))
+    mesh_spec = {"cells": cells}
+    profile = _resolve_mesh(mesh_spec, cfg.profile, cfg.problem_options, cfg.params.n)
     return dataclasses.replace(cfg, profile=profile, tau=tau, output_dir=None,
-                               snapshot_every=0, mesh_spec={"cells": cells})
+                               snapshot_every=0, mesh_spec=mesh_spec)
 
 
 # --- run driver -------------------------------------------------------------------
@@ -268,11 +291,22 @@ def run_simulation(cfg: RunConfig, out_dir=None) -> SimulationResult:
     """Advance the configured run to t_end, auditing every step.
 
     Writes snapshots/ledger/summary when out_dir is given.  A rejected step
-    (after any configured tau-halving) stops the run with exit code 1; a
-    violated expected-zero budget marks exit code 2; otherwise 0.
+    is retried at half its tau up to cfg.max_halvings times; one still
+    rejected stops the run with exit code 1; a violated expected-zero budget
+    marks exit code 2; otherwise 0.  Wall nodes start at their wall velocity.
     """
+    if cfg.max_halvings < 0:
+        raise ConfigError(f"max_halvings must be >= 0, got {cfg.max_halvings}")
     out_path = Path(out_dir) if out_dir is not None else None
     initial = make_initial_layer(cfg.profile, cfg.params.n)
+    # no step may jump a wall node to u_wall: that impulse has no boundary
+    # flux in any budget.  array_equal leaves a resting node's -0.0 as it is.
+    u = initial.u.copy()
+    for i, bc in ((0, cfg.params.bc_left), (-1, cfg.params.bc_right)):
+        if bc.kind == "wall":
+            u[i] = bc.u_wall
+    if not np.array_equal(u, initial.u):
+        initial = dataclasses.replace(initial, u=u)
     layer = initial
     if out_path is not None:
         write_snapshot(layer, out_path, step=0)
@@ -289,21 +323,21 @@ def run_simulation(cfg: RunConfig, out_dir=None) -> SimulationResult:
         if remaining <= 1e-9 * cfg.tau:
             break
         tau_j = min(cfg.tau, remaining)
-        try:
-            if cfg.allow_tau_halving:
-                hi, report, tau_used = step_with_retry(layer, tau_j, cfg.params,
-                                                       max_halvings=cfg.max_halvings)
-            else:
+        for _ in range(cfg.max_halvings + 1):
+            try:
                 hi, report = step(layer, tau_j, cfg.params)
-                tau_used = tau_j
-        except StepRejected as exc:
-            failure = str(exc)
-            reports.append(exc.report)
+                break
+            except StepRejected as exc:
+                rejected = exc
+                tau_j *= 0.5
+        else:
+            failure = str(rejected)
+            reports.append(rejected.report)
             log.error("step %d rejected: %s", step_index, failure)
             break
-        view = TwoLayerView(lo=layer, hi=hi, tau=tau_used)
+        view = TwoLayerView(lo=layer, hi=hi, tau=tau_j)
         for budget in audit_all(view, cfg.params, cfg.laws):
-            record = budget.to_record(step=step_index, t=layer.t, tau=tau_used)
+            record = budget.to_record(step=step_index, t=layer.t, tau=tau_j)
             records.append(record)
             if budget.applicable and budget.expected_zero and budget.relative_defect > cfg.budget_tol:
                 violations.append(record)
@@ -313,7 +347,7 @@ def run_simulation(cfg: RunConfig, out_dir=None) -> SimulationResult:
         log.debug("step %d: t=%g, %d Newton iterations, residual %.3e",
                   step_index, layer.t, report.iterations, report.final_residual_norm)
         if out_path is not None and cfg.snapshot_every and step_index % cfg.snapshot_every == 0:
-            write_snapshot(layer, out_path, step=step_index, tau=tau_used)
+            write_snapshot(layer, out_path, step=step_index, tau=tau_j)
             last_written = step_index
 
     exit_code = 1 if failure else (2 if violations else 0)
@@ -427,14 +461,15 @@ def audit_snapshots(cfg: RunConfig, lo_nodes, lo_cells, hi_nodes, hi_cells,
                     tau: float | None = None) -> list[dict]:
     """Rebuild two layers from snapshot files and audit the step between them.
 
-    The step index and tau come from the hi-side sidecar when not given, so
-    the records match the inline ledger of the producing run byte for byte.
+    The hi-side sidecar, read once, gives the hi time, the step index and,
+    unless tau is given, the step length, so the records match the inline
+    ledger of the producing run byte for byte.
     """
     lo = read_snapshot(lo_nodes, lo_cells)
-    hi = read_snapshot(hi_nodes, hi_cells)
+    meta = read_snapshot_meta(hi_nodes) or {}
+    hi = read_snapshot(hi_nodes, hi_cells, t=float(meta.get("time", 0.0)))
     if not np.array_equal(lo.mesh.s, hi.mesh.s):
         raise SnapshotError("snapshots live on different meshes; audit needs one mesh")
-    meta = read_snapshot_meta(hi_nodes) or {}
     if tau is None:
         tau = float(meta.get("tau", hi.t - lo.t))
     if not tau > 0.0:

@@ -1,12 +1,13 @@
 """Discrete conservation-law audits.
 
-Every audit consumes a raw two-layer view plus the scheme parameters and
-recomputes all weighted and interpolated quantities itself, so it checks the
-stored fields rather than trusting anything cached by the solver.  Each law
-is verified twice: per cell/node (the local identity) and as a telescoped
-budget, |total change + tau * net boundary flux|, which holds to summation
-round-off whenever the local identities hold.  The totals are correctly
-rounded sums (state.exact_sum, bit for bit equal to math.fsum).
+audit_all(view, params, laws) is the one entry point.  It consumes a raw
+two-layer view plus the scheme parameters and recomputes all weighted and
+interpolated quantities itself, so it checks the stored fields rather than
+trusting anything cached by the solver.  Each law is verified twice: per
+cell/node (the local identity) and as a telescoped budget, |total change +
+tau * net boundary flux|, which holds to summation round-off whenever the
+local identities hold.  The totals are correctly rounded sums
+(state.exact_sum, bit for bit equal to math.fsum).
 
 Laws are written in the canonical form density_t + flux_s = 0; the sign of
 each flux is folded in so every budget uses the same defect formula.
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .state import TwoLayerView, cell_average, exact_sum, forward_s, interp_nodal_pressure, weighted
+from .state import TwoLayerView, cell_average, exact_sum, interp_nodal_pressure
 from .scheme import SchemeParams, boundary_pressure, effective_boundaries, r_factor
 
 
@@ -104,11 +105,13 @@ class _Recomputed:
         self.view, self.params = view, params
         self.v = v = 0.5 * (view.lo.u + view.hi.u)
         self.big_r = r_factor(view.lo.r, view.hi.r, params.n)
-        self.p_eff = weighted(view.lo.p, view.hi.p, params.alpha_effective)
+        a = params.alpha_effective
+        self.p_eff = a * view.hi.p + (1.0 - a) * view.lo.p
         if params.visc_nu != 0.0:
             du = v[1:] - v[:-1]
             rho_half = 0.5 * (view.lo.rho + view.hi.rho)
-            compressing = forward_s(self.big_r * v, view.mesh) < 0.0
+            rv = self.big_r * v
+            compressing = (rv[1:] - rv[:-1]) / view.mesh.h < 0.0
             self.p_eff = self.p_eff + np.where(compressing,
                                                params.visc_nu * rho_half * du * du, 0.0)
 
@@ -173,29 +176,14 @@ def _not_applicable(law: LawId, note: str) -> ConservationBudget:
 
 # --- the six laws --------------------------------------------------------------
 
-_LAWS = {}
-
-
-def _law(law: LawId):
-    """Register body(view, params, recomputed) in _LAWS, where audit_all shares
-    one _Recomputed; the public function takes (view, params) alone."""
-    def register(body):
-        _LAWS[law] = body
-        return functools.wraps(body)(
-            lambda view, params: body(view, params, _Recomputed(view, params)))
-    return register
-
-
-@_law(LawId.MASS)
-def audit_mass(view: TwoLayerView, params: SchemeParams, rc: _Recomputed) -> ConservationBudget:
+def _mass(view: TwoLayerView, params: SchemeParams, rc: _Recomputed) -> ConservationBudget:
     """Cell law: specific volume vs. swept volume, density 1/rho, flux -R v."""
     return _cell_budget(LawId.MASS, view,
                         1.0 / view.lo.rho, 1.0 / view.hi.rho,
                         -rc.big_r * rc.v, expected_zero=True)
 
 
-@_law(LawId.ENERGY)
-def audit_energy(view: TwoLayerView, params: SchemeParams, rc: _Recomputed) -> ConservationBudget:
+def _energy(view: TwoLayerView, params: SchemeParams, rc: _Recomputed) -> ConservationBudget:
     """Cell law: total energy eps + <u^2>/2, flux R p* v."""
     d_lo = view.lo.eps + 0.5 * cell_average(view.lo.u * view.lo.u)
     d_hi = view.hi.eps + 0.5 * cell_average(view.hi.u * view.hi.u)
@@ -203,9 +191,7 @@ def audit_energy(view: TwoLayerView, params: SchemeParams, rc: _Recomputed) -> C
                         expected_zero=True)
 
 
-@_law(LawId.MOMENTUM)
-def audit_momentum(view: TwoLayerView, params: SchemeParams,
-                   rc: _Recomputed) -> ConservationBudget:
+def _momentum(view: TwoLayerView, params: SchemeParams, rc: _Recomputed) -> ConservationBudget:
     """Nodal law (plane geometry only): density u, flux p*."""
     if params.n != 0:
         return _not_applicable(LawId.MOMENTUM, f"momentum balance needs n=0, run has n={params.n}")
@@ -215,20 +201,19 @@ def audit_momentum(view: TwoLayerView, params: SchemeParams,
                    float(rc.star[0]), float(rc.star[-1]), expected_zero=True)
 
 
-@_law(LawId.CENTER_OF_MASS)
-def audit_center_of_mass(view: TwoLayerView, params: SchemeParams,
-                         rc: _Recomputed) -> ConservationBudget:
+def _center_of_mass(view: TwoLayerView, params: SchemeParams,
+                    rc: _Recomputed) -> ConservationBudget:
     """Nodal law (plane geometry only): density r - t u, flux -t^{(1/2)} p*."""
     if params.n != 0:
         return _not_applicable(LawId.CENTER_OF_MASS,
                                f"center-of-mass balance needs n=0, run has n={params.n}")
-    time = view.time
+    t_half = view.t_half
     d_lo = view.lo.r - view.lo.t * view.lo.u
     d_hi = view.hi.r - view.hi.t * view.hi.u
     res = ((d_hi - d_lo)[1:-1] / view.tau
-           - time.t_half * (rc.p_eff[1:] - rc.p_eff[:-1]) / view.mesh.interior_spacings())
+           - t_half * (rc.p_eff[1:] - rc.p_eff[:-1]) / view.mesh.interior_spacings())
     return _budget(LawId.CENTER_OF_MASS, view, view.mesh.nodal_masses, d_lo, d_hi, res,
-                   -time.t_half * float(rc.star[0]), -time.t_half * float(rc.star[-1]),
+                   -t_half * float(rc.star[0]), -t_half * float(rc.star[-1]),
                    expected_zero=True)
 
 
@@ -244,7 +229,6 @@ def _additional_density_flux(view: TwoLayerView, rc: _Recomputed, law: LawId,
     The tau^2/8 term is the step-dependent correction that closes the second
     balance exactly; include_correction=False measures its contribution.
     """
-    time = view.time
     v, big_r, star = rc.v, rc.big_r, rc.star
     r_half = 0.5 * (view.lo.r + view.hi.r)
 
@@ -260,9 +244,9 @@ def _additional_density_flux(view: TwoLayerView, rc: _Recomputed, law: LawId,
         return d
 
     if law is LawId.ADDITIONAL_1:
-        flux = big_r * star * (2.0 * time.t_half * v - r_half)
+        flux = big_r * star * (2.0 * view.t_half * v - r_half)
     else:
-        flux = big_r * star * (time.t_sq_half * v - time.t_half * r_half)
+        flux = big_r * star * (view.t_sq_half * v - view.t_half * r_half)
     return density(view.lo), density(view.hi), flux
 
 
@@ -283,8 +267,9 @@ def additional_2_residuals(view: TwoLayerView, params: SchemeParams,
     return (d_hi - d_lo) / view.tau + (flux[1:] - flux[:-1]) / view.mesh.h
 
 
-def _audit_additional(law: LawId, view: TwoLayerView, params: SchemeParams,
-                      rc: _Recomputed) -> ConservationBudget:
+def _additional(law: LawId, view: TwoLayerView, params: SchemeParams,
+                rc: _Recomputed) -> ConservationBudget:
+    """Quadratic balances; applicable only in conservative mode."""
     if not params.is_conservative:
         return _not_applicable(law, "quadratic balances hold only in conservative EOS mode")
     note = f"gamma={params.gamma!r}, gamma_star={params.gamma_star!r}, visc_nu={params.visc_nu!r}"
@@ -294,22 +279,19 @@ def _audit_additional(law: LawId, view: TwoLayerView, params: SchemeParams,
                         expected_zero=at_star and params.visc_nu == 0.0, note=note)
 
 
-@_law(LawId.ADDITIONAL_1)
-def audit_additional_1(view: TwoLayerView, params: SchemeParams,
-                       rc: _Recomputed) -> ConservationBudget:
-    """First quadratic balance; applicable only in conservative mode."""
-    return _audit_additional(LawId.ADDITIONAL_1, view, params, rc)
-
-
-@_law(LawId.ADDITIONAL_2)
-def audit_additional_2(view: TwoLayerView, params: SchemeParams,
-                       rc: _Recomputed) -> ConservationBudget:
-    """Second quadratic balance; applicable only in conservative mode."""
-    return _audit_additional(LawId.ADDITIONAL_2, view, params, rc)
+#: law -> body(view, params, recomputed); audit_all shares one _Recomputed
+_LAWS = {
+    LawId.MASS: _mass,
+    LawId.ENERGY: _energy,
+    LawId.MOMENTUM: _momentum,
+    LawId.CENTER_OF_MASS: _center_of_mass,
+    LawId.ADDITIONAL_1: functools.partial(_additional, LawId.ADDITIONAL_1),
+    LawId.ADDITIONAL_2: functools.partial(_additional, LawId.ADDITIONAL_2),
+}
 
 
 def audit_all(view: TwoLayerView, params: SchemeParams,
               laws: tuple[LawId, ...] | list[LawId] = ALL_LAWS) -> list[ConservationBudget]:
-    """Run the selected audits in fixed law order, sharing one _Recomputed."""
+    """Audit the selected laws over one step, in fixed law order (ALL_LAWS)."""
     rc = _Recomputed(view, params)
     return [_LAWS[law](view, params, rc) for law in ALL_LAWS if law in set(laws)]

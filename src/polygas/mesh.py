@@ -1,4 +1,4 @@
-"""Mass-coordinate mesh and time-step bookkeeping.
+"""Mass-coordinate mesh.
 
 The independent spatial variable is the Lagrangian mass coordinate s.  Node
 values s_0 < s_1 < ... < s_N are fixed for the whole run; kinematic fields
@@ -79,46 +79,3 @@ class MassMesh:
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
-
-
-def build_mesh(s) -> MassMesh:
-    """Build a mesh from an explicit node array (validated, copied)."""
-    return MassMesh(np.asarray(s, dtype=float))
-
-
-def uniform_mesh(s_min: float, s_max: float, n_cells: int) -> MassMesh:
-    """Uniform partition of [s_min, s_max] into n_cells cells."""
-    if n_cells < 2:
-        raise MeshError(f"need at least 2 cells, got {n_cells}")
-    if not s_max > s_min:
-        raise MeshError(f"empty mass interval [{s_min}, {s_max}]")
-    return MassMesh(np.linspace(s_min, s_max, n_cells + 1))
-
-
-@dataclass(frozen=True)
-class TimeLayer:
-    """One implicit step from time t to t + tau.
-
-    Provides the midpoint values the time-centered scheme needs: the
-    half-step time and the two-layer average of t^2 (which is *not* the
-    square of the half-step time).
-    """
-
-    t: float
-    tau: float
-
-    def __post_init__(self):
-        if not self.tau > 0.0 or not np.isfinite(self.tau):
-            raise MeshError(f"step length must be positive and finite, got {self.tau}")
-
-    @property
-    def t_hat(self) -> float:
-        return self.t + self.tau
-
-    @property
-    def t_half(self) -> float:
-        return self.t + 0.5 * self.tau
-
-    @property
-    def t_sq_half(self) -> float:
-        return 0.5 * (self.t * self.t + self.t_hat * self.t_hat)

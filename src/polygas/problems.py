@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .mesh import MassMesh, build_mesh
+from .mesh import MassMesh
 from .scheme import BoundaryCondition, ConfigError, PressureTrace, SchemeParams
 from .state import GridLayer
 
@@ -106,7 +106,7 @@ def mass_coordinate(profile: EulerProfile, n: int) -> MassMesh:
         raise ProblemError(f"negative radius {r[0]!r} with curved geometry n={n}")
     increments = rho * np.diff(r ** (n + 1)) / (n + 1)
     s = np.concatenate(([0.0], np.cumsum(increments)))
-    return build_mesh(s)
+    return MassMesh(s)
 
 
 def make_initial_layer(profile: EulerProfile, n: int) -> GridLayer:
@@ -245,7 +245,3 @@ def problem_library(name: str, **options) -> tuple[EulerProfile, SchemeParams]:
         return profile, params
 
     raise ConfigError(f"unknown problem {name!r}; available: uniform, smooth_pulse, sod, expansion")
-
-
-def library_names() -> tuple[str, ...]:
-    return ("uniform", "smooth_pulse", "sod", "expansion")

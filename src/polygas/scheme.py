@@ -469,13 +469,13 @@ def _scaled_norm(f: np.ndarray, scales: np.ndarray) -> float:
     return float(a.max())
 
 
-def step(lo: GridLayer, tau: float, params: SchemeParams,
-         mass_tol: float = 1e-10) -> tuple[GridLayer, StepReport]:
+def step(lo: GridLayer, tau: float, params: SchemeParams) -> tuple[GridLayer, StepReport]:
     """Advance one implicit step; returns (new layer, report).
 
     Raises StepRejected (carrying the report) if Newton fails to converge or
-    the converged layer violates positivity/ordering, so no partial state
-    escapes.  The caller may retry with a smaller tau.
+    the converged layer violates positivity/ordering (mass consistency within
+    GridLayer.validate's default 1e-10), so no partial state escapes.  The
+    caller may retry with a smaller tau, as run_simulation does.
     """
     if not tau > 0.0 or not np.isfinite(tau):
         raise ConfigError(f"step length must be positive and finite, got {tau}")
@@ -536,7 +536,7 @@ def step(lo: GridLayer, tau: float, params: SchemeParams,
     try:
         hi = GridLayer(mesh=lo.mesh, t=lo.t + tau, r=aux["r_hat"], u=aux["u_hat"],
                        rho=aux["rho_hat"], p=p_hat, eps=aux["eps_hat"])
-        hi.validate(params.n, mass_tol=mass_tol)
+        hi.validate(params.n)
     except LayerError as exc:
         raise reject(f"positivity/ordering failure: {exc}") from exc
 
@@ -571,19 +571,3 @@ def step_residuals(view: TwoLayerView, params: SchemeParams) -> dict[str, np.nda
         "trajectory": (hi.r - lo.r) / tau - v,
         "eos": eos,
     }
-
-
-def step_with_retry(lo: GridLayer, tau: float, params: SchemeParams,
-                    max_halvings: int = 10) -> tuple[GridLayer, StepReport, float]:
-    """step() with tau-halving on rejection; returns (hi, report, tau_used)."""
-    if max_halvings < 0:
-        raise ConfigError(f"max_halvings must be >= 0, got {max_halvings}")
-    last: StepRejected | None = None
-    for _ in range(max_halvings + 1):
-        try:
-            hi, report = step(lo, tau, params)
-            return hi, report, tau
-        except StepRejected as exc:
-            last = exc
-            tau *= 0.5
-    raise last

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .mesh import build_mesh
+from .mesh import MassMesh
 from .state import GridLayer
 
 
@@ -105,11 +105,11 @@ def read_snapshot(nodes_path, cells_path, t: float | None = None) -> GridLayer:
     if cells.shape[0] != nodes.shape[0] - 1:
         raise SnapshotError(
             f"{cells_path}: {cells.shape[0]} cells do not match {nodes.shape[0]} nodes")
-    mesh = build_mesh(nodes[:, 0])
+    mesh = MassMesh(nodes[:, 0])
     if not np.allclose(cells[:, 0], mesh.midpoints, rtol=0.0, atol=1e-12 * (1 + np.abs(mesh.midpoints)).max()):
         raise SnapshotError(f"{cells_path}: cell midpoints disagree with the nodal mesh")
     if t is None:
-        t = _sidecar_time(nodes_path)
+        t = float((read_snapshot_meta(nodes_path) or {}).get("time", 0.0))
     return GridLayer(mesh=mesh, t=t, r=nodes[:, 1], u=nodes[:, 2],
                      rho=cells[:, 1], p=cells[:, 2], eps=cells[:, 3])
 
@@ -121,10 +121,3 @@ def read_snapshot_meta(nodes_path) -> dict | None:
         return None
     with open(path) as fh:
         return json.load(fh)
-
-
-def _sidecar_time(nodes_path) -> float:
-    meta = read_snapshot_meta(nodes_path)
-    if meta is None or "time" not in meta:
-        return 0.0
-    return float(meta["time"])

@@ -2,16 +2,18 @@
 
 Kinematic fields (r, u) are nodal, shape (N+1,); thermodynamic fields
 (rho, p, eps) are cell-centered, shape (N,).  A layer is tied to one
-MassMesh and one time value and is treated as immutable: a time step
-produces a new layer instead of mutating in place.
+MassMesh and one time value and is immutable: a time step produces a new
+layer, and dataclasses.replace copies one with some fields swapped.  A
+TwoLayerView pairs two consecutive layers and carries the step's midpoint
+times.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import MassMesh, TimeLayer
+from .mesh import MassMesh
 
 
 class LayerError(ValueError):
@@ -84,10 +86,6 @@ class GridLayer:
         vol = np.diff(self.r ** (n + 1)) / (n + 1)
         return float(np.max(np.abs(self.rho * vol - h) / h))
 
-    def with_fields(self, **fields) -> "GridLayer":
-        """Copy of the layer with some fields replaced."""
-        return replace(self, **fields)
-
 
 @dataclass(frozen=True)
 class TwoLayerView:
@@ -115,40 +113,18 @@ class TwoLayerView:
         return self.lo.mesh
 
     @property
-    def time(self) -> TimeLayer:
-        return TimeLayer(self.lo.t, self.tau)
+    def t_half(self) -> float:
+        """Half-step time t + tau/2."""
+        return self.lo.t + 0.5 * self.tau
+
+    @property
+    def t_sq_half(self) -> float:
+        """Two-layer average of t^2, which is not the square of t_half."""
+        t_hat = self.lo.t + self.tau
+        return 0.5 * (self.lo.t * self.lo.t + t_hat * t_hat)
 
 
 # --- staggered-mesh operators ------------------------------------------------
-
-def time_diff(lo_value, hi_value, tau: float):
-    """Two-layer time difference (hi - lo)/tau; works on scalars and arrays."""
-    return (np.asarray(hi_value) - np.asarray(lo_value)) / tau
-
-
-def weighted(lo_value, hi_value, alpha: float):
-    """Implicit weighting alpha*hi + (1 - alpha)*lo, alpha in [0, 1]."""
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"weight must lie in [0, 1], got {alpha}")
-    return alpha * np.asarray(hi_value) + (1.0 - alpha) * np.asarray(lo_value)
-
-
-def forward_s(f_nodal: np.ndarray, mesh: MassMesh) -> np.ndarray:
-    """Cell-based difference of a nodal field: (f_{i+1} - f_i)/h_i, shape (N,)."""
-    f = np.asarray(f_nodal)
-    return (f[1:] - f[:-1]) / mesh.h
-
-
-def backward_s_cellfield(g_cells: np.ndarray, mesh: MassMesh) -> np.ndarray:
-    """Node-based difference of a cell field on the staggered spacing.
-
-    At interior node i: (g_{i+1/2} - g_{i-1/2}) / ((h_{i-1} + h_i)/2).
-    Boundary nodes have no two-sided value, so the result has shape (N-1,)
-    and covers interior nodes 1..N-1.
-    """
-    g = np.asarray(g_cells)
-    return (g[1:] - g[:-1]) / mesh.interior_spacings()
-
 
 def interp_nodal_pressure(p_cells: np.ndarray, mesh: MassMesh) -> np.ndarray:
     """Width-weighted interpolation of a cell field to interior nodes.

@@ -6,8 +6,8 @@ import pytest
 from polygas import (
     GridLayer,
     SchemeParams,
+    MassMesh,
     TwoLayerView,
-    build_mesh,
     make_initial_layer,
     problem_library,
     step,
@@ -21,7 +21,7 @@ def rng():
 
 def random_mesh(rng, n_cells=8):
     widths = rng.uniform(0.2, 1.5, n_cells)
-    return build_mesh(np.concatenate(([0.0], np.cumsum(widths))))
+    return MassMesh(np.concatenate(([0.0], np.cumsum(widths))))
 
 
 def random_layer(rng, mesh, t=0.0):

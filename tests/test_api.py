@@ -1,0 +1,79 @@
+"""The public surface: what `import polygas` exports, and the README example."""
+
+import importlib
+import re
+from pathlib import Path
+
+import polygas
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+PUBLIC = [
+    "ALL_LAWS",
+    "BoundaryCondition",
+    "ConfigError",
+    "ConservationBudget",
+    "EulerProfile",
+    "GridLayer",
+    "LawId",
+    "LayerError",
+    "MassMesh",
+    "MeshError",
+    "PressureTrace",
+    "ProblemError",
+    "RunConfig",
+    "SchemeParams",
+    "SimulationResult",
+    "SnapshotError",
+    "StepRejected",
+    "StepReport",
+    "TwoLayerView",
+    "additional_1_residuals",
+    "additional_2_residuals",
+    "audit_all",
+    "audit_snapshots",
+    "cell_average",
+    "convergence_study",
+    "effective_cell_pressure",
+    "interp_nodal_pressure",
+    "invert_mass_coordinate",
+    "load_config",
+    "make_initial_layer",
+    "mass_coordinate",
+    "pressure_star",
+    "problem_library",
+    "r_factor",
+    "read_snapshot",
+    "read_snapshot_meta",
+    "resolve_config",
+    "run_simulation",
+    "step",
+    "step_residuals",
+    "total_cell_quantity",
+    "total_nodal_quantity",
+    "with_resolution",
+    "write_ledger",
+    "write_snapshot",
+]
+
+
+def test_public_names_are_pinned():
+    assert sorted(polygas.__all__) == PUBLIC
+
+
+def test_every_public_name_imports():
+    module = importlib.import_module("polygas")
+    for name in polygas.__all__:
+        assert getattr(module, name) is not None, name
+    namespace: dict = {}
+    exec("from polygas import *", namespace)
+    assert set(PUBLIC) <= set(namespace)
+
+
+def test_readme_library_example_runs(capsys):
+    text = README.read_text()
+    section = text[text.index("## Library use"):]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    exec(compile(code, f"{README}:Library use", "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines] == [law.value for law in polygas.ALL_LAWS]

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -5,7 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from polygas import ConfigError, LawId, make_initial_layer, step_with_retry
+from polygas import ConfigError, LawId
+from polygas import cli
 from polygas.cli import (
     RunConfig,
     audit_snapshots,
@@ -222,6 +224,40 @@ def test_run_simulation_tau_halving_retries():
     assert result.steps >= 1
 
 
+def _counted_steps(monkeypatch) -> list[float]:
+    """Record the tau of every step() attempt run_simulation makes."""
+    taus = []
+
+    def counted(layer, tau, params, _real=cli.step):
+        taus.append(tau)
+        return _real(layer, tau, params)
+    monkeypatch.setattr(cli, "step", counted)
+    return taus
+
+
+def test_run_simulation_exhausts_halvings_then_fails(monkeypatch):
+    raw = _pulse_raw()
+    raw["params"]["newton_max_iter"] = 1
+    raw["time"] = {"t_end": 0.02, "tau": 0.01, "allow_tau_halving": True, "max_halvings": 3}
+    taus = _counted_steps(monkeypatch)
+    result = run_simulation(resolve_config(raw))
+    assert result.exit_code == 1 and result.steps == 0
+    assert "no Newton convergence" in result.failure
+    # every attempt goes through the step name polygas.cli resolves at call time
+    assert taus == [0.01, 0.005, 0.0025, 0.00125]
+    assert len(result.reports) == 1 and not result.reports[0].accepted
+
+
+def test_run_simulation_keeps_base_tau_when_easy(monkeypatch):
+    raw = _pulse_raw()
+    raw["time"] = {"t_end": 0.02, "tau": 0.01, "allow_tau_halving": True}
+    taus = _counted_steps(monkeypatch)
+    result = run_simulation(resolve_config(raw))
+    assert result.exit_code == 0 and result.steps == 2
+    assert taus == [0.01, 0.01]
+    assert {record["tau"] for record in result.records} == {0.01}
+
+
 def test_negative_max_halvings_is_a_config_error(tmp_path, capsys):
     raw = _pulse_raw()
     raw["time"] = {"t_end": 0.02, "tau": 0.01, "allow_tau_halving": True, "max_halvings": -1}
@@ -230,10 +266,9 @@ def test_negative_max_halvings_is_a_config_error(tmp_path, capsys):
     path = _write_config(tmp_path, raw)
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 3
     assert "max_halvings" in capsys.readouterr().err
-    cfg = resolve_config(_pulse_raw())
-    layer = make_initial_layer(cfg.profile, cfg.params.n)
+    cfg = dataclasses.replace(resolve_config(_pulse_raw()), max_halvings=-1)
     with pytest.raises(ConfigError, match="max_halvings"):
-        step_with_retry(layer, cfg.tau, cfg.params, max_halvings=-1)
+        run_simulation(cfg)
 
 
 @pytest.mark.parametrize("where, key, value", [
@@ -268,8 +303,64 @@ def test_integral_numbers_and_booleans_are_accepted():
     cfg = resolve_config(raw)
     assert (cfg.snapshot_every, cfg.max_halvings, cfg.params.n, cfg.params.newton_max_iter) == (2, 3, 1, 40)
     assert all(type(x) is int for x in (cfg.snapshot_every, cfg.max_halvings, cfg.params.n))
-    assert cfg.allow_tau_halving is True and cfg.profile.n_cells == 24
-    assert resolve_config(_pulse_raw()).allow_tau_halving is False
+    assert cfg.profile.n_cells == 24
+    # halving is off unless allow_tau_halving is true, whatever max_halvings says
+    raw["time"]["allow_tau_halving"] = False
+    assert resolve_config(raw).max_halvings == 0
+    assert resolve_config(_pulse_raw()).max_halvings == 0
+    raw["time"] = {"t_end": 0.05, "tau": 0.01, "allow_tau_halving": True}
+    assert resolve_config(raw).max_halvings == 10
+
+
+# (field named in the error, where in the config, bad value)
+_BAD_NUMBERS = [
+    ("t_end", ("time", "t_end"), math.inf),
+    ("tau", ("time", "tau"), "0.001"),
+    ("budget_tol", ("budget_tol",), "1e-10"),
+    ("config.problem", ("problem",), 5),
+    ("config.params", ("params",), [1, 2]),
+    ("config.mesh", ("mesh",), 5),
+    ("gamma", ("params", "gamma"), "1.4"),
+    ("visc_nu", ("params", "visc_nu"), "2"),
+    ("newton_tol", ("params", "newton_tol"), "1e-12"),
+    ("u_wall", ("params", "bc_right"), {"kind": "wall", "u_wall": "x"}),
+    ("p0", ("params", "bc_left"), {"kind": "pressure", "p0": "1"}),
+    ("rate", ("params", "bc_right"), {"kind": "pressure", "trace": {"kind": "linear",
+                                                                    "rate": math.nan}}),
+    ("cells", ("problem", "cells"), 2.5),
+    ("amplitude", ("problem", "amplitude"), True),
+    ("r_nodes", ("mesh",), {"r_nodes": [0.0, "0.5", 1.0]}),
+    ("s_min", ("mesh",), {"s_min": False, "s_max": 1.0, "cells": 4}),
+]
+
+
+@pytest.mark.parametrize("field, path, value", _BAD_NUMBERS, ids=[c[0] for c in _BAD_NUMBERS])
+def test_numeric_config_values_are_checked(tmp_path, capsys, field, path, value):
+    raw = _pulse_raw()
+    target = raw
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    with pytest.raises(ConfigError, match=field):
+        resolve_config(raw)
+    config = _write_config(tmp_path, raw)
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 3
+    assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("visc_nu", (0.0, 1.0))
+@pytest.mark.parametrize("n", (0, 1, 2))
+def test_moving_wall_run_from_rest_keeps_its_budgets(n, visc_nu):
+    # the profile rests at the right wall; the run starts that node at u_wall,
+    # so no step jumps it there with an impulse no boundary flux accounts for
+    raw = {"problem": {"name": "smooth_pulse", "cells": 400},
+           "params": {"n": n, "gamma": 1.4, "visc_nu": visc_nu,
+                      "bc_right": {"kind": "wall", "u_wall": -0.5}},
+           "time": {"t_end": 0.01, "tau": 0.001}}
+    result = run_simulation(resolve_config(raw))
+    assert result.exit_code == 0 and result.steps == 10
+    assert max(r["relative_defect"] for r in result.records if r["expected_zero"]) <= 1e-14
+    assert result.initial_layer.u[-1] == -0.5
 
 
 def test_runs_are_deterministic(tmp_path):

@@ -93,8 +93,8 @@ def test_analytic_jacobian_matches_finite_differences(n, eos_mode, visc_nu, boun
     lo = make_initial_layer(profile, n)
     # a standing wave that vanishes at both ends, so cells both compress and expand
     s = lo.mesh.s / lo.mesh.s[-1]
-    lo = lo.with_fields(t=0.3, u=lo.u + wiggle * np.sin(3.0 * np.pi * s),
-                        p=lo.p * rng.uniform(0.8, 1.2, lo.p.size))
+    lo = dataclasses.replace(lo, t=0.3, u=lo.u + wiggle * np.sin(3.0 * np.pi * s),
+                             p=lo.p * rng.uniform(0.8, 1.2, lo.p.size))
     system = _StepSystem(lo, tau, params)
     x = system.initial_guess()
     x = x + 0.02 * wiggle * rng.standard_normal(x.size) * np.maximum(1.0, np.abs(x))

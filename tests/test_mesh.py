@@ -3,18 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from polygas import MeshError, TimeLayer, build_mesh, uniform_mesh
+from polygas import MassMesh, MeshError
 
 
 def test_uniform_mesh_widths_survive_rebuild_bit_exactly():
-    first = uniform_mesh(0.0, 1.0, 7)
-    rebuilt = build_mesh(first.s)
+    first = MassMesh(np.linspace(0.0, 1.0, 8))
+    rebuilt = MassMesh(first.s)
     assert np.array_equal(first.h, rebuilt.h)
     assert np.array_equal(first.midpoints, rebuilt.midpoints)
 
 
 def test_hand_mesh_geometry():
-    mesh = build_mesh([0.0, 1.0, 3.0, 6.0])
+    mesh = MassMesh([0.0, 1.0, 3.0, 6.0])
     assert mesh.n_cells == 3
     assert mesh.n_nodes == 4
     assert np.array_equal(mesh.h, [1.0, 2.0, 3.0])
@@ -30,45 +30,29 @@ def test_hand_mesh_geometry():
 
 def test_nodal_masses_sum_to_total_mass(rng):
     widths = rng.uniform(0.1, 2.0, 17)
-    mesh = build_mesh(np.concatenate(([2.0], 2.0 + np.cumsum(widths))))
+    mesh = MassMesh(np.concatenate(([2.0], 2.0 + np.cumsum(widths))))
     assert math.isclose(mesh.nodal_masses.sum(), mesh.s[-1] - mesh.s[0], rel_tol=1e-14)
 
 
 def test_rejects_disordered_or_short_nodes():
     with pytest.raises(MeshError, match="strictly increasing"):
-        build_mesh([0.0, 1.0, 1.0, 2.0])
+        MassMesh([0.0, 1.0, 1.0, 2.0])
     with pytest.raises(MeshError, match="strictly increasing; violated at interval 2"):
-        build_mesh([0.0, 1.0, 2.0, 1.5])
+        MassMesh([0.0, 1.0, 2.0, 1.5])
     with pytest.raises(MeshError, match="at least 3"):
-        build_mesh([0.0, 1.0])
+        MassMesh([0.0, 1.0])
     with pytest.raises(MeshError, match="finite"):
-        build_mesh([0.0, np.nan, 1.0])
+        MassMesh([0.0, np.nan, 1.0])
 
 
 def test_uniform_mesh_rejects_bad_arguments():
     with pytest.raises(MeshError):
-        uniform_mesh(0.0, 1.0, 1)
+        MassMesh(np.linspace(0.0, 1.0, 2))  # one cell
     with pytest.raises(MeshError):
-        uniform_mesh(1.0, 1.0, 4)
+        MassMesh(np.linspace(1.0, 1.0, 5))  # empty interval
 
 
 def test_nodes_are_read_only():
-    mesh = uniform_mesh(0.0, 1.0, 4)
+    mesh = MassMesh(np.linspace(0.0, 1.0, 5))
     with pytest.raises(ValueError):
         mesh.s[0] = 42.0
-
-
-def test_time_layer_midpoint_values():
-    time = TimeLayer(t=1.0, tau=0.2)
-    assert math.isclose(time.t_hat, 1.2, rel_tol=1e-15)
-    assert math.isclose(time.t_half, 1.1, rel_tol=1e-15)
-    # average of squares, not square of the average
-    assert math.isclose(time.t_sq_half, 0.5 * (1.0 + 1.2 ** 2), rel_tol=1e-15)
-    assert time.t_sq_half > time.t_half ** 2
-
-
-def test_time_layer_rejects_nonpositive_tau():
-    with pytest.raises(MeshError):
-        TimeLayer(t=0.0, tau=0.0)
-    with pytest.raises(MeshError):
-        TimeLayer(t=0.0, tau=-0.1)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import struct
 import types
@@ -10,15 +11,10 @@ from hypothesis import given, settings, strategies as st
 from polygas import (
     GridLayer,
     LayerError,
+    MassMesh,
     TwoLayerView,
-    backward_s_cellfield,
-    build_mesh,
     cell_average,
-    forward_s,
     interp_nodal_pressure,
-    time_diff,
-    uniform_mesh,
-    weighted,
 )
 from polygas import state
 from polygas.state import exact_sum
@@ -30,21 +26,8 @@ positive = st.floats(min_value=1e-3, max_value=1e3, allow_nan=False)
 
 # --- hand-checked values -------------------------------------------------------
 
-def test_forward_s_hand_values():
-    mesh = build_mesh([0.0, 1.0, 3.0])
-    f = np.array([0.0, 1.0, 3.0])
-    assert np.array_equal(forward_s(f, mesh), [1.0, 1.0])
-
-
-def test_backward_s_hand_value():
-    mesh = build_mesh([0.0, 1.0, 3.0])  # h = (1, 2), staggered spacing 1.5
-    g = np.array([1.0, 4.0])
-    # one value, for interior node 1: boundary nodes have no two-sided difference
-    assert np.array_equal(backward_s_cellfield(g, mesh), [2.0])
-
-
 def test_interp_uses_swapped_width_weights():
-    mesh = build_mesh([0.0, 1.0, 3.0])  # h = (1, 2)
+    mesh = MassMesh([0.0, 1.0, 3.0])  # h = (1, 2)
     p = np.array([1.0, 4.0])
     # (h1*p0 + h0*p1)/(h0+h1) = (2 + 4)/3 = 2; naive interpolation would give 3
     assert np.array_equal(interp_nodal_pressure(p, mesh), [2.0])
@@ -56,35 +39,13 @@ def test_cell_average_is_of_the_evaluated_expression():
     assert cell_average(u) == pytest.approx(2.0)
 
 
-def test_time_diff_and_weighted_hand_values():
-    assert time_diff(1.0, 2.0, 0.5) == 2.0
-    assert weighted(1.0, 3.0, 0.25) == 1.5
-    with pytest.raises(ValueError):
-        weighted(1.0, 3.0, -0.1)
-    with pytest.raises(ValueError):
-        weighted(1.0, 3.0, 1.1)
-
-
 # --- algebraic properties -------------------------------------------------------
-
-def test_operators_annihilate_constants(rng):
-    for _ in range(10):
-        mesh = random_mesh(rng, n_cells=rng.integers(2, 12))
-        c_nodes = np.full(mesh.n_nodes, 3.7)
-        c_cells = np.full(mesh.n_cells, -1.3)
-        assert np.all(forward_s(c_nodes, mesh) == 0.0)
-        assert np.all(backward_s_cellfield(c_cells, mesh) == 0.0)
-        assert np.all(time_diff(c_cells, c_cells, 0.01) == 0.0)
-
 
 def test_operators_exact_on_linear_fields(rng):
     for _ in range(10):
         mesh = random_mesh(rng, n_cells=rng.integers(3, 12))
         a, b = rng.normal(size=2)
-        f = a + b * mesh.s
-        assert np.allclose(forward_s(f, mesh), b, rtol=1e-12, atol=1e-12)
         g = a + b * mesh.midpoints
-        assert np.allclose(backward_s_cellfield(g, mesh), b, rtol=1e-12, atol=1e-12)
         # the swapped weights make the interpolant exact at the node
         assert np.allclose(interp_nodal_pressure(g, mesh), a + b * mesh.s[1:-1],
                            rtol=1e-12, atol=1e-12)
@@ -92,16 +53,10 @@ def test_operators_exact_on_linear_fields(rng):
 
 @given(h_left=positive, h_right=positive, p_left=finite, p_right=finite)
 def test_interp_output_between_adjacent_values(h_left, h_right, p_left, p_right):
-    mesh = build_mesh([0.0, h_left, h_left + h_right])
+    mesh = MassMesh([0.0, h_left, h_left + h_right])
     (star,) = interp_nodal_pressure(np.array([p_left, p_right]), mesh)
     lo, hi = min(p_left, p_right), max(p_left, p_right)
     assert lo - 1e-9 * (1 + abs(lo)) <= star <= hi + 1e-9 * (1 + abs(hi))
-
-
-@given(lo=finite, hi=finite, alpha=st.floats(min_value=0.0, max_value=1.0))
-def test_weighted_stays_between_endpoints(lo, hi, alpha):
-    w = weighted(lo, hi, alpha)
-    assert min(lo, hi) - 1e-9 * (1 + abs(lo)) <= w <= max(lo, hi) + 1e-9 * (1 + abs(hi))
 
 
 # --- exact sums --------------------------------------------------------------------
@@ -177,7 +132,7 @@ def test_exact_sum_zero_totals_keep_math_fsum_sign():
 # --- layers and views -------------------------------------------------------------
 
 def test_grid_layer_rejects_wrong_shapes():
-    mesh = uniform_mesh(0.0, 1.0, 4)
+    mesh = MassMesh(np.linspace(0.0, 1.0, 5))
     good = dict(mesh=mesh, t=0.0, r=np.linspace(0, 1, 5), u=np.zeros(5),
                 rho=np.ones(4), p=np.ones(4), eps=np.ones(4))
     GridLayer(**good)
@@ -189,7 +144,7 @@ def test_grid_layer_rejects_wrong_shapes():
 
 
 def test_grid_layer_validate_catches_unphysical_states():
-    mesh = build_mesh([0.0, 0.25, 0.5, 0.75, 1.0])
+    mesh = MassMesh([0.0, 0.25, 0.5, 0.75, 1.0])
     base = dict(mesh=mesh, t=0.0, r=np.linspace(0, 1, 5), u=np.zeros(5),
                 rho=np.ones(4), p=np.ones(4), eps=np.ones(4))
     GridLayer(**base).validate(n=0)
@@ -205,7 +160,7 @@ def test_grid_layer_validate_catches_unphysical_states():
 
 def test_mass_consistency_hand_value():
     # h_i = 0.5 each, rho * dr = 2 * 0.25 = 0.5: consistent for n = 0
-    mesh = build_mesh([0.0, 0.5, 1.0])
+    mesh = MassMesh([0.0, 0.5, 1.0])
     layer = GridLayer(mesh=mesh, t=0.0, r=np.array([0.0, 0.25, 0.5]),
                       u=np.zeros(3), rho=np.array([2.0, 2.0]),
                       p=np.ones(2), eps=np.ones(2))
@@ -213,11 +168,11 @@ def test_mass_consistency_hand_value():
     layer.validate(n=0)
 
 
-def test_layer_fields_are_read_only_and_with_fields_copies(rng):
+def test_layer_fields_are_read_only_and_replace_copies(rng):
     layer = random_layer(rng, random_mesh(rng, 5))
     with pytest.raises(ValueError):
         layer.u[0] = 1.0
-    bumped = layer.with_fields(u=layer.u + 1.0)
+    bumped = dataclasses.replace(layer, u=layer.u + 1.0)
     assert np.array_equal(bumped.u, layer.u + 1.0)
     assert bumped.mesh is layer.mesh
 
@@ -234,3 +189,13 @@ def test_two_layer_view_consistency_checks(rng):
     other = random_layer(rng, random_mesh(rng, 5), t=0.1)
     with pytest.raises(LayerError, match="mesh"):
         TwoLayerView(lo=lo, hi=other, tau=0.1)
+
+
+def test_two_layer_view_midpoint_times(rng):
+    mesh = random_mesh(rng, 5)
+    view = TwoLayerView(lo=random_layer(rng, mesh, t=1.0), hi=random_layer(rng, mesh, t=1.2),
+                        tau=0.2)
+    assert math.isclose(view.t_half, 1.1, rel_tol=1e-15)
+    # average of squares, not square of the average
+    assert math.isclose(view.t_sq_half, 0.5 * (1.0 + 1.2 ** 2), rel_tol=1e-15)
+    assert view.t_sq_half > view.t_half ** 2
