@@ -232,11 +232,14 @@ def resolve_config(raw: dict) -> RunConfig:
     allow_tau_halving = time_block.get("allow_tau_halving", False)
     if type(allow_tau_halving) is not bool:
         raise ConfigError(f"config.time.allow_tau_halving must be a boolean, got {allow_tau_halving!r}")
+    output_dir = raw.get("output_dir")
+    if output_dir is not None and type(output_dir) is not str:
+        raise ConfigError(f"config.output_dir must be a path string, got {output_dir!r}")
 
     return RunConfig(
         profile=profile, params=params, t_end=t_end, tau=tau,
         snapshot_every=snapshot_every,
-        output_dir=raw.get("output_dir"),
+        output_dir=output_dir,
         laws=_parse_laws(raw.get("audit", "all")),
         budget_tol=budget_tol,
         max_halvings=max_halvings if allow_tau_halving else 0,

@@ -4,10 +4,13 @@ One step advances every field from t to t + tau by solving a coupled
 nonlinear system for the new nodal velocities and one pressure-like unknown
 per cell (the new pressure in pointwise-EOS mode, the two-layer half-sum
 pressure in conservative mode).  Radii, densities and internal energies are
-eliminated in closed form, so the Newton system is pentadiagonal in the
-interleaved unknown ordering [u_0, q_0, u_1, q_1, ..., u_N].  Its Jacobian
-is assembled analytically from the residual's own intermediates; the tests
-check it against a finite-difference Jacobian kept there as the oracle.
+eliminated in closed form.  Each cell row of the Newton system couples only
+u_j, q_j and u_{j+1}, so every Newton iteration eliminates the cell unknowns
+too and solves one tridiagonal system in the N + 1 node velocities (LAPACK
+dgtsv).  The Jacobian is assembled analytically from the residual's own
+intermediates; the tests check it against a finite-difference Jacobian, and
+the elimination against a banded solve of the full system, both kept there
+as oracles.
 
 The equations are written once, in _StepSystem.  Newton runs its kernel on
 a layer eliminated from (u_hat, q); step_residuals, the post-accept check,
@@ -21,10 +24,11 @@ well when gamma equals the geometry-specific exponent 1 + 2/(n+1).
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import solve_banded
 from scipy.linalg import LinAlgError
+from scipy.linalg.lapack import dgtsv
 
 from .state import GridLayer, LayerError, TwoLayerView, cell_average
 
@@ -257,6 +261,30 @@ def boundary_pressure(bc: BoundaryCondition, t_lo: float, t_hi: float, alpha_eff
 
 # --- the Newton solve ---------------------------------------------------------
 
+#: a cell pivot |c_q| at or below this fraction of the cell's specific volume
+#: rejects the step: eliminating q_j through it would amplify round-off
+_PIVOT_RTOL = 1e-8
+
+
+class _Jacobian(NamedTuple):
+    """Nonzero entries of the Newton Jacobian, by row type.
+
+    Node row i:  lower[i-1] du_{i-1} + q_lo[i-1] dq_{i-1} + diag[i] du_i
+                 + q_hi[i] dq_i + upper[i] du_{i+1};
+    cell row j:  c_lo[j] du_j + c_q[j] dq_j + c_hi[j] du_{j+1}.
+    diag has N + 1 entries, every other array N.
+    """
+
+    lower: np.ndarray
+    diag: np.ndarray
+    upper: np.ndarray
+    q_lo: np.ndarray
+    q_hi: np.ndarray
+    c_lo: np.ndarray
+    c_q: np.ndarray
+    c_hi: np.ndarray
+
+
 class _StepSystem:
     """Nonlinear system of one step: unknowns x = [u_0, q_0, ..., q_{N-1}, u_N]."""
 
@@ -363,13 +391,12 @@ class _StepSystem:
                "d_rv": d_rv, "p_eff": p_eff, "u_t": u_t, "brack_s": brack_s}
         return f, aux
 
-    def jacobian(self, aux: dict) -> np.ndarray:
+    def jacobian(self, aux: dict) -> _Jacobian:
         """Analytic Jacobian of residual() at the point aux came from.
 
-        Returned in solve_banded layout with bandwidths (2, 2):
-        ab[2 + row - col, col] = d f[row] / d x[col].  Node rows (even) touch
-        u_{i-1}, q_{i-1}, u_i, q_i, u_{i+1}; cell rows (odd) touch u_j, q_j,
-        u_{j+1}.  Every intermediate is differentiated in closed form, using
+        Node rows touch u_{i-1}, q_{i-1}, u_i, q_i, u_{i+1}; cell rows touch
+        u_j, q_j, u_{j+1}; _Jacobian holds exactly those entries.
+        Every intermediate is differentiated in closed form, using
         d r_hat / d u_hat = tau/2 and d rho_hat / d delta = -rho_hat^2.
         """
         lo, tau, params, h, n = self.lo, self.tau, self.params, self.h, self.params.n
@@ -433,22 +460,55 @@ class _StepSystem:
         diag[:-1] += rw[:-1] * dp_lo
         diag[1:] -= rw[1:] * dp_hi
 
-        ab = np.zeros((5, self.n_unknowns))
-        ab[0, 2::2] = rw[:-1] * dp_hi      # node i, u_{i+1}
-        ab[1, 1::2] = rw[:-1] * a          # node i, q_i
-        ab[1, 2::2] = c_hi                 # cell j, u_{j+1}
-        ab[2, 0::2] = diag                 # node i, u_i
-        ab[2, 1::2] = c_q                  # cell j, q_j
-        ab[3, 0:-1:2] = c_lo               # cell j, u_j
-        ab[3, 1::2] = -rw[1:] * a          # node i, q_{i-1}
-        ab[4, 0:-2:2] = -rw[1:] * dp_lo    # node i, u_{i-1}
+        lower = -rw[1:] * dp_lo
+        upper = rw[:-1] * dp_hi
+        q_lo = -rw[1:] * a
+        q_hi = rw[:-1] * a
         if self.bc_left.kind == "wall":
-            ab[2, 0] = 1.0
-            ab[1, 1] = ab[0, 2] = 0.0
+            diag[0] = 1.0
+            upper[0] = q_hi[0] = 0.0
         if self.bc_right.kind == "wall":
-            ab[2, -1] = 1.0
-            ab[3, -2] = ab[4, -3] = 0.0
-        return ab
+            diag[-1] = 1.0
+            lower[-1] = q_lo[-1] = 0.0
+        return _Jacobian(lower, diag, upper, q_lo, q_hi, c_lo, c_q, c_hi)
+
+    def newton_update(self, x: np.ndarray, f: np.ndarray, jac: _Jacobian) -> np.ndarray:
+        """Newton update dx solving jac . dx = -f.
+
+        Each cell row gives dq_j = -(f_cell_j + c_lo_j du_j + c_hi_j du_{j+1}) / c_q_j;
+        put into the node rows, that leaves a tridiagonal system in du, solved
+        by LAPACK dgtsv, and dq follows from the cell rows.  A wall node's
+        update is exact, u_wall - u_hat, not the solve's round-off.  Raises
+        LinAlgError on a cell pivot |c_q_j| <= _PIVOT_RTOL / rho_j or a
+        singular tridiagonal system.
+        """
+        lower, diag, upper, q_lo, q_hi, c_lo, c_q, c_hi = jac
+        weak = np.abs(c_q) <= _PIVOT_RTOL * self.inv_rho
+        if weak.any():
+            j = int(np.argmax(weak))
+            raise LinAlgError(f"cell pivot vanishes at cell {j} (|c_q| = {abs(c_q[j]):.3e})")
+        inv_q = 1.0 / c_q
+        r_lo = c_lo * inv_q
+        r_hi = c_hi * inv_q
+        g = f[1::2] * inv_q
+        d = diag.copy()
+        d[1:] -= q_lo * r_hi
+        d[:-1] -= q_hi * r_lo
+        b = -f[0::2]
+        b[1:] += q_lo * g
+        b[:-1] += q_hi * g
+        _, _, _, du, info = dgtsv(lower - q_lo * r_lo, d, upper - q_hi * r_hi, b,
+                                  True, True, True, True)
+        if info != 0:
+            raise LinAlgError(f"tridiagonal solve failed (dgtsv info {info})")
+        # a wall row is the identity; x[0] and x[-1] are the end velocities
+        for i, bc in ((0, self.bc_left), (-1, self.bc_right)):
+            if bc.kind == "wall":
+                du[i] = bc.u_wall - x[i]
+        dx = np.empty(self.n_unknowns)
+        dx[0::2] = du
+        dx[1::2] = -(g + r_lo * du[:-1] + r_hi * du[1:])
+        return dx
 
     def scales(self, aux: dict) -> np.ndarray:
         """Row scaling for the convergence test: velocity rows by max(1, |u|),
@@ -499,17 +559,13 @@ def step(lo: GridLayer, tau: float, params: SchemeParams) -> tuple[GridLayer, St
         if len(history) > params.newton_max_iter:
             raise reject(f"no Newton convergence in {params.newton_max_iter} iterations "
                          f"(residual {norm:.3e})")
-        ab = system.jacobian(aux)
-        if not np.all(np.isfinite(ab)):
+        jac = system.jacobian(aux)
+        if not np.isfinite(np.concatenate(jac)).all():
             raise reject("non-finite Jacobian")
         try:
-            dx = solve_banded((2, 2), ab, -f)
-        except (LinAlgError, ValueError) as exc:
+            dx = system.newton_update(x, f, jac)
+        except LinAlgError as exc:
             raise reject(f"linear solve failed: {exc}") from exc
-        # a wall row is the identity: its update is exact, not the solve's round-off
-        for i, bc in ((0, system.bc_left), (-1, system.bc_right)):
-            if bc.kind == "wall":
-                dx[i] = bc.u_wall - x[i]
         # damped update: halve until the scaled norm stops growing
         best = None
         lam = 1.0

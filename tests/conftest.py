@@ -1,4 +1,4 @@
-"""Shared helpers: random meshes/layers and small canned runs."""
+"""Shared helpers: random meshes/layers, small canned runs and a zeroed cell pivot."""
 
 import numpy as np
 import pytest
@@ -12,6 +12,7 @@ from polygas import (
     problem_library,
     step,
 )
+from polygas.scheme import _StepSystem
 
 
 @pytest.fixture
@@ -62,3 +63,15 @@ def advance(layer, params, tau, steps):
         views.append(TwoLayerView(lo=layer, hi=hi, tau=tau))
         layer = hi
     return views
+
+
+def zero_cell_pivot(monkeypatch, when=lambda system: True, cell=3):
+    """Make _StepSystem.jacobian return c_q[cell] = 0 wherever when(system) holds."""
+    real = _StepSystem.jacobian
+
+    def jacobian(system, aux):
+        jac = real(system, aux)
+        if when(system):
+            jac.c_q[cell] = 0.0
+        return jac
+    monkeypatch.setattr(_StepSystem, "jacobian", jacobian)

@@ -19,6 +19,8 @@ from polygas.cli import (
     with_resolution,
 )
 
+from conftest import zero_cell_pivot
+
 
 def _pulse_raw(**extra):
     raw = {
@@ -258,6 +260,18 @@ def test_run_simulation_keeps_base_tau_when_easy(monkeypatch):
     assert {record["tau"] for record in result.records} == {0.01}
 
 
+def test_run_simulation_retries_a_vanishing_cell_pivot_at_half_tau(monkeypatch):
+    zero_cell_pivot(monkeypatch, when=lambda system: system.tau == 0.01)
+    raw = _pulse_raw()
+    raw["time"] = {"t_end": 0.01, "tau": 0.01, "allow_tau_halving": True, "max_halvings": 2}
+    taus = _counted_steps(monkeypatch)
+    result = run_simulation(resolve_config(raw))
+    assert result.exit_code == 0 and result.failure is None
+    # the full-tau attempt hits the pivot guard, its half-tau retry succeeds
+    assert taus == [0.01, 0.005, 0.005]
+    assert result.steps == 2 and {r["tau"] for r in result.records} == {0.005}
+
+
 def test_negative_max_halvings_is_a_config_error(tmp_path, capsys):
     raw = _pulse_raw()
     raw["time"] = {"t_end": 0.02, "tau": 0.01, "allow_tau_halving": True, "max_halvings": -1}
@@ -346,6 +360,18 @@ def test_numeric_config_values_are_checked(tmp_path, capsys, field, path, value)
     config = _write_config(tmp_path, raw)
     assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 3
     assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", (5, True, ["out"], {"path": "out"}))
+def test_output_dir_must_be_a_string(tmp_path, capsys, value):
+    raw = _pulse_raw(output_dir=value)
+    with pytest.raises(ConfigError, match="output_dir"):
+        resolve_config(raw)
+    # without --out the config's output_dir is the one the run would write to
+    assert main(["run", "--config", str(_write_config(tmp_path, raw))]) == 3
+    assert "output_dir" in capsys.readouterr().err
+    raw["output_dir"] = str(tmp_path / "out")
+    assert resolve_config(raw).output_dir == str(tmp_path / "out")
 
 
 @pytest.mark.parametrize("visc_nu", (0.0, 1.0))

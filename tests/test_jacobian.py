@@ -1,8 +1,11 @@
-"""The analytic Newton Jacobian against its finite-difference oracle.
+"""The analytic Newton Jacobian and its linear solve against their oracles.
 
-_fd_banded_jacobian is the Jacobian step() used before the analytic one; it
-lives here only as the reference the analytic band is compared with, entry
-by entry at random states and end to end over short runs.
+_fd_banded_jacobian is the Jacobian step() used before the analytic one, and
+solve_banded on the full pentadiagonal band the linear solve step() used
+before eliminating the cell unknowns; both live here only as references.
+The analytic coefficients are compared with the finite-difference band entry
+by entry at random states and end to end over short runs, and the
+elimination plus tridiagonal solve with a banded solve of the same system.
 """
 
 import dataclasses
@@ -12,17 +15,21 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.linalg import solve_banded
 
 from polygas import (
     BoundaryCondition,
     PressureTrace,
+    StepRejected,
     make_initial_layer,
     problem_library,
     resolve_config,
     run_simulation,
     step,
 )
-from polygas.scheme import _StepSystem
+from polygas.scheme import _Jacobian, _StepSystem
+
+from conftest import zero_cell_pivot
 
 _SQRT_EPS = math.sqrt(np.finfo(float).eps)
 
@@ -51,13 +58,28 @@ def _fd_banded_jacobian(residual, x: np.ndarray, f0: np.ndarray) -> np.ndarray:
     return ab
 
 
-def _fd_jacobian(system: _StepSystem, aux: dict) -> np.ndarray:
+def _entries(ab: np.ndarray) -> _Jacobian:
+    """The _Jacobian coefficients at their places in a (2, 2) band."""
+    return _Jacobian(lower=ab[4, 0:-2:2], diag=ab[2, 0::2], upper=ab[0, 2::2],
+                     q_lo=ab[3, 1::2], q_hi=ab[1, 1::2],
+                     c_lo=ab[3, 0:-1:2], c_q=ab[2, 1::2], c_hi=ab[1, 2::2])
+
+
+def _band(jac: _Jacobian) -> np.ndarray:
+    """The full Jacobian in solve_banded layout, (2, 2), from its coefficients."""
+    ab = np.zeros((5, 2 * jac.diag.size - 1))
+    for name, entries in zip(_Jacobian._fields, _entries(ab)):
+        entries[:] = getattr(jac, name)
+    return ab
+
+
+def _fd_jacobian(system: _StepSystem, aux: dict) -> _Jacobian:
     """Drop-in replacement for _StepSystem.jacobian built on the oracle."""
     x = np.empty(system.n_unknowns)
     x[0::2] = aux["u_hat"]
     x[1::2] = aux["q"]
     f0, _ = system.residual(x)
-    return _fd_banded_jacobian(system.residual, x, f0)
+    return _entries(_fd_banded_jacobian(system.residual, x, f0))
 
 
 _TRACES = {
@@ -80,12 +102,8 @@ COMBOS = list(itertools.product((0, 1, 2), ("pointwise", "conservative"), (0.0, 
                                 ("wall", "linear", "exp_decay")))
 
 
-@pytest.mark.parametrize("n, eos_mode, visc_nu, boundary", COMBOS)
-@settings(max_examples=10, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), tau=st.floats(1e-3, 2e-2),
-       alpha=st.floats(0.0, 1.0), wiggle=st.floats(0.05, 0.3))
-def test_analytic_jacobian_matches_finite_differences(n, eos_mode, visc_nu, boundary,
-                                                      seed, tau, alpha, wiggle):
+def _random_point(n, eos_mode, visc_nu, boundary, seed, tau, alpha, wiggle):
+    """A 12-cell step system and a random Newton iterate (x, f, aux) near its start."""
     rng = np.random.default_rng(seed)
     profile, params = problem_library("smooth_pulse", cells=12, gamma=1.4)
     params = dataclasses.replace(params, n=n, eos_mode=eos_mode, visc_nu=visc_nu,
@@ -101,13 +119,43 @@ def test_analytic_jacobian_matches_finite_differences(n, eos_mode, visc_nu, boun
     if n >= 1:
         x[0] = 0.0  # the origin node is a resting wall
     f, aux = system.residual(x)
+    return system, x, f, aux
 
-    band = system.jacobian(aux)
-    oracle = _fd_banded_jacobian(system.residual, x, f)
-    assert band.shape == oracle.shape
-    assert np.max(np.abs(band - oracle)) <= 1e-6 * np.max(np.abs(oracle))
+
+_STATES = dict(seed=st.integers(0, 2**32 - 1), tau=st.floats(1e-3, 2e-2),
+               alpha=st.floats(0.0, 1.0), wiggle=st.floats(0.05, 0.3))
+
+
+@pytest.mark.parametrize("n, eos_mode, visc_nu, boundary", COMBOS)
+@settings(max_examples=10, deadline=None)
+@given(**_STATES)
+def test_analytic_jacobian_matches_finite_differences(n, eos_mode, visc_nu, boundary,
+                                                      seed, tau, alpha, wiggle):
+    system, x, f, aux = _random_point(n, eos_mode, visc_nu, boundary, seed, tau, alpha, wiggle)
+    jac = system.jacobian(aux)
+    band = _fd_banded_jacobian(system.residual, x, f)
+    oracle = _entries(band)
+    scale = np.max(np.abs(band))
+    for name, analytic, fd in zip(_Jacobian._fields, jac, oracle):
+        assert analytic.shape == fd.shape, name
+        assert np.max(np.abs(analytic - fd)) <= 1e-6 * scale, name
+    # the band holds nothing else: the elimination relies on that sparsity
+    assert np.max(np.abs(band - _band(oracle))) <= 1e-6 * scale
     if visc_nu > 0.0:
         assert np.any(aux["d_rv"] < 0.0) and np.any(aux["d_rv"] > 0.0)
+
+
+@pytest.mark.parametrize("n, eos_mode, visc_nu, boundary", list(itertools.product(
+    (0, 1, 2), ("pointwise", "conservative"), (0.0, 2.0), ("wall", "linear"))))
+@settings(max_examples=10, deadline=None)
+@given(**_STATES)
+def test_elimination_matches_the_banded_solve(n, eos_mode, visc_nu, boundary,
+                                              seed, tau, alpha, wiggle):
+    system, x, f, aux = _random_point(n, eos_mode, visc_nu, boundary, seed, tau, alpha, wiggle)
+    jac = system.jacobian(aux)
+    oracle = solve_banded((2, 2), _band(jac), -f)
+    dx = system.newton_update(x, f, jac)
+    assert np.max(np.abs(dx - oracle)) <= 1e-12 * np.max(np.abs(oracle))
 
 
 def _sod_plane_viscous(cells):
@@ -163,3 +211,13 @@ def test_known_solver_failures_are_unchanged(raw, steps):
     assert result.exit_code == 1
     assert result.steps == steps
     assert "Newton stagnated" in result.failure
+
+
+def test_vanishing_cell_pivot_rejects_the_step(monkeypatch):
+    profile, params = problem_library("smooth_pulse", cells=20)
+    layer = make_initial_layer(profile, params.n)
+    zero_cell_pivot(monkeypatch)
+    with pytest.raises(StepRejected, match="cell pivot vanishes at cell 3") as info:
+        step(layer, 1e-3, params)
+    assert not info.value.report.accepted
+    assert info.value.report.iterations == 1

@@ -222,7 +222,7 @@ def test_piston_wall_moves_the_boundary():
 @pytest.mark.parametrize("n", (0, 1, 2))
 def test_wall_nodes_move_exactly_with_their_walls(n, eos_mode, u_wall):
     # a wall row of the Newton system is the identity, so the wall node's
-    # velocity and radius are exact, with none of the banded solve's round-off.
+    # velocity and radius are exact, with none of the tridiagonal solve's round-off.
     # tau/h >= 1 makes the solve pivot away from the left wall row (a plane
     # resting wall then drifted by ~1e-250); the piston needs tau*|u_wall| < h.
     layer, params = pulse_start(n=n, cells=300, eos_mode=eos_mode,
