@@ -1,10 +1,14 @@
 import dataclasses
 import math
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from polygas import (
+    GridLayer,
+    MassMesh,
     SnapshotError,
     make_initial_layer,
     problem_library,
@@ -106,3 +110,94 @@ def test_reader_checks_midpoints(tmp_path):
     tampered.write_text("\n".join(lines) + "\n")
     with pytest.raises(SnapshotError, match="midpoint"):
         read_snapshot(paths["nodes"], tampered)
+
+
+# --- exact file format ---------------------------------------------------------
+
+def _golden_layer():
+    """Three cells whose values cross every switch of float repr's output form."""
+    return GridLayer(
+        mesh=MassMesh([-0.0, 1e-05, 0.0001, 1.0000000000000002]),
+        t=0.30000000000000004,
+        r=[0.0, 0.30000000000000004, 9999999999999998.0, 1e+16],
+        u=[-0.0, 5e-324, -2.2250738585072014e-308, 123456789012345678.0],
+        rho=[1e+16, 0.0001, 1.7976931348623157e+308],
+        p=[0.1, 1e+22, -1e-05],
+        eps=[2.0 / 3.0, 1e-07, 4.9406564584124654e-322])
+
+
+GOLDEN_NODES = (b"i,s,r,u\r\n"
+                b"0,-0.0,0.0,-0.0\r\n"
+                b"1,1e-05,0.30000000000000004,5e-324\r\n"
+                b"2,0.0001,9999999999999998.0,-2.2250738585072014e-308\r\n"
+                b"3,1.0000000000000002,1e+16,1.2345678901234568e+17\r\n")
+GOLDEN_CELLS = (b"i,s_mid,rho,p,eps\r\n"
+                b"0,5e-06,1e+16,0.1,0.6666666666666666\r\n"
+                b"1,5.5e-05,0.0001,1e+22,1e-07\r\n"
+                b"2,0.5000500000000001,1.7976931348623157e+308,-1e-05,4.94e-322\r\n")
+GOLDEN_META = b'{"time": 0.30000000000000004, "step": 7, "cells": 3, "tau": 1e-05}\n'
+
+
+def test_written_bytes_are_pinned(tmp_path):
+    paths = write_snapshot(_golden_layer(), tmp_path, step=7, tau=1e-05)
+    assert {key: path.name for key, path in paths.items()} == {
+        "nodes": "snap_000007_t0.3_nodes.csv",
+        "cells": "snap_000007_t0.3_cells.csv",
+        "meta": "snap_000007_t0.3_meta.json"}
+    assert paths["nodes"].read_bytes() == GOLDEN_NODES
+    assert paths["cells"].read_bytes() == GOLDEN_CELLS
+    assert paths["meta"].read_bytes() == GOLDEN_META
+
+
+def _assert_bit_equal(a, b):
+    assert np.array_equal(np.asarray(a).view(np.int64), np.asarray(b).view(np.int64))
+
+
+def _assert_same_layer(back, layer):
+    _assert_bit_equal(back.mesh.s, layer.mesh.s)
+    for field in ("r", "u", "rho", "p", "eps"):
+        _assert_bit_equal(getattr(back, field), getattr(layer, field))
+    _assert_bit_equal(back.t, layer.t)
+
+
+def test_reader_accepts_lf_line_ends(tmp_path):
+    nodes = tmp_path / "lf_nodes.csv"
+    cells = tmp_path / "lf_cells.csv"
+    nodes.write_bytes(GOLDEN_NODES.replace(b"\r\n", b"\n"))
+    cells.write_bytes(GOLDEN_CELLS.replace(b"\r\n", b"\n"))
+    _assert_same_layer(read_snapshot(nodes, cells, t=0.30000000000000004), _golden_layer())
+
+
+@pytest.mark.parametrize("text, message", [
+    (GOLDEN_NODES.replace(b",9999999999999998.0,-2.2250738585072014e-308", b",9999999999999998.0"),
+     "{path}:4: expected 4 columns"),
+    (GOLDEN_NODES.replace(b"0.30000000000000004", b"abc"),
+     "{path}:3: could not convert string to float: 'abc'"),
+    (GOLDEN_NODES + b"\r\n", "{path}:6: expected 4 columns"),
+    (b"i,s,r,u\r\n", "no data rows in {path}"),
+    (b"", "empty snapshot file: {path}"),
+], ids=["short-row", "non-numeric", "trailing-blank-line", "header-only", "empty"])
+def test_reader_error_messages(tmp_path, text, message):
+    nodes = tmp_path / "bad_nodes.csv"
+    cells = tmp_path / "good_cells.csv"
+    nodes.write_bytes(text)
+    cells.write_bytes(GOLDEN_CELLS)
+    with pytest.raises(SnapshotError) as info:
+        read_snapshot(nodes, cells, t=0.0)
+    assert str(info.value) == message.format(path=nodes)
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(t=_FINITE, r=st.lists(_FINITE, min_size=4, max_size=4),
+       u=st.lists(_FINITE, min_size=4, max_size=4),
+       rho=st.lists(_FINITE, min_size=3, max_size=3),
+       p=st.lists(_FINITE, min_size=3, max_size=3),
+       eps=st.lists(_FINITE, min_size=3, max_size=3))
+def test_any_finite_values_round_trip_bit_exact(t, r, u, rho, p, eps):
+    layer = GridLayer(mesh=_golden_layer().mesh, t=t, r=r, u=u, rho=rho, p=p, eps=eps)
+    with tempfile.TemporaryDirectory() as out_dir:
+        paths = write_snapshot(layer, out_dir, step=1)
+        _assert_same_layer(read_snapshot(paths["nodes"], paths["cells"]), layer)
