@@ -2,13 +2,16 @@
 
 Two files per layer: nodal (i, s, r, u) and cell (i, s_mid, rho, p, eps)
 tables, with floats written in shortest round-trip form so reading a
-snapshot back reproduces every value bit for bit.  The sidecar records the
+snapshot back reproduces every value bit for bit.  Fields are unquoted and
+lines end in CRLF; the reader also accepts LF.  The sidecar records the
 time stamp and step index.  The CSVs are directly plottable (e.g. gnuplot
 with `set datafile separator ','`).
 """
 
-import csv
+import functools
+import itertools
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -25,8 +28,16 @@ NODE_HEADER = ("i", "s", "r", "u")
 CELL_HEADER = ("i", "s_mid", "rho", "p", "eps")
 
 
-def _fmt(x) -> str:
-    return repr(float(x))
+@functools.lru_cache(maxsize=4)
+def _mesh_columns(s_bytes: bytes) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """The leading "i,s" and "i,s_mid" fields of every row, keyed by the mesh's node bytes."""
+    mesh = MassMesh(np.frombuffer(s_bytes))
+    return tuple(tuple(map("{},{!r}".format, itertools.count(), x.tolist())) for x in (mesh.s, mesh.midpoints))
+
+
+def _write_table(path: Path, header: tuple[str, ...], leading, *fields: np.ndarray) -> None:
+    rows = map(",".join, zip(leading, *(map(repr, f.tolist()) for f in fields)))
+    path.write_text(",".join(header) + "\r\n" + "\r\n".join(rows) + "\r\n", newline="")
 
 
 def snapshot_basename(step: int, t: float) -> str:
@@ -44,25 +55,13 @@ def write_snapshot(layer: GridLayer, out_dir, step: int,
         "cells": out_dir / f"{base}_cells.csv",
         "meta": out_dir / f"{base}_meta.json",
     }
-    s = layer.mesh.s
-    with open(paths["nodes"], "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(NODE_HEADER)
-        for i in range(layer.mesh.n_nodes):
-            writer.writerow((i, _fmt(s[i]), _fmt(layer.r[i]), _fmt(layer.u[i])))
-    mid = layer.mesh.midpoints
-    with open(paths["cells"], "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CELL_HEADER)
-        for i in range(layer.mesh.n_cells):
-            writer.writerow((i, _fmt(mid[i]), _fmt(layer.rho[i]),
-                             _fmt(layer.p[i]), _fmt(layer.eps[i])))
+    nodes, cells = _mesh_columns(layer.mesh.s.tobytes())
+    _write_table(paths["nodes"], NODE_HEADER, nodes, layer.r, layer.u)
+    _write_table(paths["cells"], CELL_HEADER, cells, layer.rho, layer.p, layer.eps)
     meta = {"time": layer.t, "step": step, "cells": layer.mesh.n_cells}
     if tau is not None:
         meta["tau"] = tau
-    with open(paths["meta"], "w") as fh:
-        json.dump(meta, fh)
-        fh.write("\n")
+    paths["meta"].write_text(json.dumps(meta) + "\n")
     return paths
 
 
@@ -70,25 +69,31 @@ def _read_table(path, header: tuple[str, ...]) -> np.ndarray:
     path = Path(path)
     if not path.exists():
         raise SnapshotError(f"snapshot file not found: {path}")
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            head = next(reader)
-        except StopIteration:
-            raise SnapshotError(f"empty snapshot file: {path}") from None
-        if tuple(head) != header:
-            raise SnapshotError(f"unexpected header in {path}: {head!r}, want {list(header)}")
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise SnapshotError(f"{path}:{lineno}: expected {len(header)} columns")
-            try:
-                rows.append([float(x) for x in row])
-            except ValueError as exc:
-                raise SnapshotError(f"{path}:{lineno}: {exc}") from None
+    lines = path.read_bytes().decode().splitlines()
+    if not lines:
+        raise SnapshotError(f"empty snapshot file: {path}")
+    head = lines[0].split(",") if lines[0] else []
+    if tuple(head) != header:
+        raise SnapshotError(f"unexpected header in {path}: {head!r}, want {list(header)}")
+    rows = [line.split(",") for line in lines[1:]]
     if not rows:
         raise SnapshotError(f"no data rows in {path}")
-    table = np.asarray(rows)
+    width = len(header)
+    try:
+        if set(map(len, rows)) != {width}:
+            raise ValueError
+        table = np.array(list(map(float, itertools.chain.from_iterable(rows))))
+    except ValueError:
+        # Walk the rows only to name the first bad line, as a row-by-row read would.
+        for lineno, row in enumerate(rows, start=2):
+            if len(row) != width:
+                raise SnapshotError(f"{path}:{lineno}: expected {width} columns") from None
+            try:
+                list(map(float, row))
+            except ValueError as exc:
+                raise SnapshotError(f"{path}:{lineno}: {exc}") from None
+        raise
+    table = table.reshape(len(rows), width)
     if not np.array_equal(table[:, 0], np.arange(table.shape[0])):
         raise SnapshotError(f"{path}: index column must run 0..{table.shape[0] - 1}")
     return table[:, 1:]
@@ -119,5 +124,13 @@ def read_snapshot_meta(nodes_path) -> dict | None:
     path = Path(str(nodes_path).replace("_nodes.csv", "_meta.json"))
     if not path.exists() or path == Path(nodes_path):
         return None
-    with open(path) as fh:
-        return json.load(fh)
+    try:
+        meta = json.loads(path.read_text())
+    except ValueError as exc:
+        raise SnapshotError(f"{path}: not a JSON sidecar: {exc}") from None
+    if not isinstance(meta, dict):
+        raise SnapshotError(f"{path}: sidecar must hold a JSON object, got {type(meta).__name__}")
+    for key, kinds in (("time", (int, float)), ("tau", (int, float)), ("step", (int,))):
+        if key in meta and not (type(meta[key]) in kinds and abs(meta[key]) <= sys.float_info.max):
+            raise SnapshotError(f"{path}: '{key}' must be a finite {kinds[-1].__name__}, got {meta[key]!r}")
+    return meta

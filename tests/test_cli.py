@@ -471,6 +471,47 @@ def test_main_run_and_audit(tmp_path, capsys):
     assert printed == ledger[:len(printed)]
 
 
+
+def _audit_pair(tmp_path):
+    """A two-step snapshot set and the `polygas audit` arguments for its first pair."""
+    raw = _pulse_raw(snapshot_every=1, time={"t_end": 0.02, "tau": 0.01})
+    config_path = _write_config(tmp_path, raw)
+    out_dir = tmp_path / "out"
+    assert main(["run", "--config", str(config_path), "--out", str(out_dir)]) == 0
+    nodes = sorted(out_dir.glob("snap_*_nodes.csv"))
+    cells = sorted(out_dir.glob("snap_*_cells.csv"))
+    args = ["audit", "--config", str(config_path),
+            "--lo-nodes", str(nodes[0]), "--lo-cells", str(cells[0]),
+            "--hi-nodes", str(nodes[1]), "--hi-cells", str(cells[1])]
+    return args, nodes[1], cells[1]
+
+
+@pytest.mark.parametrize("sidecar", [
+    '{"time": 0.01, "st',
+    '{"time": "soon", "step": 1, "cells": 20, "tau": 0.01}',
+    '[0.01, 1, 20]',
+    '{"time": 0.01, "step": 1, "cells": 20, "tau": "0.01"}',
+    '{"time": 0.01, "step": 1.5, "cells": 20, "tau": 0.01}',
+], ids=["truncated", "text-time", "list", "text-tau", "fractional-step"])
+def test_audit_rejects_a_corrupt_sidecar(tmp_path, capsys, sidecar):
+    args, hi_nodes, _ = _audit_pair(tmp_path)
+    meta = Path(str(hi_nodes).replace("_nodes.csv", "_meta.json"))
+    meta.write_text(sidecar)
+    capsys.readouterr()
+    assert main(args) == 3
+    assert str(meta) in capsys.readouterr().err
+
+
+def test_audit_names_the_line_of_a_non_numeric_field(tmp_path, capsys):
+    args, _, hi_cells = _audit_pair(tmp_path)
+    lines = hi_cells.read_text().splitlines()
+    lines[2] = ",".join(lines[2].split(",")[:3] + ["abc", "1.0"])
+    hi_cells.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(args) == 3
+    assert f"{hi_cells}:3: could not convert string to float: 'abc'" in capsys.readouterr().err
+
+
 def test_main_convergence_writes_tables(tmp_path, capsys):
     raw = {
         "problem": {"name": "uniform", "cells": 4},
