@@ -69,7 +69,7 @@ def _read_table(path, header: tuple[str, ...]) -> np.ndarray:
     path = Path(path)
     if not path.exists():
         raise SnapshotError(f"snapshot file not found: {path}")
-    lines = path.read_bytes().decode().splitlines()
+    lines = path.read_bytes().decode(errors="replace").splitlines()  # U+FFFD parses as nothing
     if not lines:
         raise SnapshotError(f"empty snapshot file: {path}")
     head = lines[0].split(",") if lines[0] else []

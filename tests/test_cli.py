@@ -492,7 +492,8 @@ def _audit_pair(tmp_path):
     '[0.01, 1, 20]',
     '{"time": 0.01, "step": 1, "cells": 20, "tau": "0.01"}',
     '{"time": 0.01, "step": 1.5, "cells": 20, "tau": 0.01}',
-], ids=["truncated", "text-time", "list", "text-tau", "fractional-step"])
+    '{"time": NaN, "step": 1, "cells": 20, "tau": 0.01}',
+], ids=["truncated", "text-time", "list", "text-tau", "fractional-step", "nan-time"])
 def test_audit_rejects_a_corrupt_sidecar(tmp_path, capsys, sidecar):
     args, hi_nodes, _ = _audit_pair(tmp_path)
     meta = Path(str(hi_nodes).replace("_nodes.csv", "_meta.json"))
