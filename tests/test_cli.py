@@ -471,7 +471,6 @@ def test_main_run_and_audit(tmp_path, capsys):
     assert printed == ledger[:len(printed)]
 
 
-
 def _audit_pair(tmp_path):
     """A two-step snapshot set and the `polygas audit` arguments for its first pair."""
     raw = _pulse_raw(snapshot_every=1, time={"t_end": 0.02, "tau": 0.01})

@@ -174,11 +174,13 @@ def test_reader_accepts_lf_line_ends(tmp_path):
     (GOLDEN_NODES.replace(b"0.30000000000000004", b"abc"),
      "{path}:3: could not convert string to float: 'abc'"),
     (GOLDEN_NODES + b"\r\n", "{path}:6: expected 4 columns"),
+    (GOLDEN_NODES.replace(b"0.30000000000000004", b'"0.30000000000000004"'),
+     "{path}:3: could not convert string to float: '\"0.30000000000000004\"'"),
     (GOLDEN_NODES.replace(b"0.30000000000000004", b"0.3\xff"),
      "{path}:3: could not convert string to float: '0.3\ufffd'"),
     (b"i,s,r,u\r\n", "no data rows in {path}"),
     (b"", "empty snapshot file: {path}"),
-], ids=["short-row", "non-numeric", "trailing-blank-line", "not-utf8", "header-only", "empty"])
+], ids=["short-row", "non-numeric", "trailing-blank-line", "quoted", "not-utf8", "header-only", "empty"])
 def test_reader_error_messages(tmp_path, text, message):
     nodes = tmp_path / "bad_nodes.csv"
     cells = tmp_path / "good_cells.csv"
