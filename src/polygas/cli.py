@@ -320,6 +320,7 @@ def run_simulation(cfg: RunConfig, out_dir=None) -> SimulationResult:
     failure = None
     step_index = 0
     last_written = 0
+    lo_totals: dict = {}  # hi totals of the last audit: the next step's lo totals
 
     while True:
         remaining = cfg.t_end - layer.t
@@ -339,7 +340,8 @@ def run_simulation(cfg: RunConfig, out_dir=None) -> SimulationResult:
             log.error("step %d rejected: %s", step_index, failure)
             break
         view = TwoLayerView(lo=layer, hi=hi, tau=tau_j)
-        for budget in audit_all(view, cfg.params, cfg.laws):
+        for budget in audit_all(view, cfg.params, cfg.laws, lo_totals=lo_totals):
+            lo_totals[budget.law] = budget.density_sum_hi
             record = budget.to_record(step=step_index, t=layer.t, tau=tau_j)
             records.append(record)
             if budget.applicable and budget.expected_zero and budget.relative_defect > cfg.budget_tol:
@@ -469,7 +471,7 @@ def audit_snapshots(cfg: RunConfig, lo_nodes, lo_cells, hi_nodes, hi_cells,
     ledger of the producing run byte for byte.
     """
     lo = read_snapshot(lo_nodes, lo_cells)
-    meta = read_snapshot_meta(hi_nodes) or {}
+    meta = read_snapshot_meta(hi_nodes, lo.mesh.n_cells) or {}
     hi = read_snapshot(hi_nodes, hi_cells, t=float(meta.get("time", 0.0)))
     if not np.array_equal(lo.mesh.s, hi.mesh.s):
         raise SnapshotError("snapshots live on different meshes; audit needs one mesh")

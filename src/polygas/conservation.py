@@ -9,6 +9,11 @@ tau * net boundary flux|, which holds to summation round-off whenever the
 local identities hold.  The totals are correctly rounded sums
 (state.exact_sum, bit for bit equal to math.fsum).
 
+A run sums each layer once: audit_all takes the previous step's hi totals as
+lo_totals (LawId -> density_sum_lo) instead of re-summing that layer, except
+ADDITIONAL_2's, whose density holds the step's tau^2/8 term, which a halved
+or shortened step changes.  Per-cell residuals always use the raw layers.
+
 Laws are written in the canonical form density_t + flux_s = 0; the sign of
 each flux is folded in so every budget uses the same defect formula.
 """
@@ -101,8 +106,9 @@ class _Recomputed:
     time-centred velocity v, the area factor R, the effective cell pressure
     and, on first use, the nodal flux pressure p*."""
 
-    def __init__(self, view: TwoLayerView, params: SchemeParams):
+    def __init__(self, view: TwoLayerView, params: SchemeParams, lo_totals=None):
         self.view, self.params = view, params
+        self.lo_totals = {k: v for k, v in (lo_totals or {}).items() if k is not LawId.ADDITIONAL_2}
         self.v = v = 0.5 * (view.lo.u + view.hi.u)
         self.big_r = r_factor(view.lo.r, view.hi.r, params.n)
         a = params.alpha_effective
@@ -143,24 +149,24 @@ def pressure_star(view: TwoLayerView, params: SchemeParams) -> np.ndarray:
     return _Recomputed(view, params).star
 
 
-def _cell_budget(law: LawId, view: TwoLayerView, d_lo: np.ndarray, d_hi: np.ndarray,
+def _cell_budget(law: LawId, rc: _Recomputed, d_lo: np.ndarray, d_hi: np.ndarray,
                  flux: np.ndarray, expected_zero: bool, note: str = "") -> ConservationBudget:
     """Assemble a budget for a cell-based law from its density and nodal flux."""
-    res = (d_hi - d_lo) / view.tau + (flux[1:] - flux[:-1]) / view.mesh.h
-    return _budget(law, view, view.mesh.h, d_lo, d_hi, res, float(flux[0]), float(flux[-1]),
+    res = (d_hi - d_lo) / rc.view.tau + (flux[1:] - flux[:-1]) / rc.view.mesh.h
+    return _budget(law, rc, rc.view.mesh.h, d_lo, d_hi, res, float(flux[0]), float(flux[-1]),
                    expected_zero, note)
 
 
-def _budget(law: LawId, view: TwoLayerView, weights: np.ndarray, d_lo: np.ndarray,
+def _budget(law: LawId, rc: _Recomputed, weights: np.ndarray, d_lo: np.ndarray,
             d_hi: np.ndarray, res: np.ndarray, flux_left: float, flux_right: float,
             expected_zero: bool, note: str = "") -> ConservationBudget:
     """Assemble a budget from the local residuals and the weighted totals;
     node-based laws (momentum family, n = 0 only) weight by nodal masses."""
-    sum_lo = exact_sum(weights * d_lo)
+    sum_lo = rc.lo_totals[law] if law in rc.lo_totals else exact_sum(weights * d_lo)
     sum_hi = exact_sum(weights * d_hi)
     net = flux_right - flux_left
-    defect = abs(sum_hi - sum_lo + view.tau * net)
-    scale = max(abs(sum_lo), abs(sum_hi), view.tau * (abs(flux_left) + abs(flux_right)))
+    defect = abs(sum_hi - sum_lo + rc.view.tau * net)
+    scale = max(abs(sum_lo), abs(sum_hi), rc.view.tau * (abs(flux_left) + abs(flux_right)))
     return ConservationBudget(
         law=law, applicable=True, expected_zero=expected_zero,
         per_cell_residual_max=float(np.max(np.abs(res))),
@@ -178,7 +184,7 @@ def _not_applicable(law: LawId, note: str) -> ConservationBudget:
 
 def _mass(view: TwoLayerView, params: SchemeParams, rc: _Recomputed) -> ConservationBudget:
     """Cell law: specific volume vs. swept volume, density 1/rho, flux -R v."""
-    return _cell_budget(LawId.MASS, view,
+    return _cell_budget(LawId.MASS, rc,
                         1.0 / view.lo.rho, 1.0 / view.hi.rho,
                         -rc.big_r * rc.v, expected_zero=True)
 
@@ -187,7 +193,7 @@ def _energy(view: TwoLayerView, params: SchemeParams, rc: _Recomputed) -> Conser
     """Cell law: total energy eps + <u^2>/2, flux R p* v."""
     d_lo = view.lo.eps + 0.5 * cell_average(view.lo.u * view.lo.u)
     d_hi = view.hi.eps + 0.5 * cell_average(view.hi.u * view.hi.u)
-    return _cell_budget(LawId.ENERGY, view, d_lo, d_hi, rc.big_r * rc.star * rc.v,
+    return _cell_budget(LawId.ENERGY, rc, d_lo, d_hi, rc.big_r * rc.star * rc.v,
                         expected_zero=True)
 
 
@@ -197,7 +203,7 @@ def _momentum(view: TwoLayerView, params: SchemeParams, rc: _Recomputed) -> Cons
         return _not_applicable(LawId.MOMENTUM, f"momentum balance needs n=0, run has n={params.n}")
     u_t = (view.hi.u - view.lo.u) / view.tau
     res = u_t[1:-1] + (rc.p_eff[1:] - rc.p_eff[:-1]) / view.mesh.interior_spacings()
-    return _budget(LawId.MOMENTUM, view, view.mesh.nodal_masses, view.lo.u, view.hi.u, res,
+    return _budget(LawId.MOMENTUM, rc, view.mesh.nodal_masses, view.lo.u, view.hi.u, res,
                    float(rc.star[0]), float(rc.star[-1]), expected_zero=True)
 
 
@@ -212,7 +218,7 @@ def _center_of_mass(view: TwoLayerView, params: SchemeParams,
     d_hi = view.hi.r - view.hi.t * view.hi.u
     res = ((d_hi - d_lo)[1:-1] / view.tau
            - t_half * (rc.p_eff[1:] - rc.p_eff[:-1]) / view.mesh.interior_spacings())
-    return _budget(LawId.CENTER_OF_MASS, view, view.mesh.nodal_masses, d_lo, d_hi, res,
+    return _budget(LawId.CENTER_OF_MASS, rc, view.mesh.nodal_masses, d_lo, d_hi, res,
                    -t_half * float(rc.star[0]), -t_half * float(rc.star[-1]),
                    expected_zero=True)
 
@@ -275,7 +281,7 @@ def _additional(law: LawId, view: TwoLayerView, params: SchemeParams,
     note = f"gamma={params.gamma!r}, gamma_star={params.gamma_star!r}, visc_nu={params.visc_nu!r}"
     at_star = math.isclose(params.gamma, params.gamma_star, rel_tol=1e-12)
     d_lo, d_hi, flux = _additional_density_flux(view, rc, law)
-    return _cell_budget(law, view, d_lo, d_hi, flux,
+    return _cell_budget(law, rc, d_lo, d_hi, flux,
                         expected_zero=at_star and params.visc_nu == 0.0, note=note)
 
 
@@ -291,7 +297,13 @@ _LAWS = {
 
 
 def audit_all(view: TwoLayerView, params: SchemeParams,
-              laws: tuple[LawId, ...] | list[LawId] = ALL_LAWS) -> list[ConservationBudget]:
-    """Audit the selected laws over one step, in fixed law order (ALL_LAWS)."""
-    rc = _Recomputed(view, params)
-    return [_LAWS[law](view, params, rc) for law in ALL_LAWS if law in set(laws)]
+              laws: tuple[LawId, ...] | list[LawId] = ALL_LAWS, *,
+              lo_totals: dict | None = None) -> list[ConservationBudget]:
+    """Audit the selected laws over one step, in fixed law order (ALL_LAWS).
+
+    lo_totals maps a law to its density_sum_lo: the density_sum_hi this
+    function gave for the step ending on view.lo, so bit for bit a fresh sum.
+    ADDITIONAL_2's is ignored: its density holds this step's tau^2/8 term.
+    """
+    rc = _Recomputed(view, params, lo_totals)
+    return [_LAWS[law](view, params, rc) for law in ALL_LAWS if law in laws]

@@ -103,7 +103,8 @@ def read_snapshot(nodes_path, cells_path, t: float | None = None) -> GridLayer:
     """Rebuild a layer from its two CSV files.
 
     The time stamp comes from the explicit argument if given, else from the
-    sidecar _meta.json next to the nodal file, else defaults to 0.
+    sidecar _meta.json next to the nodal file, else defaults to 0.  A
+    sidecar read here must agree with the tables' cell count.
     """
     nodes = _read_table(nodes_path, NODE_HEADER)
     cells = _read_table(cells_path, CELL_HEADER)
@@ -114,13 +115,14 @@ def read_snapshot(nodes_path, cells_path, t: float | None = None) -> GridLayer:
     if not np.allclose(cells[:, 0], mesh.midpoints, rtol=0.0, atol=1e-12 * (1 + np.abs(mesh.midpoints)).max()):
         raise SnapshotError(f"{cells_path}: cell midpoints disagree with the nodal mesh")
     if t is None:
-        t = float((read_snapshot_meta(nodes_path) or {}).get("time", 0.0))
+        t = float((read_snapshot_meta(nodes_path, mesh.n_cells) or {}).get("time", 0.0))
     return GridLayer(mesh=mesh, t=t, r=nodes[:, 1], u=nodes[:, 2],
                      rho=cells[:, 1], p=cells[:, 2], eps=cells[:, 3])
 
 
-def read_snapshot_meta(nodes_path) -> dict | None:
-    """Sidecar metadata for a nodal snapshot file, or None if absent."""
+def read_snapshot_meta(nodes_path, n_cells: int | None = None) -> dict | None:
+    """Sidecar metadata for a nodal snapshot file, or None if absent; a
+    sidecar whose 'cells' is not n_cells (when given) is a SnapshotError."""
     path = Path(str(nodes_path).replace("_nodes.csv", "_meta.json"))
     if not path.exists() or path == Path(nodes_path):
         return None
@@ -130,7 +132,10 @@ def read_snapshot_meta(nodes_path) -> dict | None:
         raise SnapshotError(f"{path}: not a JSON sidecar: {exc}") from None
     if not isinstance(meta, dict):
         raise SnapshotError(f"{path}: sidecar must hold a JSON object, got {type(meta).__name__}")
-    for key, kinds in (("time", (int, float)), ("tau", (int, float)), ("step", (int,))):
+    for key, kinds in (("time", (int, float)), ("tau", (int, float)),
+                       ("step", (int,)), ("cells", (int,))):
         if key in meta and not (type(meta[key]) in kinds and abs(meta[key]) <= sys.float_info.max):
             raise SnapshotError(f"{path}: '{key}' must be a finite {kinds[-1].__name__}, got {meta[key]!r}")
+    if n_cells is not None and meta.get("cells", n_cells) != n_cells:
+        raise SnapshotError(f"{path}: sidecar says {meta['cells']} cells, expected {n_cells}")
     return meta

@@ -1,6 +1,9 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -434,19 +437,68 @@ def test_convergence_study_rejects_bad_arguments():
 
 # --- offline audit -----------------------------------------------------------------
 
+def _replayed_and_inline(cfg, out_dir) -> tuple[list[str], list[str]]:
+    """A run's ledger lines, inline and as `audit_snapshots` re-derives them
+    from every adjacent pair of its snapshots, each record as JSON text."""
+    result = run_simulation(cfg, out_dir=out_dir)
+    assert result.exit_code == 0
+    nodes = sorted(out_dir.glob("snap_*_nodes.csv"))
+    cells = sorted(out_dir.glob("snap_*_cells.csv"))
+    assert len(nodes) == result.steps + 1
+    replayed = [json.dumps(record) for pair in zip(nodes, cells, nodes[1:], cells[1:])
+                for record in audit_snapshots(cfg, *pair)]
+    return replayed, [json.dumps(record) for record in result.records]
+
+
 def test_audit_snapshots_matches_inline_ledger(tmp_path):
     raw = _pulse_raw(snapshot_every=1, time={"t_end": 0.02, "tau": 0.01})
-    cfg = resolve_config(raw)
-    result = run_simulation(cfg, out_dir=tmp_path)
-    nodes = sorted(tmp_path.glob("snap_*_nodes.csv"))
-    cells = sorted(tmp_path.glob("snap_*_cells.csv"))
-    assert len(nodes) == 3
-    records = audit_snapshots(cfg, nodes[0], cells[0], nodes[1], cells[1])
-    inline = [rec for rec in result.records if rec["step"] == 0]
-    assert records == inline
+    replayed, inline = _replayed_and_inline(resolve_config(raw), tmp_path)
+    assert len(inline) == 2 * len(LawId)
+    assert replayed == inline
+
+
+_REPLAY_CASES = {f"n{n}-{mode}": (n, mode, {"t_end": 0.03, "tau": 0.01})
+                 for n in (0, 1, 2) for mode in ("pointwise", "conservative")}
+# tau halves on the first step and again on the second; a last step cut short
+_REPLAY_CASES["halving"] = (0, "conservative",
+                            {"t_end": 0.045, "tau": 0.02, "allow_tau_halving": True})
+_REPLAY_CASES["short-last-step"] = (2, "conservative", {"t_end": 0.025, "tau": 0.01})
+
+
+@pytest.mark.parametrize("case", list(_REPLAY_CASES))
+def test_carried_totals_equal_a_fresh_audit_of_every_pair(tmp_path, case):
+    """The run carries each step's hi totals to the next audit; an offline
+    audit of each snapshot pair sums both layers afresh.  Every record,
+    density_sum_lo included, must agree to the last bit."""
+    n, mode, time = _REPLAY_CASES[case]
+    raw = _pulse_raw(snapshot_every=1, time=time)
+    raw["params"].update(n=n, eos_mode=mode)
+    if case == "halving":
+        raw["problem"]["amplitude"] = 0.3
+        raw["params"]["newton_max_iter"] = 2
+    replayed, inline = _replayed_and_inline(resolve_config(raw), tmp_path)
+    taus = [json.loads(line)["tau"] for line in inline[::len(LawId)]]
+    if case == "halving":
+        assert taus[1] < taus[0] < 0.02
+    if case == "short-last-step":
+        assert taus[-1] < 0.01
+    assert replayed == inline
 
 
 # --- entry point -------------------------------------------------------------------
+
+def test_python_dash_m_polygas_runs_without_a_warning(tmp_path):
+    config_path = _write_config(tmp_path, _pulse_raw(time={"t_end": 0.02, "tau": 0.01}))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-m", "polygas", "run", "--config", str(config_path),
+                           "--out", str(tmp_path / "out")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert "RuntimeWarning" not in done.stderr
+    assert "smooth_pulse: 2 steps" in done.stdout
+    assert (tmp_path / "out" / "ledger.jsonl").is_file()
+
 
 def test_main_run_and_audit(tmp_path, capsys):
     raw = _pulse_raw(snapshot_every=1, time={"t_end": 0.02, "tau": 0.01})
@@ -492,7 +544,10 @@ def _audit_pair(tmp_path):
     '{"time": 0.01, "step": 1, "cells": 20, "tau": "0.01"}',
     '{"time": 0.01, "step": 1.5, "cells": 20, "tau": 0.01}',
     '{"time": NaN, "step": 1, "cells": 20, "tau": 0.01}',
-], ids=["truncated", "text-time", "list", "text-tau", "fractional-step", "nan-time"])
+    '{"time": 0.01, "step": 1, "cells": 99, "tau": 0.01}',
+    '{"time": 0.01, "step": 1, "cells": 20.0, "tau": 0.01}',
+], ids=["truncated", "text-time", "list", "text-tau", "fractional-step", "nan-time",
+        "wrong-cells", "fractional-cells"])
 def test_audit_rejects_a_corrupt_sidecar(tmp_path, capsys, sidecar):
     args, hi_nodes, _ = _audit_pair(tmp_path)
     meta = Path(str(hi_nodes).replace("_nodes.csv", "_meta.json"))

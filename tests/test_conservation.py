@@ -104,6 +104,23 @@ def test_audit_all_order_and_selection(rng):
     assert [b.law for b in subset] == [LawId.MASS, LawId.ENERGY]
 
 
+def test_audit_all_reports_carried_lo_totals_except_the_second_balance(rng):
+    view = random_view(rng, n_cells=10)
+    params = SchemeParams(n=0, gamma=2.0, eos_mode="conservative")
+    fresh = audit_all(view, params)
+    # carrying the audit's own lo sums changes nothing, bit for bit
+    same = audit_all(view, params, lo_totals={b.law: b.density_sum_lo for b in fresh})
+    assert json.dumps([b.to_record() for b in same]) == json.dumps([b.to_record() for b in fresh])
+    carried = audit_all(view, params, lo_totals={law: 0.125 for law in ALL_LAWS})
+    for got, want in zip(carried, fresh):
+        assert np.array_equal(got.residuals, want.residuals)  # always from the raw layers
+        assert got.density_sum_hi == want.density_sum_hi
+        if got.law is LawId.ADDITIONAL_2:  # its density holds the step's tau^2/8 term
+            assert got.to_record() == want.to_record()
+        else:
+            assert got.density_sum_lo == 0.125 != want.density_sum_lo
+
+
 # --- flux pressure closures -----------------------------------------------------------
 
 @pytest.mark.parametrize("visc_nu", (0.0, 2.0))

@@ -52,6 +52,17 @@ def test_time_can_be_overridden_and_meta_read(tmp_path):
     assert back.t == 99.0
 
 
+def test_a_sidecar_cell_count_must_match_the_tables(tmp_path):
+    paths = write_snapshot(_sample_layer(), tmp_path, step=7, tau=0.0125)
+    paths["meta"].write_text('{"time": 0.5, "step": 7, "cells": 99, "tau": 0.0125}\n')
+    with pytest.raises(SnapshotError) as exc:
+        read_snapshot(paths["nodes"], paths["cells"])
+    assert str(exc.value) == f"{paths['meta']}: sidecar says 99 cells, expected 12"
+    # an explicit time reads no sidecar, and a bare sidecar read has no tables to match
+    assert read_snapshot(paths["nodes"], paths["cells"], t=0.5).mesh.n_cells == 12
+    assert read_snapshot_meta(paths["nodes"])["cells"] == 99
+
+
 def test_write_is_deterministic(tmp_path):
     layer = _sample_layer()
     a = write_snapshot(layer, tmp_path / "a", step=3)

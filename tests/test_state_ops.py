@@ -123,6 +123,61 @@ def test_exact_sum_takes_the_limb_path_on_long_finite_input(monkeypatch):
         exact_sum(tail[:10])
 
 
+def _binade_span(rng, size, e_lo, span, bits=53):
+    """`size` values with random signs and `bits`-bit mantissas whose frexp
+    exponents fill e_lo..e_lo+span, both ends included."""
+    e = rng.integers(e_lo, e_lo + span + 1, size)
+    e[:2] = e_lo, e_lo + span
+    m = np.floor(rng.uniform(0.5, 1.0, size) * 2.0 ** bits) * 2.0 ** -bits
+    return rng.choice([-1.0, 1.0], size) * np.ldexp(m, e)
+
+
+def _kernel_cases():
+    """Inputs at or above the kernel's size threshold: one 11-binade bucket (spans
+    0 and 10) or two (11 and 12), with cancellation and round-half-even ties."""
+    rng = np.random.default_rng(11)
+    size = state._EXACT_SUM_MIN_SIZE
+    cases = {}
+    for span in (0, 10, 11, 12):
+        # subnormals (exact with 14-bit mantissas) up to the kernel's exponent ceiling
+        for e_lo, bits in ((-1060, 14), (-30, 53), (0, 53), (1000 - span, 53)):
+            a = _binade_span(rng, size + span, e_lo, span, bits)
+            assert np.ptp(np.frexp(a)[1]) == span
+            cases[f"span{span}-e{e_lo}"] = a
+            # everything cancels but the last value
+            cases[f"span{span}-e{e_lo}-cancel"] = np.concatenate((a, -a[:-1]))
+    # exact totals half an ulp above a float: ties rounded to even, both ways
+    half_ulp = 2.0 ** -53
+    for k in (size - 1, size + 1):
+        cases[f"tie-many-buckets-{k}"] = np.concatenate(([1.0], np.full(k, half_ulp)))
+        cases[f"tie-many-buckets-{k}-neg"] = -cases[f"tie-many-buckets-{k}"]
+    for k in (768, 1536):  # k * 2^-52 is 1.5 ulps of the integer k
+        cases[f"tie-one-bucket-{k}"] = np.full(k, 1.0 + 2.0 ** -52)
+    # the largest input with every limb at its bound, in one bucket
+    cases["one-bucket-largest"] = np.concatenate((np.full(2 ** 20 - 2, -np.nextafter(1024.0, 0.0)),
+                                                  [-0.5]))
+    return cases
+
+
+def test_exact_sum_kernel_paths_against_an_exact_oracle(monkeypatch):
+    cases = _kernel_cases()
+    expected = {}
+    for name, a in cases.items():
+        exact = sum(map(Fraction, a.tolist())) if a.size < 10 ** 4 else (
+            Fraction(a[0]) * (a.size - 1) + Fraction(a[-1]))
+        expected[name] = float(exact)
+        if name.startswith("tie"):
+            assert abs(Fraction(expected[name]) - exact) == Fraction(math.ulp(expected[name])) / 2
+    monkeypatch.setattr(state, "math", types.SimpleNamespace(fsum=None))
+    for name, a in cases.items():
+        assert struct.pack("<d", exact_sum(a)) == struct.pack("<d", expected[name]), name
+    # within one bucket the kernel adds each limb with np.sum alone
+    monkeypatch.setattr(np, "bincount", None)
+    for name, a in cases.items():
+        if name.startswith(("span0-", "span10-", "tie-one-bucket", "one-bucket")):
+            assert struct.pack("<d", exact_sum(a)) == struct.pack("<d", expected[name]), name
+
+
 def test_exact_sum_zero_totals_keep_math_fsum_sign():
     a = np.linspace(1.0, 2.0, 500)
     for zeros in (np.full(500, -0.0), np.concatenate((a, -a)), np.concatenate((-a, a, [-0.0]))):
