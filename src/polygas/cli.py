@@ -471,10 +471,11 @@ def audit_snapshots(cfg: RunConfig, lo_nodes, lo_cells, hi_nodes, hi_cells,
     ledger of the producing run byte for byte.
     """
     lo = read_snapshot(lo_nodes, lo_cells)
-    meta = read_snapshot_meta(hi_nodes, lo.mesh.n_cells) or {}
-    hi = read_snapshot(hi_nodes, hi_cells, t=float(meta.get("time", 0.0)))
+    hi = read_snapshot(hi_nodes, hi_cells, t=0.0)
     if not np.array_equal(lo.mesh.s, hi.mesh.s):
         raise SnapshotError("snapshots live on different meshes; audit needs one mesh")
+    meta = read_snapshot_meta(hi_nodes, hi.mesh.n_cells) or {}
+    hi = dataclasses.replace(hi, t=float(meta.get("time", 0.0)))
     if tau is None:
         tau = float(meta.get("tau", hi.t - lo.t))
     if not tau > 0.0:

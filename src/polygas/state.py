@@ -158,27 +158,22 @@ def exact_sum(a) -> float:
     time linear in the size (math.fsum slows as the exponents spread).
 
     Each value becomes two 32-bit integer limbs in an 11-bit exponent bucket;
-    np.bincount (np.sum for one bucket) adds them exactly (< 2^20 values stay
-    below 2^53), one Python int carries the buckets and int/int division
-    rounds once.  math.fsum takes the rest: short arrays, non-finite or huge
-    values, a zero total.
+    np.bincount adds them exactly (< 2^20 values stay below 2^53), one Python
+    int carries the buckets and int/int division rounds once.  math.fsum
+    takes the rest: short arrays, non-finite or huge values, a zero total.
     """
     a = np.asarray(a, dtype=float).ravel()
     if _EXACT_SUM_MIN_SIZE <= a.size < 2 ** 20:
         m, e = np.frexp(a)
-        e_min, e_max = int(e.min()), int(e.max())
-        if e_max <= 1000 and np.isfinite(m).all():
-            bucket = (e - e_min) // 11 if e_max - e_min > 10 else 0
-            x = np.ldexp(m, e - e_min - 11 * bucket + 53)  # an integer, |x| < 2^63
+        if e.max() <= 1000 and np.isfinite(m).all():
+            e_min = int(e.min())
+            bucket, shift = np.divmod(e - e_min, 11)
+            x = np.ldexp(m, shift + 53)  # an integer, |x| < 2^63
             hi = np.trunc(x * 2.0 ** -32)
-            lo = x - hi * 2.0 ** 32
-            if e_max - e_min <= 10:
-                total = int(lo.sum()) + (int(hi.sum()) << 32)
-            else:
-                total = 0
-                for lo_sum, hi_sum in zip(np.bincount(bucket, lo).tolist()[::-1],
-                                          np.bincount(bucket, hi).tolist()[::-1]):
-                    total = (total << 11) + int(lo_sum) + (int(hi_sum) << 32)
+            total = 0
+            for lo_sum, hi_sum in zip(np.bincount(bucket, x - hi * 2.0 ** 32).tolist()[::-1],
+                                      np.bincount(bucket, hi).tolist()[::-1]):
+                total = (total << 11) + int(lo_sum) + (int(hi_sum) << 32)
             if total != 0:  # math.fsum decides the sign of a zero
                 return (total << max(e_min - 53, 0)) / (1 << max(53 - e_min, 0))
     return math.fsum(a)

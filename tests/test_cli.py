@@ -557,6 +557,21 @@ def test_audit_rejects_a_corrupt_sidecar(tmp_path, capsys, sidecar):
     assert str(meta) in capsys.readouterr().err
 
 
+def test_audit_blames_the_meshes_not_a_correct_sidecar(tmp_path, capsys):
+    args, _, _ = _audit_pair(tmp_path)
+    raw = _pulse_raw(snapshot_every=1, time={"t_end": 0.02, "tau": 0.01})
+    raw["problem"]["cells"] = 40
+    out_dir = tmp_path / "out40"
+    assert main(["run", "--config", str(_write_config(tmp_path, raw, "run40.json")),
+                 "--out", str(out_dir)]) == 0
+    args[args.index("--hi-nodes") + 1] = str(sorted(out_dir.glob("snap_*_nodes.csv"))[1])
+    args[args.index("--hi-cells") + 1] = str(sorted(out_dir.glob("snap_*_cells.csv"))[1])
+    capsys.readouterr()
+    assert main(args) == 3
+    err = capsys.readouterr().err
+    assert "snapshots live on different meshes" in err and "_meta.json" not in err
+
+
 def test_audit_names_the_line_of_a_non_numeric_field(tmp_path, capsys):
     args, _, hi_cells = _audit_pair(tmp_path)
     lines = hi_cells.read_text().splitlines()
