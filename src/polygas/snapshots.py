@@ -6,8 +6,12 @@ snapshot back reproduces every value bit for bit.  Fields are unquoted and
 lines end in CRLF; the reader also accepts LF.  The sidecar records the
 time stamp and step index.  The CSVs are directly plottable (e.g. gnuplot
 with `set datafile separator ','`).
+
+The reader keeps the last few tables it parsed, keyed by their exact
+bytes, so a file rewritten in place is always parsed afresh.
 """
 
+import collections
 import functools
 import itertools
 import json
@@ -65,11 +69,35 @@ def write_snapshot(layer: GridLayer, out_dir, step: int,
     return paths
 
 
+#: parsed tables by (file bytes, header), least recently read first; four is
+#: the two tables of each of the last two snapshots, so a series audit of
+#: consecutive pairs parses the snapshot the pairs share once
+_TABLES: collections.OrderedDict[tuple[bytes, tuple[str, ...]], np.ndarray] = collections.OrderedDict()
+_TABLES_HELD = 4
+
+
 def _read_table(path, header: tuple[str, ...]) -> np.ndarray:
+    """The table's value columns, read-only; a table whose exact bytes were
+    among the last _TABLES_HELD read is not parsed again."""
     path = Path(path)
     if not path.exists():
         raise SnapshotError(f"snapshot file not found: {path}")
-    lines = path.read_bytes().decode(errors="replace").splitlines()  # U+FFFD parses as nothing
+    data = path.read_bytes()
+    key = (data, header)
+    table = _TABLES.get(key)
+    if table is None:
+        table = _parse_table(data, path, header)
+        table.setflags(write=False)
+        _TABLES[key] = table
+        if len(_TABLES) > _TABLES_HELD:
+            _TABLES.popitem(last=False)
+    else:
+        _TABLES.move_to_end(key)
+    return table
+
+
+def _parse_table(data: bytes, path: Path, header: tuple[str, ...]) -> np.ndarray:
+    lines = data.decode(errors="replace").splitlines()  # U+FFFD parses as nothing
     if not lines:
         raise SnapshotError(f"empty snapshot file: {path}")
     head = lines[0].split(",") if lines[0] else []
@@ -122,9 +150,14 @@ def read_snapshot(nodes_path, cells_path, t: float | None = None) -> GridLayer:
 
 def read_snapshot_meta(nodes_path, n_cells: int | None = None) -> dict | None:
     """Sidecar metadata for a nodal snapshot file, or None if absent; a
-    sidecar whose 'cells' is not n_cells (when given) is a SnapshotError."""
-    path = Path(str(nodes_path).replace("_nodes.csv", "_meta.json"))
-    if not path.exists() or path == Path(nodes_path):
+    sidecar whose 'cells' is not n_cells (when given) is a SnapshotError.
+
+    The sidecar of `<base>_nodes.csv` is `<base>_meta.json` in the same
+    directory; a file whose name does not end in `_nodes.csv` has none."""
+    nodes_path = Path(nodes_path)
+    stem = nodes_path.name.removesuffix("_nodes.csv")
+    path = nodes_path.with_name(stem + "_meta.json")
+    if stem == nodes_path.name or not path.exists():
         return None
     try:
         meta = json.loads(path.read_text())

@@ -43,17 +43,15 @@ class GridLayer:
     eps: np.ndarray
 
     def __post_init__(self):
-        n_nodes = self.mesh.n_nodes
-        n_cells = self.mesh.n_cells
-        for name, size in [("r", n_nodes), ("u", n_nodes),
-                           ("rho", n_cells), ("p", n_cells), ("eps", n_cells)]:
-            arr = np.array(getattr(self, name), dtype=float)
-            if arr.shape != (size,):
-                raise LayerError(f"field '{name}' must have shape ({size},), got {arr.shape}")
-            if not np.all(np.isfinite(arr)):
-                raise LayerError(f"field '{name}' contains non-finite values")
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        for names, size in ((_NODAL_FIELDS, self.mesh.n_nodes), (_CELL_FIELDS, self.mesh.n_cells)):
+            for name in names:
+                arr = np.array(getattr(self, name), dtype=float)
+                if arr.shape != (size,):
+                    raise LayerError(f"field '{name}' must have shape ({size},), got {arr.shape}")
+                if not np.all(np.isfinite(arr)):
+                    raise LayerError(f"field '{name}' contains non-finite values")
+                arr.setflags(write=False)
+                object.__setattr__(self, name, arr)
 
     def validate(self, n: int, mass_tol: float = 1e-10) -> None:
         """Check physical invariants for geometry exponent n (0, 1 or 2).

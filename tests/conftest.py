@@ -1,4 +1,7 @@
-"""Shared helpers: random meshes/layers, small canned runs and a zeroed cell pivot."""
+"""Shared helpers: random meshes/layers, small canned runs, a zeroed cell pivot
+and a counted, emptied snapshot table cache."""
+
+import collections
 
 import numpy as np
 import pytest
@@ -12,6 +15,7 @@ from polygas import (
     problem_library,
     step,
 )
+from polygas import snapshots
 from polygas.scheme import _StepSystem
 
 
@@ -75,3 +79,18 @@ def zero_cell_pivot(monkeypatch, when=lambda system: True, cell=3):
             jac.c_q[cell] = 0.0
         return jac
     monkeypatch.setattr(_StepSystem, "jacobian", jacobian)
+
+
+@pytest.fixture
+def table_parses(monkeypatch):
+    """Empty the snapshot reader's table cache for one test and record the
+    path of every table it parses, so parse counts do not depend on what
+    earlier tests read."""
+    monkeypatch.setattr(snapshots, "_TABLES", collections.OrderedDict())
+    parsed = []
+
+    def counted(data, path, header, _real=snapshots._parse_table):
+        parsed.append(path)
+        return _real(data, path, header)
+    monkeypatch.setattr(snapshots, "_parse_table", counted)
+    return parsed

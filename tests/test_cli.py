@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from polygas import ConfigError, LawId
+from polygas import ConfigError, LawId, read_snapshot, snapshots
 from polygas import cli
 from polygas.cli import (
     RunConfig,
@@ -220,13 +220,14 @@ def test_run_simulation_reports_solver_failure(tmp_path):
 def test_run_simulation_tau_halving_retries():
     raw = _pulse_raw()
     raw["problem"]["amplitude"] = 0.3
-    raw["params"]["newton_max_iter"] = 4
+    raw["params"]["newton_max_iter"] = 2
     raw["time"] = {"t_end": 0.02, "tau": 0.02, "allow_tau_halving": True}
     cfg = resolve_config(raw)
     result = run_simulation(cfg)
     assert result.exit_code == 0
     assert result.final_layer.t == pytest.approx(0.02, abs=1e-12)
     assert result.steps >= 1
+    assert min(record["tau"] for record in result.records) < 0.02
 
 
 def _counted_steps(monkeypatch) -> list[float]:
@@ -455,6 +456,50 @@ def test_audit_snapshots_matches_inline_ledger(tmp_path):
     replayed, inline = _replayed_and_inline(resolve_config(raw), tmp_path)
     assert len(inline) == 2 * len(LawId)
     assert replayed == inline
+
+
+def test_audit_of_a_run_in_a_directory_named_like_a_nodes_file(tmp_path):
+    """Only the file name's trailing _nodes.csv names the sidecar."""
+    out_dir = tmp_path / "run_nodes.csv_out"
+    raw = _pulse_raw(snapshot_every=1, time={"t_end": 0.02, "tau": 0.01})
+    replayed, inline = _replayed_and_inline(resolve_config(raw), out_dir)
+    assert replayed == inline
+    nodes = sorted(out_dir.glob("snap_*_nodes.csv"))[1]
+    stem = nodes.name.removesuffix("_nodes.csv")
+    time = json.loads((out_dir / f"{stem}_meta.json").read_text())["time"]
+    assert time > 0.0
+    assert read_snapshot(nodes, out_dir / f"{stem}_cells.csv").t == time
+
+
+def _series_run(tmp_path, steps):
+    """A pulse run with a snapshot every step, and its adjacent snapshot pairs."""
+    raw = _pulse_raw(snapshot_every=1, time={"t_end": 0.01 * steps, "tau": 0.01})
+    cfg = resolve_config(raw)
+    assert run_simulation(cfg, out_dir=tmp_path).steps == steps
+    nodes = sorted(tmp_path.glob("snap_*_nodes.csv"))
+    cells = sorted(tmp_path.glob("snap_*_cells.csv"))
+    return cfg, list(zip(nodes, cells, nodes[1:], cells[1:]))
+
+
+def test_a_series_audit_parses_each_table_once(tmp_path, table_parses):
+    cfg, pairs = _series_run(tmp_path, 10)
+    for pair in pairs:
+        audit_snapshots(cfg, *pair)
+    tables = {path for pair in pairs for path in pair}
+    assert len(pairs) == 10 and len(table_parses) == len(tables) == 22
+    assert set(table_parses) == tables
+
+
+def test_a_series_audit_equals_pairs_audited_with_an_empty_cache(tmp_path, table_parses):
+    cfg, pairs = _series_run(tmp_path, 4)
+    in_order = [json.dumps(record) for pair in pairs for record in audit_snapshots(cfg, *pair)]
+    fresh = []
+    for pair in pairs:
+        snapshots._TABLES.clear()
+        fresh += [json.dumps(record) for record in audit_snapshots(cfg, *pair)]
+    assert len(table_parses) == 10 + 4 * len(pairs)
+    assert in_order == fresh
+    assert in_order == (tmp_path / "ledger.jsonl").read_text().splitlines()
 
 
 _REPLAY_CASES = {f"n{n}-{mode}": (n, mode, {"t_end": 0.03, "tau": 0.01})

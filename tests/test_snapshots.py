@@ -16,7 +16,8 @@ from polygas import (
     read_snapshot_meta,
     write_snapshot,
 )
-from polygas.snapshots import snapshot_basename
+from polygas import snapshots
+from polygas.snapshots import CELL_HEADER, NODE_HEADER, snapshot_basename
 from conftest import advance, pulse_start
 
 
@@ -200,6 +201,54 @@ def test_reader_error_messages(tmp_path, text, message):
     with pytest.raises(SnapshotError) as info:
         read_snapshot(nodes, cells, t=0.0)
     assert str(info.value) == message.format(path=nodes)
+
+
+def test_a_snapshot_rewritten_in_place_reads_back_its_new_values(tmp_path, table_parses):
+    first = _sample_layer()
+    paths = write_snapshot(first, tmp_path, step=7, tau=0.0125)
+    _assert_same_layer(read_snapshot(paths["nodes"], paths["cells"]), first)
+    second = dataclasses.replace(first, u=first.u * 3.0, p=first.p + 1.0)
+    assert write_snapshot(second, tmp_path, step=7, tau=0.0125) == paths
+    _assert_same_layer(read_snapshot(paths["nodes"], paths["cells"]), second)
+    assert table_parses == [paths["nodes"], paths["cells"]] * 2
+
+
+def test_a_corrupt_table_raises_on_every_read_naming_its_path(tmp_path, table_parses):
+    bad = GOLDEN_NODES.replace(b"0.30000000000000004", b"abc")
+    cells = tmp_path / "good_cells.csv"
+    cells.write_bytes(GOLDEN_CELLS)
+    paths = [tmp_path / "a_nodes.csv", tmp_path / "b_nodes.csv", tmp_path / "a_nodes.csv"]
+    for nodes in paths:
+        nodes.write_bytes(bad)
+        with pytest.raises(SnapshotError) as info:
+            read_snapshot(nodes, cells, t=0.0)
+        assert str(info.value) == f"{nodes}:3: could not convert string to float: 'abc'"
+    assert table_parses == paths
+    assert not snapshots._TABLES
+
+
+def test_the_reader_holds_at_most_four_tables(tmp_path, table_parses):
+    layer = _sample_layer()
+    written = [write_snapshot(dataclasses.replace(layer, u=layer.u + k, p=layer.p + k), tmp_path, step=k)
+               for k in range(3)]
+    for paths in written:
+        read_snapshot(paths["nodes"], paths["cells"])
+    assert len(table_parses) == 6 and len(snapshots._TABLES) == 4
+    # the least recently read snapshot was dropped; the last one is still held
+    for paths in (written[0], written[2]):
+        read_snapshot(paths["nodes"], paths["cells"])
+    assert table_parses[6:] == [written[0]["nodes"], written[0]["cells"]]
+    assert len(snapshots._TABLES) == 4
+
+
+def test_tables_handed_out_are_read_only(tmp_path):
+    paths = write_snapshot(_sample_layer(), tmp_path, step=7)
+    for key, header in (("nodes", NODE_HEADER), ("cells", CELL_HEADER)):
+        for _ in range(2):  # parsed, then held
+            table = snapshots._read_table(paths[key], header)
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0, 0] = 1.0
 
 
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
