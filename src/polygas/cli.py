@@ -25,6 +25,7 @@ from .conservation import ALL_LAWS, LawId, audit_all, write_ledger
 from .mesh import MeshError
 from .problems import EulerProfile, ProblemError, invert_mass_coordinate, make_initial_layer, problem_library
 from .scheme import (
+    FLOOR_REASON,
     BoundaryCondition,
     ConfigError,
     PressureTrace,
@@ -297,6 +298,7 @@ def run_simulation(cfg: RunConfig, out_dir=None) -> SimulationResult:
     is retried at half its tau up to cfg.max_halvings times; one still
     rejected stops the run with exit code 1; a violated expected-zero budget
     marks exit code 2; otherwise 0.  Wall nodes start at their wall velocity.
+    Each step's Newton iteration starts from the last accepted layers.
     """
     if cfg.max_halvings < 0:
         raise ConfigError(f"max_halvings must be >= 0, got {cfg.max_halvings}")
@@ -321,6 +323,7 @@ def run_simulation(cfg: RunConfig, out_dir=None) -> SimulationResult:
     step_index = 0
     last_written = 0
     lo_totals: dict = {}  # hi totals of the last audit: the next step's lo totals
+    earlier: tuple = ()  # the accepted layers before `layer`, newest first
 
     while True:
         remaining = cfg.t_end - layer.t
@@ -329,7 +332,7 @@ def run_simulation(cfg: RunConfig, out_dir=None) -> SimulationResult:
         tau_j = min(cfg.tau, remaining)
         for _ in range(cfg.max_halvings + 1):
             try:
-                hi, report = step(layer, tau_j, cfg.params)
+                hi, report = step(layer, tau_j, cfg.params, earlier=earlier)
                 break
             except StepRejected as exc:
                 rejected = exc
@@ -347,6 +350,7 @@ def run_simulation(cfg: RunConfig, out_dir=None) -> SimulationResult:
             if budget.applicable and budget.expected_zero and budget.relative_defect > cfg.budget_tol:
                 violations.append(record)
         reports.append(report)
+        earlier = (layer, *earlier[:1])
         layer = hi
         step_index += 1
         log.debug("step %d: t=%g, %d Newton iterations, residual %.3e",
@@ -360,6 +364,7 @@ def run_simulation(cfg: RunConfig, out_dir=None) -> SimulationResult:
         if step_index != last_written:
             write_snapshot(layer, out_path, step=step_index)
         write_ledger(records, out_path / "ledger.jsonl")
+        accepted = [r for r in reports if r.accepted]
         summary = {
             "problem": cfg.problem_name,
             "n": cfg.params.n,
@@ -370,6 +375,9 @@ def run_simulation(cfg: RunConfig, out_dir=None) -> SimulationResult:
             "t_final": layer.t,
             "failure": failure,
             "budget_violations": len(violations),
+            "newton_iterations_total": sum(r.iterations for r in accepted),
+            "newton_iterations_max": max((r.iterations for r in accepted), default=0),
+            "floor_converged_steps": sum(r.reason == FLOOR_REASON for r in accepted),
             "exit_code": exit_code,
             "totals_initial": _totals(initial, cfg.params.n),
             "totals_final": _totals(layer, cfg.params.n),

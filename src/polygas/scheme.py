@@ -16,6 +16,13 @@ The equations are written once, in _StepSystem.  Newton runs its kernel on
 a layer eliminated from (u_hat, q); step_residuals, the post-accept check,
 runs it on the stored new layer and adds the eliminated rows.
 
+Newton starts from u and p extrapolated quadratically in time through the
+last accepted layers, so a smooth step needs one update (a resting uniform
+state is still returned bitwise after one residual evaluation).  It stops at
+newton_tol or, after an update, once every row is within its round-off
+floor, a few epsilons of the sum of its terms' magnitudes, which grows with
+the cell count and 1/tau; stagnation above the floor still rejects.
+
 The difference equations are built so that, at the solution, discrete
 analogues of mass, momentum, energy and center-of-mass balance telescope to
 round-off; in conservative mode two additional quadratic balances hold as
@@ -264,6 +271,11 @@ def boundary_pressure(bc: BoundaryCondition, t_lo: float, t_hi: float, alpha_eff
 #: a cell pivot |c_q| at or below this fraction of the cell's specific volume
 #: rejects the step: eliminating q_j through it would amplify round-off
 _PIVOT_RTOL = 1e-8
+#: a row has converged once its residual is within _FLOOR_ULPS machine epsilons
+#: of the sum of its terms' magnitudes, its round-off floor; Newton's residual
+#: levels off near 1.2 of them on smooth pulses of 1600 to 12800 cells
+_FLOOR_ULPS = 4.0
+FLOOR_REASON = "converged at round-off floor"
 
 
 class _Jacobian(NamedTuple):
@@ -296,6 +308,8 @@ class _StepSystem:
         self.h = mesh.h
         self.hbar = mesh.interior_spacings()
         self.n_unknowns = 2 * mesh.n_cells + 1
+        # node weight of the pressure jump: 1/hbar inside, 1/(h/2) at an end
+        self.w = np.concatenate(([2.0 / self.h[0]], 1.0 / self.hbar, [2.0 / self.h[-1]]))
         self.inv_rho = 1.0 / lo.rho
         self.gm1 = params.gamma - 1.0
         self.alpha_eff = params.alpha_effective
@@ -306,11 +320,31 @@ class _StepSystem:
         self.pb_right = (boundary_pressure(self.bc_right, lo.t, t_hi, self.alpha_eff)
                          if self.bc_right.kind == "pressure" else None)
 
-    def initial_guess(self) -> np.ndarray:
+    def initial_guess(self, earlier: tuple[GridLayer, ...] = ()) -> np.ndarray:
+        """Newton's start: extrapolated u and p; q is (p_lo + p)/2 if conservative."""
+        u, p = self.extrapolate("u", earlier), self.extrapolate("p", earlier)
         x = np.empty(self.n_unknowns)
-        x[0::2] = self.lo.u
-        x[1::2] = self.lo.p
+        x[0::2] = u
+        x[1::2] = 0.5 * (self.lo.p + p) if self.params.is_conservative else p
         return x
+
+    def extrapolate(self, name: str, earlier: tuple[GridLayer, ...]) -> np.ndarray:
+        """Field `name` of lo carried to lo.t + tau through up to two earlier
+        layers (newest first): x_lo + tau D01 + tau (tau + t_lo - t_1) D012 in
+        divided differences, which suit the uneven spacing of tau halving.
+        Built from back = -D01, a constant history gives lo bitwise: each
+        difference is +0.0, and x - (+0.0) keeps a -0.0."""
+        lo, tau = self.lo, self.tau
+        x = getattr(lo, name)
+        if not earlier:
+            return x
+        e1 = earlier[0]
+        back = (getattr(e1, name) - x) / (lo.t - e1.t)
+        if len(earlier) > 1:
+            e2 = earlier[1]
+            back_12 = (getattr(e2, name) - getattr(e1, name)) / (e1.t - e2.t)
+            back = back + (tau + lo.t - e1.t) / (lo.t - e2.t) * (back - back_12)
+        return x - tau * back
 
     def swept_rate(self, v: np.ndarray, r_hat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Area factor R per node and swept-volume rate (R v)_s per cell."""
@@ -340,16 +374,11 @@ class _StepSystem:
         half-width cell.  Returns (momentum, gas law, u_t, (bracket)_s)."""
         lo, tau, params = self.lo, self.tau, self.params
         u_t = (u_hat - lo.u) / tau
-        f_node = np.empty(u_hat.size)
-        f_node[1:-1] = u_t[1:-1] + big_r[1:-1] * (p_eff[1:] - p_eff[:-1]) / self.hbar
-        if self.bc_left.kind == "wall":
-            f_node[0] = u_hat[0] - self.bc_left.u_wall
-        else:
-            f_node[0] = u_t[0] + big_r[0] * (p_eff[0] - self.pb_left) / (0.5 * self.h[0])
-        if self.bc_right.kind == "wall":
-            f_node[-1] = u_hat[-1] - self.bc_right.u_wall
-        else:
-            f_node[-1] = u_t[-1] + big_r[-1] * (self.pb_right - p_eff[-1]) / (0.5 * self.h[-1])
+        pad = self.padded_pressure(p_eff)
+        f_node = u_t + big_r * (pad[1:] - pad[:-1]) * self.w
+        for i, bc in ((0, self.bc_left), (-1, self.bc_right)):
+            if bc.kind == "wall":
+                f_node[i] = u_hat[i] - bc.u_wall
 
         brack_s = None
         if params.is_conservative:
@@ -443,20 +472,11 @@ class _StepSystem:
             c_hi = de_hi - c * dd_hi
             c_q = de_q - (self.inv_rho + delta) / self.gm1
 
-        # node rows: f_i = u_t_i + R_i * w_i * (P_{i+1} - P_i), where P pads the
-        # cell pressures with the external ones and w is 1/hbar inside,
-        # 1/(h/2) at a pressure boundary
-        n_nodes = v.size
-        w = np.empty(n_nodes)
-        w[1:-1] = 1.0 / self.hbar
-        w[0] = 1.0 / (0.5 * h[0])
-        w[-1] = 1.0 / (0.5 * h[-1])
-        jump = np.empty(n_nodes)
-        jump[1:-1] = p_eff[1:] - p_eff[:-1]
-        jump[0] = p_eff[0] - self.pb_left if self.pb_left is not None else 0.0
-        jump[-1] = self.pb_right - p_eff[-1] if self.pb_right is not None else 0.0
-        rw = big_r * w
-        diag = 1.0 / tau + d_big_r * w * jump
+        # node rows: f_i = u_t_i + R_i w_i (P_{i+1} - P_i), a wall row the identity
+        pad = self.padded_pressure(p_eff)
+        jump = pad[1:] - pad[:-1]
+        rw = big_r * self.w
+        diag = 1.0 / tau + d_big_r * self.w * jump
         diag[:-1] += rw[:-1] * dp_lo
         diag[1:] -= rw[1:] * dp_hi
 
@@ -510,6 +530,22 @@ class _StepSystem:
         dx[1::2] = -(g + r_lo * du[:-1] + r_hi * du[1:])
         return dx
 
+    def padded_pressure(self, p_eff: np.ndarray) -> np.ndarray:
+        """Cell pressures padded with the external pressure at each end (0 at a wall)."""
+        return np.concatenate(([self.pb_left or 0.0], p_eff, [self.pb_right or 0.0]))
+
+    def row_floor(self, aux: dict) -> np.ndarray:
+        """Round-off floor of every row at aux: _FLOOR_ULPS epsilons of the sum
+        of the magnitudes of the row's terms."""
+        lo, p_eff, delta = self.lo, aux["p_eff"], aux["delta"]
+        p_abs = np.abs(self.padded_pressure(p_eff))
+        terms = np.empty(self.n_unknowns)
+        terms[0::2] = ((np.abs(aux["u_hat"]) + np.abs(lo.u)) / self.tau
+                       + aux["big_r"] * (p_abs[1:] + p_abs[:-1]) * self.w)
+        terms[1::2] = (np.abs(aux["eps_hat"]) + np.abs(lo.eps) + np.abs(p_eff * delta)
+                       + np.abs(aux["q"]) * (self.inv_rho + np.abs(delta)) / abs(self.gm1))
+        return _FLOOR_ULPS * np.finfo(float).eps * terms
+
     def scales(self, aux: dict) -> np.ndarray:
         """Row scaling for the convergence test: velocity rows by max(1, |u|),
         energy rows by max(1, |eps|)."""
@@ -529,8 +565,15 @@ def _scaled_norm(f: np.ndarray, scales: np.ndarray) -> float:
     return float(a.max())
 
 
-def step(lo: GridLayer, tau: float, params: SchemeParams) -> tuple[GridLayer, StepReport]:
+def step(lo: GridLayer, tau: float, params: SchemeParams,
+         earlier: tuple[GridLayer, ...] = ()) -> tuple[GridLayer, StepReport]:
     """Advance one implicit step; returns (new layer, report).
+
+    Newton starts from lo extrapolated through the earlier accepted layers
+    (up to two, newest first), or from lo if that guess inverts a cell or is
+    not finite.  It stops at newton_tol or, after its first update, once
+    every row is within its round-off floor (row_floor; the report's reason
+    is FLOOR_REASON).
 
     Raises StepRejected (carrying the report) if Newton fails to converge or
     the converged layer violates positivity/ordering (mass consistency within
@@ -541,6 +584,7 @@ def step(lo: GridLayer, tau: float, params: SchemeParams) -> tuple[GridLayer, St
         raise ConfigError(f"step length must be positive and finite, got {tau}")
     system = _StepSystem(lo, tau, params)
     history: list[float] = []
+    floor = None  # per-row round-off floor, set once, at an iterate after an update
 
     def reject(reason: str) -> StepRejected:
         report = StepReport(accepted=False, iterations=len(history),
@@ -548,14 +592,31 @@ def step(lo: GridLayer, tau: float, params: SchemeParams) -> tuple[GridLayer, St
                             history=list(history), reason=reason)
         return StepRejected(reason, report)
 
-    x = system.initial_guess()
-    f, aux = system.residual(x)
-    norm = _scaled_norm(f, system.scales(aux))
+    def evaluate(x: np.ndarray) -> tuple:
+        f, aux = system.residual(x)
+        scales = system.scales(aux)
+        return _scaled_norm(f, scales), x, f, aux, scales
+
+    def at_floor(point: tuple) -> bool:
+        nonlocal floor
+        _, _, f, aux, scales = point
+        if floor is None:
+            floor = system.row_floor(aux)
+        return bool(np.all(np.abs(f) <= np.maximum(params.newton_tol * scales, floor)))
+
+    norm, x, f, aux, _ = point = evaluate(system.initial_guess(earlier))
+    if earlier and not (np.isfinite(norm) and np.all(aux["rho_hat"] > 0.0)):
+        # the guess inverts a cell or is not finite: start from lo
+        norm, x, f, aux, _ = point = evaluate(system.initial_guess())
     history.append(norm)
     if not np.isfinite(norm):
         raise reject("non-finite residual at the initial guess")
 
+    reason = ""
     while norm > params.newton_tol:
+        if len(history) > 1 and at_floor(point):
+            reason = FLOOR_REASON
+            break
         if len(history) > params.newton_max_iter:
             raise reject(f"no Newton convergence in {params.newton_max_iter} iterations "
                          f"(residual {norm:.3e})")
@@ -570,19 +631,17 @@ def step(lo: GridLayer, tau: float, params: SchemeParams) -> tuple[GridLayer, St
         best = None
         lam = 1.0
         for _ in range(9):
-            x_try = x + lam * dx
-            f_try, aux_try = system.residual(x_try)
-            n_try = _scaled_norm(f_try, system.scales(aux_try))
-            if best is None or n_try < best[0]:
-                best = (n_try, x_try, f_try, aux_try)
-            if n_try <= params.newton_tol or n_try < norm:
+            trial = evaluate(x + lam * dx)
+            if best is None or trial[0] < best[0]:
+                best = trial
+            if trial[0] <= params.newton_tol or trial[0] < norm:
                 break
             lam *= 0.5
         if not np.isfinite(best[0]):
             raise reject("Newton iteration diverged (non-finite residual)")
-        if best[0] >= norm and best[0] > params.newton_tol:
+        if best[0] >= norm and best[0] > params.newton_tol and not at_floor(best):
             raise reject(f"Newton stagnated at residual {best[0]:.3e}")
-        norm, x, f, aux = best
+        norm, x, f, aux, _ = point = best
         history.append(norm)
 
     if params.is_conservative:
@@ -600,7 +659,7 @@ def step(lo: GridLayer, tau: float, params: SchemeParams) -> tuple[GridLayer, St
     residual_max = {name: float(np.max(np.abs(residuals[name]))) for name in RESIDUAL_FAMILIES}
     report = StepReport(accepted=True, iterations=len(history),
                         final_residual_norm=norm, history=history,
-                        residual_max=residual_max, residuals=residuals)
+                        residual_max=residual_max, reason=reason, residuals=residuals)
     return hi, report
 
 

@@ -21,6 +21,7 @@ from polygas.cli import (
     run_simulation,
     with_resolution,
 )
+from polygas.scheme import FLOOR_REASON
 
 from conftest import zero_cell_pivot
 
@@ -194,6 +195,19 @@ def test_run_simulation_writes_outputs(tmp_path):
     assert [json.loads(line) for line in ledger_lines] == result.records
 
 
+def test_summary_counts_newton_iterations_and_round_off_floor_stops(tmp_path):
+    raw = _pulse_raw()
+    raw["params"]["newton_tol"] = 1e-16  # below the round-off floor of every row
+    result = run_simulation(resolve_config(raw), out_dir=tmp_path)
+    assert result.exit_code == 0
+    iterations = [report.iterations for report in result.reports]
+    floor_stops = sum(report.reason == FLOOR_REASON for report in result.reports)
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["newton_iterations_total"] == sum(iterations)
+    assert summary["newton_iterations_max"] == max(iterations)
+    assert summary["floor_converged_steps"] == floor_stops == result.steps == 5
+
+
 def test_run_simulation_flags_budget_violations():
     cfg = resolve_config(_pulse_raw(budget_tol=1e-30))
     result = run_simulation(cfg)
@@ -234,9 +248,9 @@ def _counted_steps(monkeypatch) -> list[float]:
     """Record the tau of every step() attempt run_simulation makes."""
     taus = []
 
-    def counted(layer, tau, params, _real=cli.step):
+    def counted(layer, tau, params, earlier=(), _real=cli.step):
         taus.append(tau)
-        return _real(layer, tau, params)
+        return _real(layer, tau, params, earlier=earlier)
     monkeypatch.setattr(cli, "step", counted)
     return taus
 
@@ -504,7 +518,8 @@ def test_a_series_audit_equals_pairs_audited_with_an_empty_cache(tmp_path, table
 
 _REPLAY_CASES = {f"n{n}-{mode}": (n, mode, {"t_end": 0.03, "tau": 0.01})
                  for n in (0, 1, 2) for mode in ("pointwise", "conservative")}
-# tau halves on the first step and again on the second; a last step cut short
+# tau halves on the first step and again on the second (a falling outer
+# pressure keeps the warm-started second step hard); a last step cut short
 _REPLAY_CASES["halving"] = (0, "conservative",
                             {"t_end": 0.045, "tau": 0.02, "allow_tau_halving": True})
 _REPLAY_CASES["short-last-step"] = (2, "conservative", {"t_end": 0.025, "tau": 0.01})
@@ -521,6 +536,8 @@ def test_carried_totals_equal_a_fresh_audit_of_every_pair(tmp_path, case):
     if case == "halving":
         raw["problem"]["amplitude"] = 0.3
         raw["params"]["newton_max_iter"] = 2
+        raw["params"]["bc_right"] = {"kind": "pressure",
+                                     "trace": {"kind": "linear", "p0": 1.0, "rate": -30.0}}
     replayed, inline = _replayed_and_inline(resolve_config(raw), tmp_path)
     taus = [json.loads(line)["tau"] for line in inline[::len(LawId)]]
     if case == "halving":

@@ -21,6 +21,8 @@ from polygas import (
     step_residuals,
     total_nodal_quantity,
 )
+from polygas.scheme import _StepSystem
+
 from conftest import advance, pulse_start
 
 
@@ -132,6 +134,58 @@ def test_galilean_shift_leaves_plane_residuals_unchanged(rng):
         assert np.allclose(plain[family], moved[family], atol=1e-12), family
     # the wall closures at rows 0 and -1 see the shifted velocity itself
     assert np.allclose(plain["momentum"][1:-1], moved["momentum"][1:-1], atol=1e-12)
+
+
+# --- Newton's starting point ---------------------------------------------------------
+
+@pytest.mark.parametrize("mode", ("pointwise", "conservative"))
+def test_a_constant_history_starts_newton_at_lo_bitwise(mode):
+    layer, params = pulse_start(n=0, eos_mode=mode)
+    lo = dataclasses.replace(layer, t=0.03, u=np.where(layer.u == 0.0, -0.0, layer.u))
+    earlier = (dataclasses.replace(lo, t=0.025), dataclasses.replace(lo, t=0.005))
+    system = _StepSystem(lo, 0.01, params)
+    assert np.signbit(lo.u).any()  # a -0.0 must survive too
+    assert system.initial_guess(earlier).tobytes() == system.initial_guess().tobytes()
+
+
+@pytest.mark.parametrize("mode", ("pointwise", "conservative"))
+def test_the_guess_reproduces_fields_quadratic_in_time(rng, mode):
+    """Layers at t = 0, 0.2 and 0.3, spaced unevenly as after a tau halving,
+    extrapolated by tau = 0.1."""
+    layer, params = pulse_start(n=0, eos_mode=mode)
+    coef = {name: rng.uniform(0.5, 1.5, (3, getattr(layer, name).size)) for name in ("u", "p")}
+
+    def field(name, t):
+        a, b, c = coef[name]
+        return a + b * t + c * t * t
+
+    lo, e1, e2 = (dataclasses.replace(layer, t=t, u=field("u", t), p=field("p", t))
+                  for t in (0.3, 0.2, 0.0))
+    system = _StepSystem(lo, 0.1, params)
+    x = system.initial_guess((e1, e2))
+    p_hi = field("p", 0.4)
+    q = 0.5 * (lo.p + p_hi) if mode == "conservative" else p_hi
+    np.testing.assert_allclose(x[0::2], field("u", 0.4), rtol=1e-14, atol=0.0)
+    np.testing.assert_allclose(x[1::2], q, rtol=1e-14, atol=0.0)
+    # with one earlier layer the extrapolation is linear and misses the curvature
+    linear = system.initial_guess((e1,))
+    assert np.max(np.abs(linear[0::2] - field("u", 0.4))) > 1e-3
+
+
+def test_a_guess_that_inverts_a_cell_falls_back_to_lo():
+    layer, params = pulse_start(n=0, cells=30)
+    lo = dataclasses.replace(layer, t=0.01)
+    kick = np.zeros_like(lo.u)
+    kick[10] = 50.0
+    earlier = (dataclasses.replace(lo, t=0.0, u=lo.u + kick),)
+    system = _StepSystem(lo, 0.01, params)
+    _, aux = system.residual(system.initial_guess(earlier))
+    assert aux["rho_hat"][9] < 0.0  # node 10 overtakes node 9
+    warm, warm_report = step(lo, 0.01, params, earlier=earlier)
+    cold, cold_report = step(lo, 0.01, params)
+    assert warm_report.accepted and warm_report.history == cold_report.history
+    for name in ("r", "u", "rho", "p", "eps"):
+        assert getattr(warm, name).tobytes() == getattr(cold, name).tobytes(), name
 
 
 # --- the Newton step ------------------------------------------------------------------
