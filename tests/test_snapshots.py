@@ -192,7 +192,14 @@ def test_reader_accepts_lf_line_ends(tmp_path):
      "{path}:3: could not convert string to float: '0.3\ufffd'"),
     (b"i,s,r,u\r\n", "no data rows in {path}"),
     (b"", "empty snapshot file: {path}"),
-], ids=["short-row", "non-numeric", "trailing-blank-line", "quoted", "not-utf8", "header-only", "empty"])
+    (GOLDEN_NODES.replace(b"\r\n2,", b"\r\n\r\n2,"), "{path}:4: expected 4 columns"),
+    (GOLDEN_NODES.replace(b"\r\n2,", b"\r\n   \r\n2,"), "{path}:4: expected 4 columns"),
+    (GOLDEN_NODES.replace(b",5e-324\r\n", b",5e-324,\r\n"), "{path}:3: expected 4 columns"),
+    (GOLDEN_NODES.replace(b"0.30000000000000004", b"0.3#1"),
+     "{path}:3: could not convert string to float: '0.3#1'"),
+    (b"i,s,r,u\r\n\r\n\r\n", "{path}:2: expected 4 columns"),
+], ids=["short-row", "non-numeric", "trailing-blank-line", "quoted", "not-utf8", "header-only", "empty",
+        "blank-line-mid-table", "spaces-only-line", "trailing-comma", "hash-in-field", "blank-lines-only"])
 def test_reader_error_messages(tmp_path, text, message):
     nodes = tmp_path / "bad_nodes.csv"
     cells = tmp_path / "good_cells.csv"
