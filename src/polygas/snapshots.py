@@ -7,8 +7,10 @@ lines end in CRLF; the reader also accepts LF.  The sidecar records the
 time stamp and step index.  The CSVs are directly plottable (e.g. gnuplot
 with `set datafile separator ','`).
 
-The reader keeps the last few tables it parsed, keyed by their exact
-bytes, so a file rewritten in place is always parsed afresh.
+Tables are converted by numpy's C reader, which rounds as float() does; a
+row-by-row walk with float() names a bad line and reads the spellings only
+float() accepts.  The reader keeps the last few tables it parsed, keyed by
+their exact bytes, so a file rewritten in place is always parsed afresh.
 """
 
 import collections
@@ -103,25 +105,29 @@ def _parse_table(data: bytes, path: Path, header: tuple[str, ...]) -> np.ndarray
     head = lines[0].split(",") if lines[0] else []
     if tuple(head) != header:
         raise SnapshotError(f"unexpected header in {path}: {head!r}, want {list(header)}")
-    rows = [line.split(",") for line in lines[1:]]
-    if not rows:
+    body = lines[1:]
+    if not body:
         raise SnapshotError(f"no data rows in {path}")
     width = len(header)
     try:
-        if set(map(len, rows)) != {width}:
-            raise ValueError
-        table = np.array(list(map(float, itertools.chain.from_iterable(rows))))
+        # numpy's C reader rounds as float() does, but skips blank lines (and
+        # warns when none are left): the first line and the shape are checked
+        table = np.loadtxt(body, delimiter=",", comments=None, ndmin=2) if body[0] else None
     except ValueError:
-        # Walk the rows only to name the first bad line, as a row-by-row read would.
-        for lineno, row in enumerate(rows, start=2):
+        table = None
+    if table is None or table.shape != (len(body), width):
+        # The row walk names the first bad line, and reads what only float()
+        # accepts (1_000, non-ASCII digits).
+        rows = []
+        for lineno, line in enumerate(body, start=2):
+            row = line.split(",")
             if len(row) != width:
-                raise SnapshotError(f"{path}:{lineno}: expected {width} columns") from None
+                raise SnapshotError(f"{path}:{lineno}: expected {width} columns")
             try:
-                list(map(float, row))
+                rows.append(list(map(float, row)))
             except ValueError as exc:
                 raise SnapshotError(f"{path}:{lineno}: {exc}") from None
-        raise
-    table = table.reshape(len(rows), width)
+        table = np.array(rows)
     if not np.array_equal(table[:, 0], np.arange(table.shape[0])):
         raise SnapshotError(f"{path}: index column must run 0..{table.shape[0] - 1}")
     return table[:, 1:]

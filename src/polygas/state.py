@@ -174,7 +174,7 @@ def exact_sum(a) -> float:
                 total = (total << 11) + int(lo_sum) + (int(hi_sum) << 32)
             if total != 0:  # math.fsum decides the sign of a zero
                 return (total << max(e_min - 53, 0)) / (1 << max(53 - e_min, 0))
-    return math.fsum(a)
+    return math.fsum(a.tolist())  # floats, not one numpy scalar per value
 
 
 def total_cell_quantity(layer: GridLayer, density_cells: np.ndarray) -> float:

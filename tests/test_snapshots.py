@@ -1,6 +1,8 @@
 import dataclasses
+import itertools
 import math
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -272,3 +274,111 @@ def test_any_finite_values_round_trip_bit_exact(t, r, u, rho, p, eps):
     with tempfile.TemporaryDirectory() as out_dir:
         paths = write_snapshot(layer, out_dir, step=1)
         _assert_same_layer(read_snapshot(paths["nodes"], paths["cells"]), layer)
+
+
+# --- the table parser against the row-by-row reader -----------------------------
+
+def _row_by_row_parse(data, path, header):
+    """The table parser as it was before numpy's reader took the conversion:
+    str.split and float() on every field.  The oracle for the tests below."""
+    lines = data.decode(errors="replace").splitlines()
+    if not lines:
+        raise SnapshotError(f"empty snapshot file: {path}")
+    head = lines[0].split(",") if lines[0] else []
+    if tuple(head) != header:
+        raise SnapshotError(f"unexpected header in {path}: {head!r}, want {list(header)}")
+    rows = [line.split(",") for line in lines[1:]]
+    if not rows:
+        raise SnapshotError(f"no data rows in {path}")
+    width = len(header)
+    try:
+        if set(map(len, rows)) != {width}:
+            raise ValueError
+        table = np.array(list(map(float, itertools.chain.from_iterable(rows))))
+    except ValueError:
+        for lineno, row in enumerate(rows, start=2):
+            if len(row) != width:
+                raise SnapshotError(f"{path}:{lineno}: expected {width} columns") from None
+            try:
+                list(map(float, row))
+            except ValueError as exc:
+                raise SnapshotError(f"{path}:{lineno}: {exc}") from None
+        raise
+    table = table.reshape(len(rows), width)
+    if not np.array_equal(table[:, 0], np.arange(table.shape[0])):
+        raise SnapshotError(f"{path}: index column must run 0..{table.shape[0] - 1}")
+    return table[:, 1:]
+
+
+_EDGE_VALUES = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                                1.7976931348623157e308, -1.7976931348623157e308])
+#: ways to respell one field; "\udcff" is written as the non-UTF-8 byte 0xff
+_RESPELLINGS = [lambda f: "1_0", lambda f: "١٢", lambda f: f"\xa0{f}\xa0",
+                lambda f: f + "#1", lambda f: "#" + f, lambda f: f'"{f}"', lambda f: "nan",
+                lambda f: "-nan", lambda f: "inf", lambda f: "-inf", lambda f: f + "\udcff"]
+
+
+def _table_variants(header, rows, eol):
+    """A table's bytes, then those of every change of one field or line: a
+    field dropped, added or respelled, or a blank line inserted."""
+    def table(lines):
+        return (eol.join([",".join(header), *lines]) + eol).encode(errors="surrogateescape")
+    lines = [",".join(row) for row in rows]
+    yield table(lines)
+    for r, row in enumerate(rows):
+        for c, field in enumerate(row):
+            for new in ([], [field, "0.5"], *([respell(field)] for respell in _RESPELLINGS)):
+                yield table(lines[:r] + [",".join(row[:c] + new + row[c + 1:])] + lines[r + 1:])
+    for k in range(len(lines) + 1):
+        yield table(lines[:k] + [""] + lines[k:])
+
+
+@st.composite
+def table_bytes(draw):
+    """A table of finite values in repr form (subnormals, signed zeros and the
+    largest doubles among them), LF or CRLF, as written or changed in one
+    field or line."""
+    header = draw(st.sampled_from([NODE_HEADER, CELL_HEADER]))
+    values = st.lists(st.one_of(_FINITE, _EDGE_VALUES), min_size=len(header) - 1,
+                      max_size=len(header) - 1)
+    rows = [[str(i), *map(repr, draw(values))] for i in range(draw(st.integers(1, 6)))]
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    return header, draw(st.sampled_from(list(_table_variants(header, rows, eol))))
+
+
+def _parse_outcome(parse, data, header):
+    """The parsed table's bits, or the SnapshotError message."""
+    try:
+        return parse(data, "t_nodes.csv", header).view(np.int64).tolist()
+    except SnapshotError as exc:
+        return str(exc)
+
+
+def _assert_parses_as_the_row_by_row_reader(data, header):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _parse_outcome(snapshots._parse_table, data, header)
+    assert got == _parse_outcome(_row_by_row_parse, data, header), data
+
+
+@settings(max_examples=600, deadline=None)
+@given(table=table_bytes())
+def test_table_parser_matches_the_row_by_row_reader(table):
+    _assert_parses_as_the_row_by_row_reader(*table[::-1])
+
+
+@pytest.mark.parametrize("eol", ["\n", "\r\n"])
+def test_every_one_field_change_of_the_golden_tables_parses_as_the_row_by_row_reader(eol):
+    for golden, header in ((GOLDEN_NODES, NODE_HEADER), (GOLDEN_CELLS, CELL_HEADER)):
+        rows = [line.split(",") for line in golden.decode().splitlines()[1:]]
+        for data in _table_variants(header, rows, eol):
+            _assert_parses_as_the_row_by_row_reader(data, header)
+
+
+def test_spellings_only_float_accepts_still_read(tmp_path):
+    nodes = tmp_path / "odd_nodes.csv"
+    cells = tmp_path / "odd_cells.csv"
+    nodes.write_bytes(GOLDEN_NODES.replace(b"0.30000000000000004", b"1_0"))
+    cells.write_bytes(GOLDEN_CELLS.replace(b"1e+22", "١٢".encode()))
+    layer = read_snapshot(nodes, cells, t=0.0)
+    assert layer.r[1] == 10.0 and layer.p[1] == 12.0
