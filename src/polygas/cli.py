@@ -34,7 +34,7 @@ from .scheme import (
     step,
 )
 from .snapshots import SnapshotError, read_snapshot, read_snapshot_meta, write_snapshot
-from .state import GridLayer, LayerError, TwoLayerView, cell_average, total_cell_quantity, total_nodal_quantity
+from .state import GridLayer, LayerError, TwoLayerView, cell_average, exact_sums
 
 log = logging.getLogger("polygas")
 
@@ -281,14 +281,13 @@ class SimulationResult:
 
 
 def _totals(layer: GridLayer, n: int) -> dict:
-    out = {
-        "volume": total_cell_quantity(layer, 1.0 / layer.rho),
-        "energy": total_cell_quantity(layer, layer.eps + 0.5 * cell_average(layer.u * layer.u)),
-    }
+    h, m = layer.mesh.h, layer.mesh.nodal_masses  # total_cell/nodal_quantity's rows
+    rows = {"volume": h * (1.0 / layer.rho),
+            "energy": h * (layer.eps + 0.5 * cell_average(layer.u * layer.u))}
     if n == 0:
-        out["momentum"] = total_nodal_quantity(layer, layer.u)
-        out["center_of_mass"] = total_nodal_quantity(layer, layer.r - layer.t * layer.u)
-    return out
+        rows["momentum"] = m * layer.u
+        rows["center_of_mass"] = m * (layer.r - layer.t * layer.u)
+    return dict(zip(rows, exact_sums(rows.values())))
 
 
 def run_simulation(cfg: RunConfig, out_dir=None) -> SimulationResult:

@@ -6,8 +6,8 @@ interpolated quantities itself, so it checks the stored fields rather than
 trusting anything cached by the solver.  Each law is verified twice: per
 cell/node (the local identity) and as a telescoped budget, |total change +
 tau * net boundary flux|, which holds to summation round-off whenever the
-local identities hold.  The totals are correctly rounded sums
-(state.exact_sum, bit for bit equal to math.fsum).
+local identities hold.  The totals are correctly rounded sums, bit for bit
+math.fsum, of every law's density rows in one (certified) state.exact_sums call.
 
 A run sums each layer once: audit_all takes the previous step's hi totals as
 lo_totals (LawId -> density_sum_lo) instead of re-summing that layer, except
@@ -22,11 +22,12 @@ import enum
 import functools
 import json
 import math
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .state import TwoLayerView, cell_average, exact_sum, interp_nodal_pressure
+from .state import TwoLayerView, cell_average, exact_sums, interp_nodal_pressure
 from .scheme import SchemeParams, boundary_pressure, effective_boundaries, r_factor
 
 
@@ -41,6 +42,7 @@ class LawId(enum.Enum):
 
 #: audit order is fixed so ledgers are reproducible
 ALL_LAWS = tuple(LawId)
+_Finish = Callable[[Iterator[float]], "ConservationBudget"]
 
 
 @dataclass
@@ -109,6 +111,7 @@ class _Recomputed:
     def __init__(self, view: TwoLayerView, params: SchemeParams, lo_totals=None):
         self.view, self.params = view, params
         self.lo_totals = {k: v for k, v in (lo_totals or {}).items() if k is not LawId.ADDITIONAL_2}
+        self.rows: list[np.ndarray] = []  # density rows queued for one exact_sums call
         self.v = v = 0.5 * (view.lo.u + view.hi.u)
         self.big_r = r_factor(view.lo.r, view.hi.r, params.n)
         a = params.alpha_effective
@@ -150,8 +153,8 @@ def pressure_star(view: TwoLayerView, params: SchemeParams) -> np.ndarray:
 
 
 def _cell_budget(law: LawId, rc: _Recomputed, d_lo: np.ndarray, d_hi: np.ndarray,
-                 flux: np.ndarray, expected_zero: bool, note: str = "") -> ConservationBudget:
-    """Assemble a budget for a cell-based law from its density and nodal flux."""
+                 flux: np.ndarray, expected_zero: bool, note: str = "") -> _Finish:
+    """Queue a budget for a cell-based law from its density and nodal flux."""
     res = (d_hi - d_lo) / rc.view.tau + (flux[1:] - flux[:-1]) / rc.view.mesh.h
     return _budget(law, rc, rc.view.mesh.h, d_lo, d_hi, res, float(flux[0]), float(flux[-1]),
                    expected_zero, note)
@@ -159,37 +162,41 @@ def _cell_budget(law: LawId, rc: _Recomputed, d_lo: np.ndarray, d_hi: np.ndarray
 
 def _budget(law: LawId, rc: _Recomputed, weights: np.ndarray, d_lo: np.ndarray,
             d_hi: np.ndarray, res: np.ndarray, flux_left: float, flux_right: float,
-            expected_zero: bool, note: str = "") -> ConservationBudget:
-    """Assemble a budget from the local residuals and the weighted totals;
+            expected_zero: bool, note: str = "") -> _Finish:
+    """Queue the weighted density rows on rc.rows (lo unless carried, then hi);
     node-based laws (momentum family, n = 0 only) weight by nodal masses."""
-    sum_lo = rc.lo_totals[law] if law in rc.lo_totals else exact_sum(weights * d_lo)
-    sum_hi = exact_sum(weights * d_hi)
-    net = flux_right - flux_left
-    defect = abs(sum_hi - sum_lo + rc.view.tau * net)
-    scale = max(abs(sum_lo), abs(sum_hi), rc.view.tau * (abs(flux_left) + abs(flux_right)))
-    return ConservationBudget(
-        law=law, applicable=True, expected_zero=expected_zero,
-        per_cell_residual_max=float(np.max(np.abs(res))),
-        density_sum_lo=sum_lo, density_sum_hi=sum_hi,
-        boundary_flux_net=net, identity_defect=defect,
-        relative_defect=defect / scale if scale > 0.0 else 0.0,
-        note=note, residuals=res)
+    carried = law in rc.lo_totals
+    rc.rows += [weights * d_hi] if carried else [weights * d_lo, weights * d_hi]
+    def finish(totals: Iterator[float]) -> ConservationBudget:
+        sum_lo = rc.lo_totals[law] if carried else next(totals)
+        sum_hi = next(totals)
+        net = flux_right - flux_left
+        defect = abs(sum_hi - sum_lo + rc.view.tau * net)
+        scale = max(abs(sum_lo), abs(sum_hi), rc.view.tau * (abs(flux_left) + abs(flux_right)))
+        return ConservationBudget(
+            law=law, applicable=True, expected_zero=expected_zero,
+            per_cell_residual_max=float(np.abs(res).max()),
+            density_sum_lo=sum_lo, density_sum_hi=sum_hi,
+            boundary_flux_net=net, identity_defect=defect,
+            relative_defect=defect / scale if scale > 0.0 else 0.0,
+            note=note, residuals=res)
+    return finish
 
 
-def _not_applicable(law: LawId, note: str) -> ConservationBudget:
-    return ConservationBudget(law=law, applicable=False, note=note)
+def _not_applicable(law: LawId, note: str) -> _Finish:
+    return lambda totals: ConservationBudget(law=law, applicable=False, note=note)
 
 
 # --- the six laws --------------------------------------------------------------
 
-def _mass(view: TwoLayerView, params: SchemeParams, rc: _Recomputed) -> ConservationBudget:
+def _mass(view: TwoLayerView, params: SchemeParams, rc: _Recomputed) -> _Finish:
     """Cell law: specific volume vs. swept volume, density 1/rho, flux -R v."""
     return _cell_budget(LawId.MASS, rc,
                         1.0 / view.lo.rho, 1.0 / view.hi.rho,
                         -rc.big_r * rc.v, expected_zero=True)
 
 
-def _energy(view: TwoLayerView, params: SchemeParams, rc: _Recomputed) -> ConservationBudget:
+def _energy(view: TwoLayerView, params: SchemeParams, rc: _Recomputed) -> _Finish:
     """Cell law: total energy eps + <u^2>/2, flux R p* v."""
     d_lo = view.lo.eps + 0.5 * cell_average(view.lo.u * view.lo.u)
     d_hi = view.hi.eps + 0.5 * cell_average(view.hi.u * view.hi.u)
@@ -197,7 +204,7 @@ def _energy(view: TwoLayerView, params: SchemeParams, rc: _Recomputed) -> Conser
                         expected_zero=True)
 
 
-def _momentum(view: TwoLayerView, params: SchemeParams, rc: _Recomputed) -> ConservationBudget:
+def _momentum(view: TwoLayerView, params: SchemeParams, rc: _Recomputed) -> _Finish:
     """Nodal law (plane geometry only): density u, flux p*."""
     if params.n != 0:
         return _not_applicable(LawId.MOMENTUM, f"momentum balance needs n=0, run has n={params.n}")
@@ -208,7 +215,7 @@ def _momentum(view: TwoLayerView, params: SchemeParams, rc: _Recomputed) -> Cons
 
 
 def _center_of_mass(view: TwoLayerView, params: SchemeParams,
-                    rc: _Recomputed) -> ConservationBudget:
+                    rc: _Recomputed) -> _Finish:
     """Nodal law (plane geometry only): density r - t u, flux -t^{(1/2)} p*."""
     if params.n != 0:
         return _not_applicable(LawId.CENTER_OF_MASS,
@@ -274,7 +281,7 @@ def additional_2_residuals(view: TwoLayerView, params: SchemeParams,
 
 
 def _additional(law: LawId, view: TwoLayerView, params: SchemeParams,
-                rc: _Recomputed) -> ConservationBudget:
+                rc: _Recomputed) -> _Finish:
     """Quadratic balances; applicable only in conservative mode."""
     if not params.is_conservative:
         return _not_applicable(law, "quadratic balances hold only in conservative EOS mode")
@@ -285,7 +292,7 @@ def _additional(law: LawId, view: TwoLayerView, params: SchemeParams,
                         expected_zero=at_star and params.visc_nu == 0.0, note=note)
 
 
-#: law -> body(view, params, recomputed); audit_all shares one _Recomputed
+#: law -> body(view, params, recomputed) -> _Finish; audit_all shares one _Recomputed
 _LAWS = {
     LawId.MASS: _mass,
     LawId.ENERGY: _energy,
@@ -306,4 +313,6 @@ def audit_all(view: TwoLayerView, params: SchemeParams,
     ADDITIONAL_2's is ignored: its density holds this step's tau^2/8 term.
     """
     rc = _Recomputed(view, params, lo_totals)
-    return [_LAWS[law](view, params, rc) for law in ALL_LAWS if law in laws]
+    finish = [_LAWS[law](view, params, rc) for law in ALL_LAWS if law in laws]
+    totals = iter(exact_sums(rc.rows))  # one kernel call for every law's rows
+    return [build(totals) for build in finish]

@@ -48,7 +48,7 @@ class GridLayer:
                 arr = np.array(getattr(self, name), dtype=float)
                 if arr.shape != (size,):
                     raise LayerError(f"field '{name}' must have shape ({size},), got {arr.shape}")
-                if not np.all(np.isfinite(arr)):
+                if not np.isfinite(arr).all():
                     raise LayerError(f"field '{name}' contains non-finite values")
                 arr.setflags(write=False)
                 object.__setattr__(self, name, arr)
@@ -60,11 +60,11 @@ class GridLayer:
         negative radii, or a mass-consistency defect above ``mass_tol``
         (relative to the cell width).
         """
-        if np.any(self.rho <= 0.0):
+        if (self.rho <= 0.0).any():
             i = int(np.argmax(self.rho <= 0.0))
             raise LayerError(f"nonpositive density in cell {i}: rho={self.rho[i]!r}")
         dr = np.diff(self.r)
-        if np.any(dr <= 0.0):
+        if (dr <= 0.0).any():
             i = int(np.argmax(dr <= 0.0))
             raise LayerError(f"radii not strictly increasing at node {i + 1}")
         if n >= 1 and self.r[0] < 0.0:
@@ -82,7 +82,7 @@ class GridLayer:
         """
         h = self.mesh.h
         vol = np.diff(self.r ** (n + 1)) / (n + 1)
-        return float(np.max(np.abs(self.rho * vol - h) / h))
+        return float((np.abs(self.rho * vol - h) / h).max())
 
 
 @dataclass(frozen=True)
@@ -147,34 +147,46 @@ def cell_average(f_nodal: np.ndarray) -> np.ndarray:
     return 0.5 * (f[:-1] + f[1:])
 
 
-#: below this size math.fsum beats the limb kernel's fixed cost on audit inputs
+#: below this size math.fsum beats the certified kernel's fixed cost on audit inputs
 _EXACT_SUM_MIN_SIZE = 384
 
 
-def exact_sum(a) -> float:
-    """Correctly rounded sum of a float array, bit for bit math.fsum(a), in
-    time linear in the size (math.fsum slows as the exponents spread).
+def exact_sums(rows) -> list[float]:
+    """Correctly rounded sum of each 1-D float array, bit for bit math.fsum.
 
-    Each value becomes two 32-bit integer limbs in an 11-bit exponent bucket;
-    np.bincount adds them exactly (< 2^20 values stay below 2^53), one Python
-    int carries the buckets and int/int division rounds once.  math.fsum
-    takes the rest: short arrays, non-finite or huge values, a zero total.
+    Rows of _EXACT_SUM_MIN_SIZE to 2^20 values share one zero-padded (k, M) stack.
+    The error-free split q = (sigma + a) - sigma, r = a - q with sigma =
+    2^(ceil(log2(M+2)) + frexp(max|a|).e) makes sum(q) exact in any order (Rump,
+    Ogita & Oishi 2008, SIAM J. Sci. Comput. 31:189); fl(sum(r)) is within
+    gamma_{M-1} sum|r| < 2 M u sum|r| of sum(r) (Higham 2002, sec. 4.2).  A row is
+    settled when sum(q) plus either end of that interval rounds to one float, never
+    zero as the ends differ.  math.fsum takes the rest: other sizes, max|a| outside
+    [2^-900, 2^900] or not finite, near ties, deep cancellation and zero totals.
     """
-    a = np.asarray(a, dtype=float).ravel()
-    if _EXACT_SUM_MIN_SIZE <= a.size < 2 ** 20:
-        m, e = np.frexp(a)
-        if e.max() <= 1000 and np.isfinite(m).all():
-            e_min = int(e.min())
-            bucket, shift = np.divmod(e - e_min, 11)
-            x = np.ldexp(m, shift + 53)  # an integer, |x| < 2^63
-            hi = np.trunc(x * 2.0 ** -32)
-            total = 0
-            for lo_sum, hi_sum in zip(np.bincount(bucket, x - hi * 2.0 ** 32).tolist()[::-1],
-                                      np.bincount(bucket, hi).tolist()[::-1]):
-                total = (total << 11) + int(lo_sum) + (int(hi_sum) << 32)
-            if total != 0:  # math.fsum decides the sign of a zero
-                return (total << max(e_min - 53, 0)) / (1 << max(53 - e_min, 0))
-    return math.fsum(a.tolist())  # floats, not one numpy scalar per value
+    rows = [np.asarray(a, dtype=float).ravel() for a in rows]
+    sums = {}
+    idx = [i for i, a in enumerate(rows) if _EXACT_SUM_MIN_SIZE <= a.size < 2 ** 20]
+    if idx:
+        m = max(rows[i].size for i in idx)
+        a = np.zeros((len(idx), m))
+        for j, i in enumerate(idx):
+            a[j, :rows[i].size] = rows[i]
+        amax = np.abs(a).max(axis=1)
+        ok = (amax >= 2.0 ** -900) & (amax <= 2.0 ** 900)  # False on nan
+        a[~ok], amax[~ok] = 0.0, 0.0  # these rows sum to zero here, so math.fsum's
+        sigma = np.ldexp(1.0, np.frexp(amax)[1] + (m + 1).bit_length())[:, None]
+        q = (sigma + a) - sigma
+        r = a - q
+        tau, rho = q.sum(axis=1), r.sum(axis=1)
+        err = np.abs(r).sum(axis=1) * (2.0 ** -52 * m)
+        lo, hi = tau + np.nextafter(rho - err, -np.inf), tau + np.nextafter(rho + err, np.inf)
+        sums = {i: s for i, s, t in zip(idx, lo.tolist(), hi.tolist()) if s == t}
+    return [sums[i] if i in sums else math.fsum(a.tolist()) for i, a in enumerate(rows)]
+
+
+def exact_sum(a) -> float:
+    """Correctly rounded sum of a float array, bit for bit math.fsum(a)."""
+    return exact_sums([a])[0]
 
 
 def total_cell_quantity(layer: GridLayer, density_cells: np.ndarray) -> float:

@@ -14,6 +14,7 @@ from polygas import (
     additional_1_residuals,
     additional_2_residuals,
     audit_all,
+    cell_average,
     effective_cell_pressure,
     interp_nodal_pressure,
     make_initial_layer,
@@ -119,6 +120,60 @@ def test_audit_all_reports_carried_lo_totals_except_the_second_balance(rng):
             assert got.to_record() == want.to_record()
         else:
             assert got.density_sum_lo == 0.125 != want.density_sum_lo
+
+
+def _weighted_densities(view, law):
+    """The (lo, hi) rows whose totals a budget reports, written out from each
+    law's docstring in the audit's expression order."""
+    h, m = view.mesh.h, view.mesh.nodal_masses
+
+    def density(layer):
+        ke = 0.5 * cell_average(layer.u * layer.u)
+        ru = cell_average(layer.r * layer.u)
+        if law is LawId.MASS:
+            return h * (1.0 / layer.rho)
+        if law is LawId.ENERGY:
+            return h * (layer.eps + ke)
+        if law is LawId.MOMENTUM:
+            return m * layer.u
+        if law is LawId.CENTER_OF_MASS:
+            return m * (layer.r - layer.t * layer.u)
+        if law is LawId.ADDITIONAL_1:
+            return h * (2.0 * layer.t * (layer.eps + ke) - ru)
+        return h * (layer.t ** 2 * (layer.eps + ke) - layer.t * ru
+                    + 0.5 * cell_average(layer.r * layer.r) + 0.25 * view.tau ** 2 * ke)
+    return density(view.lo), density(view.hi)
+
+
+@pytest.mark.parametrize("mode", ("pointwise", "conservative"))
+@pytest.mark.parametrize("problem", ("sod", "smooth_pulse"))
+def test_audit_all_sums_every_row_in_one_kernel_call(monkeypatch, problem, mode):
+    profile, params = problem_library(problem, cells=400)
+    params = dataclasses.replace(params, eos_mode=mode)
+    views = advance(make_initial_layer(profile, 0), params, 1e-3, 2)
+    calls = []
+
+    def counted(rows, _real=conservation.exact_sums):
+        calls.append(len(rows))
+        return _real(rows)
+    monkeypatch.setattr(conservation, "exact_sums", counted)
+    carried = None
+    for view in views:
+        budgets = [b for b in audit_all(view, params, lo_totals=carried) if b.applicable]
+        for budget in budgets:
+            lo, hi = _weighted_densities(view, budget.law)
+            if carried is None or budget.law is LawId.ADDITIONAL_2:
+                assert budget.density_sum_lo.hex() == math.fsum(lo).hex(), budget.law
+            else:
+                assert budget.density_sum_lo == carried[budget.law]
+            assert budget.density_sum_hi.hex() == math.fsum(hi).hex(), budget.law
+        # one call per audit; a carried lo total is not summed again, except
+        # ADDITIONAL_2's, whose density holds the step's tau^2/8 term
+        fresh_lo = len(budgets) if carried is None else int(mode == "conservative")
+        assert calls == [len(budgets) + fresh_lo]
+        assert len(budgets) == (6 if mode == "conservative" else 4)
+        calls.clear()
+        carried = {b.law: b.density_sum_hi for b in budgets}
 
 
 # --- flux pressure closures -----------------------------------------------------------

@@ -16,9 +16,9 @@ from polygas import (
     cell_average,
     interp_nodal_pressure,
 )
-from polygas import state
+from polygas import audit_all, conservation, state
 from polygas.state import exact_sum
-from conftest import random_layer, random_mesh
+from conftest import advance, pulse_start, random_layer, random_mesh
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 positive = st.floats(min_value=1e-3, max_value=1e3, allow_nan=False)
@@ -109,18 +109,73 @@ def test_exact_sum_kernel_matches_math_fsum_at_every_size(a):
         assert _outcome(exact_sum, a) == _outcome(math.fsum, a)
 
 
-def test_exact_sum_takes_the_limb_path_on_long_finite_input(monkeypatch):
-    rng = np.random.default_rng(4)
+@st.composite
+def special_rows(draw):
+    """Rows of only signed zeros, only subnormals, with an inf or nan, or with
+    an overflowing total, on both sides of the size dispatch."""
+    size = draw(st.one_of(st.integers(1, 40), st.integers(380, 1300)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kind = draw(st.sampled_from(("zeros", "subnormal", "nonfinite", "overflow")))
+    if kind == "zeros":
+        return rng.choice([0.0, -0.0], size)
+    if kind == "subnormal":
+        return rng.integers(-2 ** 52 + 1, 2 ** 52, size) * 2.0 ** -1074
+    if kind == "nonfinite":
+        a = rng.uniform(-1.0, 1.0, size)
+        a[rng.integers(size)] = draw(st.sampled_from((math.inf, -math.inf, math.nan)))
+        return a
+    return rng.choice([-1.0, 1.0]) * rng.uniform(1e307, 1.7e308, size)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(sum_inputs() | special_rows(), min_size=1, max_size=12),
+       everywhere=st.booleans())
+def test_exact_sums_of_a_ragged_stack_are_math_fsum_row_by_row(rows, everywhere):
+    """Each row's total is math.fsum's for that row alone, so the zero padding
+    and the stack's width never reach a neighbour; a row math.fsum rejects
+    makes the call raise math.fsum's exception for the first such row."""
+    want = [_outcome(math.fsum, a) for a in rows]
+    rejected = [w for w in want if isinstance(w, tuple)]
+    with pytest.MonkeyPatch.context() as mp:
+        if everywhere:  # short rows join the stack too
+            mp.setattr(state, "_EXACT_SUM_MIN_SIZE", 1)
+        if rejected:
+            assert _outcome(lambda stack: state.exact_sums(stack)[0], rows) == rejected[0]
+        kept = [a for a, w in zip(rows, want) if not isinstance(w, tuple)]
+        got = [_outcome(float, x) for x in state.exact_sums(kept)]
+    assert got == [w for w in want if not isinstance(w, tuple)]
+
+
+def _fsum_calls(monkeypatch):
+    """Route state's math.fsum through a counter; returns the call log."""
+    calls = []
+    monkeypatch.setattr(state, "math", types.SimpleNamespace(
+        fsum=lambda values: calls.append(len(values)) or math.fsum(values)))
+    return calls
+
+
+def _gaussian_tail():
     # a Gaussian tail spanning ~900 binary exponents, the slow case for math.fsum
-    tail = np.exp(-rng.uniform(0.0, 620.0, 1601)) * rng.choice([-1.0, 1.0], 1601)
-    cases = [tail, np.full(2000, 0.1), np.concatenate((tail, -tail[:-1]))]
+    rng = np.random.default_rng(4)
+    return np.exp(-rng.uniform(0.0, 620.0, 1601)) * rng.choice([-1.0, 1.0], 1601)
+
+
+def test_exact_sums_certificate_settles_long_finite_input(monkeypatch):
+    layer, params = pulse_start(n=0, gamma=1.4, cells=1600, alpha=0.5)
+    audit_rows = []
+    monkeypatch.setattr(conservation, "exact_sums",
+                        lambda rows: audit_rows.extend(rows) or state.exact_sums(rows))
+    for view in advance(layer, params, 1e-3, 2):  # the pulse-plane-1600 audit rows
+        audit_all(view, params)
+    assert len(audit_rows) == 16
+    cases = [_gaussian_tail(), np.full(2000, 0.1), *audit_rows]
     # the exact rational sum, rounded once, is an oracle independent of math.fsum
     expected = [float(sum(map(Fraction, a.tolist()))) for a in cases]
     monkeypatch.setattr(state, "math", types.SimpleNamespace(fsum=None))
-    for a, want in zip(cases, expected):
-        assert struct.pack("<d", exact_sum(a)) == struct.pack("<d", want)
+    got = state.exact_sums(cases)
+    assert [struct.pack("<d", x) for x in got] == [struct.pack("<d", x) for x in expected]
     with pytest.raises(TypeError):  # too short: math.fsum's turn
-        exact_sum(tail[:10])
+        exact_sum(cases[0][:10])
 
 
 def _binade_span(rng, size, e_lo, span, bits=53):
@@ -133,50 +188,73 @@ def _binade_span(rng, size, e_lo, span, bits=53):
 
 
 def _kernel_cases():
-    """Inputs at or above the kernel's size threshold: one 11-binade bucket (spans
-    0 and 10) or two (11 and 12), with cancellation and round-half-even ties."""
+    """Inputs at or above the kernel's size threshold: exponent spans of 0 to 12
+    binades from the subnormals to the top of the range, with cancellation
+    and round-half-even ties."""
     rng = np.random.default_rng(11)
     size = state._EXACT_SUM_MIN_SIZE
-    cases = {}
+    cases = {"tail-cancel": np.concatenate((_gaussian_tail(), -_gaussian_tail()[:-1]))}
     for span in (0, 10, 11, 12):
-        # subnormals (exact with 14-bit mantissas) up to the kernel's exponent ceiling
+        # subnormals (exact with 14-bit mantissas) up to 2^1000
         for e_lo, bits in ((-1060, 14), (-30, 53), (0, 53), (1000 - span, 53)):
             a = _binade_span(rng, size + span, e_lo, span, bits)
             assert np.ptp(np.frexp(a)[1]) == span
             cases[f"span{span}-e{e_lo}"] = a
             # everything cancels but the last value
             cases[f"span{span}-e{e_lo}-cancel"] = np.concatenate((a, -a[:-1]))
+            # everything cancels but a value 2^-60 below the largest
+            cases[f"span{span}-e{e_lo}-deep-cancel"] = np.concatenate((a, -a, [a[1] * 2.0 ** -60]))
     # exact totals half an ulp above a float: ties rounded to even, both ways
     half_ulp = 2.0 ** -53
     for k in (size - 1, size + 1):
-        cases[f"tie-many-buckets-{k}"] = np.concatenate(([1.0], np.full(k, half_ulp)))
-        cases[f"tie-many-buckets-{k}-neg"] = -cases[f"tie-many-buckets-{k}"]
+        cases[f"tie-spread-{k}"] = np.concatenate(([1.0], np.full(k, half_ulp)))
+        cases[f"tie-spread-{k}-neg"] = -cases[f"tie-spread-{k}"]
     for k in (768, 1536):  # k * 2^-52 is 1.5 ulps of the integer k
-        cases[f"tie-one-bucket-{k}"] = np.full(k, 1.0 + 2.0 ** -52)
-    # the largest input with every limb at its bound, in one bucket
-    cases["one-bucket-largest"] = np.concatenate((np.full(2 ** 20 - 2, -np.nextafter(1024.0, 0.0)),
-                                                  [-0.5]))
+        cases[f"tie-equal-{k}"] = np.full(k, 1.0 + 2.0 ** -52)
+    for seed in range(10):
+        # 1024 plus half its ulp is a tie and v, -v cancel, so the total sits
+        # 2^-100 above the tie, well inside the rounding error of fl(sum(v, -v))
+        near = np.random.default_rng(seed)
+        v = near.uniform(2.0 ** -34, 2.0 ** -33, int(near.integers(400, 1200)))
+        cases[f"near-tie-{seed}"] = np.concatenate(([1024.0, 2.0 ** -43, 2.0 ** -100], v, -v))
+        near.shuffle(cases[f"near-tie-{seed}"])
+    # the longest row the kernel takes, every value near 2^10
+    cases["longest"] = np.concatenate((np.full(2 ** 20 - 2, -np.nextafter(1024.0, 0.0)), [-0.5]))
     return cases
 
 
-def test_exact_sum_bucket_boundaries_against_an_exact_oracle(monkeypatch):
+def test_exact_sums_falls_back_only_where_the_certificate_cannot_decide(monkeypatch):
+    """Ties, near ties, deep cancellation and values outside [2^-900, 2^900]
+    reach math.fsum, once each; the certificate settles every other case,
+    cancellation down to a value within a few binades of the largest included.
+    Either way the total is the exact rational sum rounded once."""
     cases = _kernel_cases()
     expected = {}
     for name, a in cases.items():
         exact = sum(map(Fraction, a.tolist())) if a.size < 10 ** 4 else (
             Fraction(a[0]) * (a.size - 1) + Fraction(a[-1]))
         expected[name] = float(exact)
-        if name.startswith("tie"):
-            assert abs(Fraction(expected[name]) - exact) == Fraction(math.ulp(expected[name])) / 2
-    monkeypatch.setattr(state, "math", types.SimpleNamespace(fsum=None))
+        if name.startswith(("tie", "near-tie")):
+            half_ulp = Fraction(math.ulp(expected[name])) / 2
+            offset = 0 if name.startswith("tie") else Fraction(2.0 ** -100)
+            assert abs(Fraction(expected[name]) - exact) == half_ulp - offset
+    calls = _fsum_calls(monkeypatch)
     for name, a in cases.items():
+        calls.clear()
         assert struct.pack("<d", exact_sum(a)) == struct.pack("<d", expected[name]), name
+        undecided = (name.startswith(("tie", "near-tie"))
+                     or name.endswith(("deep-cancel", "tail-cancel"))
+                     or not 2.0 ** -900 <= np.abs(a).max() <= 2.0 ** 900)
+        assert calls == ([a.size] if undecided else []), name
 
 
-def test_exact_sum_zero_totals_keep_math_fsum_sign():
+def test_exact_sum_zero_totals_keep_math_fsum_sign(monkeypatch):
     a = np.linspace(1.0, 2.0, 500)
+    calls = _fsum_calls(monkeypatch)
     for zeros in (np.full(500, -0.0), np.concatenate((a, -a)), np.concatenate((-a, a, [-0.0]))):
+        calls.clear()
         assert struct.pack("<d", exact_sum(zeros)) == struct.pack("<d", math.fsum(zeros))
+        assert calls == [zeros.size]  # math.fsum decides the sign of a zero
 
 
 # --- layers and views -------------------------------------------------------------
