@@ -6,8 +6,8 @@ interpolated quantities itself, so it checks the stored fields rather than
 trusting anything cached by the solver.  Each law is verified twice: per
 cell/node (the local identity) and as a telescoped budget, |total change +
 tau * net boundary flux|, which holds to summation round-off whenever the
-local identities hold.  The totals are correctly rounded sums, bit for bit
-math.fsum, of every law's density rows in one (certified) state.exact_sums call.
+local identities hold.  The totals are math.fsum's bit for bit, from one
+certified error-free extraction per audit (state.exact_sums; Rump et al. 2008).
 
 A run sums each layer once: audit_all takes the previous step's hi totals as
 lo_totals (LawId -> density_sum_lo) instead of re-summing that layer, except

@@ -147,7 +147,7 @@ def cell_average(f_nodal: np.ndarray) -> np.ndarray:
     return 0.5 * (f[:-1] + f[1:])
 
 
-#: below this size math.fsum beats the certified kernel's fixed cost on audit inputs
+#: below this size math.fsum beats the certified kernel on an audit's stack of rows
 _EXACT_SUM_MIN_SIZE = 384
 
 
@@ -173,7 +173,7 @@ def exact_sums(rows) -> list[float]:
             a[j, :rows[i].size] = rows[i]
         amax = np.abs(a).max(axis=1)
         ok = (amax >= 2.0 ** -900) & (amax <= 2.0 ** 900)  # False on nan
-        a[~ok], amax[~ok] = 0.0, 0.0  # these rows sum to zero here, so math.fsum's
+        a[~ok], amax[~ok] = 0.0, 0.0  # a zeroed row never settles: math.fsum takes it
         sigma = np.ldexp(1.0, np.frexp(amax)[1] + (m + 1).bit_length())[:, None]
         q = (sigma + a) - sigma
         r = a - q

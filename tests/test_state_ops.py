@@ -193,7 +193,8 @@ def _kernel_cases():
     and round-half-even ties."""
     rng = np.random.default_rng(11)
     size = state._EXACT_SUM_MIN_SIZE
-    cases = {"tail-cancel": np.concatenate((_gaussian_tail(), -_gaussian_tail()[:-1]))}
+    tail = _gaussian_tail()
+    cases = {"tail-cancel": np.concatenate((tail, -tail[:-1]))}
     for span in (0, 10, 11, 12):
         # subnormals (exact with 14-bit mantissas) up to 2^1000
         for e_lo, bits in ((-1060, 14), (-30, 53), (0, 53), (1000 - span, 53)):
