@@ -105,11 +105,12 @@ def write_ledger(records: list[dict], path) -> None:
 
 class _Recomputed:
     """What several laws use, recomputed from the raw layers of one view: the
-    time-centred velocity v, the area factor R, the effective cell pressure
-    and, on first use, the nodal flux pressure p*."""
+    time-centred velocity v, the area factor R, the effective cell pressure and,
+    on first use, the nodal flux pressure p* and each layer's terms by "lo"/"hi"."""
 
     def __init__(self, view: TwoLayerView, params: SchemeParams, lo_totals=None):
         self.view, self.params = view, params
+        self.layers = {"lo": view.lo, "hi": view.hi}
         self.lo_totals = {k: v for k, v in (lo_totals or {}).items() if k is not LawId.ADDITIONAL_2}
         self.rows: list[np.ndarray] = []  # density rows queued for one exact_sums call
         self.v = v = 0.5 * (view.lo.u + view.hi.u)
@@ -136,6 +137,17 @@ class _Recomputed:
         star[-1] = (p_eff[-1] if bc_right.kind == "wall"
                     else boundary_pressure(bc_right, view.lo.t, view.hi.t, alpha_eff))
         return star
+
+    @functools.cached_property
+    def energy(self) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+        """<u^2>/2 and eps + <u^2>/2 per cell."""
+        ke = {k: 0.5 * cell_average(layer.u * layer.u) for k, layer in self.layers.items()}
+        return {k: (ke[k], layer.eps + ke[k]) for k, layer in self.layers.items()}
+
+    @functools.cached_property
+    def ru(self) -> dict[str, np.ndarray]:
+        """<r u> per cell."""
+        return {k: cell_average(layer.r * layer.u) for k, layer in self.layers.items()}
 
 
 def effective_cell_pressure(view: TwoLayerView, params: SchemeParams) -> np.ndarray:
@@ -198,10 +210,8 @@ def _mass(view: TwoLayerView, params: SchemeParams, rc: _Recomputed) -> _Finish:
 
 def _energy(view: TwoLayerView, params: SchemeParams, rc: _Recomputed) -> _Finish:
     """Cell law: total energy eps + <u^2>/2, flux R p* v."""
-    d_lo = view.lo.eps + 0.5 * cell_average(view.lo.u * view.lo.u)
-    d_hi = view.hi.eps + 0.5 * cell_average(view.hi.u * view.hi.u)
-    return _cell_budget(LawId.ENERGY, rc, d_lo, d_hi, rc.big_r * rc.star * rc.v,
-                        expected_zero=True)
+    return _cell_budget(LawId.ENERGY, rc, rc.energy["lo"][1], rc.energy["hi"][1],
+                        rc.big_r * rc.star * rc.v, expected_zero=True)
 
 
 def _momentum(view: TwoLayerView, params: SchemeParams, rc: _Recomputed) -> _Finish:
@@ -242,25 +252,22 @@ def _additional_density_flux(view: TwoLayerView, rc: _Recomputed, law: LawId,
     The tau^2/8 term is the step-dependent correction that closes the second
     balance exactly; include_correction=False measures its contribution.
     """
-    v, big_r, star = rc.v, rc.big_r, rc.star
     r_half = 0.5 * (view.lo.r + view.hi.r)
 
-    def density(layer):
-        ke = 0.5 * cell_average(layer.u * layer.u)
+    def density(k):
+        layer, (ke, e_tot) = rc.layers[k], rc.energy[k]
         if law is LawId.ADDITIONAL_1:
-            return 2.0 * layer.t * (layer.eps + ke) - cell_average(layer.r * layer.u)
-        d = (layer.t ** 2 * (layer.eps + ke)
-             - layer.t * cell_average(layer.r * layer.u)
-             + 0.5 * cell_average(layer.r * layer.r))
+            return 2.0 * layer.t * e_tot - rc.ru[k]
+        d = layer.t ** 2 * e_tot - layer.t * rc.ru[k] + 0.5 * cell_average(layer.r * layer.r)
         if include_correction:
             d = d + 0.25 * view.tau ** 2 * ke
         return d
 
     if law is LawId.ADDITIONAL_1:
-        flux = big_r * star * (2.0 * view.t_half * v - r_half)
+        flux = rc.big_r * rc.star * (2.0 * view.t_half * rc.v - r_half)
     else:
-        flux = big_r * star * (view.t_sq_half * v - view.t_half * r_half)
-    return density(view.lo), density(view.hi), flux
+        flux = rc.big_r * rc.star * (view.t_sq_half * rc.v - view.t_half * r_half)
+    return density("lo"), density("hi"), flux
 
 
 def additional_1_residuals(view: TwoLayerView, params: SchemeParams) -> np.ndarray:

@@ -24,8 +24,8 @@ class MassMesh:
 
     Cell widths and midpoints are always derived from ``s`` so there is a
     single source of truth; the node array is made read-only on construction.
-    Widths, nodal masses and staggered spacings are computed once per mesh
-    and handed out read-only.
+    Widths, nodal masses, staggered spacings and the node weights of the
+    pressure jump are computed once per mesh and handed out read-only.
     """
 
     s: np.ndarray
@@ -65,6 +65,11 @@ class MassMesh:
         """Mass lumped onto each node: half of each adjacent cell, shape (N+1,)."""
         h = self.h
         return _read_only(np.concatenate(([0.5 * h[0]], self._hbar, [0.5 * h[-1]])))
+
+    @cached_property
+    def w(self) -> np.ndarray:
+        """Node weight of the pressure jump: 1/hbar inside, 2/h at an end, shape (N+1,)."""
+        return _read_only(1.0 / self.nodal_masses)
 
     def interior_spacings(self) -> np.ndarray:
         """Staggered spacings (h_{i-1} + h_i)/2 at interior nodes 1..N-1."""

@@ -14,7 +14,8 @@ as oracles.
 
 The equations are written once, in _StepSystem.  Newton runs its kernel on
 a layer eliminated from (u_hat, q); step_residuals, the post-accept check,
-runs it on the stored new layer and adds the eliminated rows.
+runs it on the stored new layer (on the step's own system) and adds the
+eliminated rows.
 
 Newton starts from u and p extrapolated quadratically in time through the
 last accepted layers, so a smooth step needs one update (a resting uniform
@@ -218,11 +219,11 @@ def _eos_bracket(r_lo, r_hi, n: int):
     for n = 2.  O(tau^2) since r_hat - r = tau * v.
     """
     if n == 0:
-        return np.zeros_like(np.asarray(r_lo, dtype=float))
-    d = np.asarray(r_hi, dtype=float) - np.asarray(r_lo, dtype=float)
+        return np.zeros_like(r_lo)
+    d = r_hi - r_lo
     if n == 1:
         return -0.25 * d * d
-    return -(np.asarray(r_hi, dtype=float) + np.asarray(r_lo, dtype=float)) * d * d / 3.0
+    return -(r_hi + r_lo) * d * d / 3.0
 
 
 def _r_factor_slope(r_lo, r_hi, n: int):
@@ -261,7 +262,7 @@ def boundary_pressure(bc: BoundaryCondition, t_lo: float, t_hi: float, alpha_eff
     """Alpha-weighted external pressure over the step for a pressure boundary."""
     p_lo = bc.trace(t_lo)
     p_hi = bc.trace(t_hi)
-    if not (np.isfinite(p_lo) and np.isfinite(p_hi)):
+    if not (math.isfinite(p_lo) and math.isfinite(p_hi)):
         raise ConfigError(f"boundary pressure trace not finite on [{t_lo}, {t_hi}]")
     return alpha_eff * p_hi + (1.0 - alpha_eff) * p_lo
 
@@ -306,19 +307,16 @@ class _StepSystem:
         self.params = params
         mesh = lo.mesh
         self.h = mesh.h
-        self.hbar = mesh.interior_spacings()
+        self.w = mesh.w
         self.n_unknowns = 2 * mesh.n_cells + 1
-        # node weight of the pressure jump: 1/hbar inside, 1/(h/2) at an end
-        self.w = np.concatenate(([2.0 / self.h[0]], 1.0 / self.hbar, [2.0 / self.h[-1]]))
         self.inv_rho = 1.0 / lo.rho
         self.gm1 = params.gamma - 1.0
         self.alpha_eff = params.alpha_effective
         self.bc_left, self.bc_right = effective_boundaries(params, float(lo.r[0]))
-        t_hi = lo.t + tau
-        self.pb_left = (boundary_pressure(self.bc_left, lo.t, t_hi, self.alpha_eff)
-                        if self.bc_left.kind == "pressure" else None)
-        self.pb_right = (boundary_pressure(self.bc_right, lo.t, t_hi, self.alpha_eff)
-                         if self.bc_right.kind == "pressure" else None)
+        self._pad = np.zeros(mesh.n_cells + 2)  # padded_pressure fills the middle
+        for i, bc in ((0, self.bc_left), (-1, self.bc_right)):
+            if bc.kind == "pressure":  # a -0.0 trace pads +0.0, as a wall does
+                self._pad[i] = boundary_pressure(bc, lo.t, lo.t + tau, self.alpha_eff) or 0.0
 
     def initial_guess(self, earlier: tuple[GridLayer, ...] = ()) -> np.ndarray:
         """Newton's start: extrapolated u and p; q is (p_lo + p)/2 if conservative."""
@@ -531,8 +529,10 @@ class _StepSystem:
         return dx
 
     def padded_pressure(self, p_eff: np.ndarray) -> np.ndarray:
-        """Cell pressures padded with the external pressure at each end (0 at a wall)."""
-        return np.concatenate(([self.pb_left or 0.0], p_eff, [self.pb_right or 0.0]))
+        """Cell pressures padded with the external pressure at each end (0 at a
+        wall), in the system's one array, which the next call overwrites."""
+        self._pad[1:-1] = p_eff
+        return self._pad
 
     def row_floor(self, aux: dict) -> np.ndarray:
         """Round-off floor of every row at aux: _FLOOR_ULPS epsilons of the sum
@@ -545,6 +545,19 @@ class _StepSystem:
         terms[1::2] = (np.abs(aux["eps_hat"]) + np.abs(lo.eps) + np.abs(p_eff * delta)
                        + np.abs(aux["q"]) * (self.inv_rho + np.abs(delta)) / abs(self.gm1))
         return _FLOOR_ULPS * np.finfo(float).eps * terms
+
+    def check(self, hi: GridLayer) -> dict[str, np.ndarray]:
+        """step_residuals of the pair (lo, hi), for a hi reached in tau."""
+        lo, tau, params = self.lo, self.tau, self.params
+        v = 0.5 * (lo.u + hi.u)
+        big_r, d_rv = self.swept_rate(v, hi.r)
+        delta = 1.0 / hi.rho - self.inv_rho
+        q = 0.5 * (lo.p + hi.p) if params.is_conservative else hi.p
+        p_eff = self.effective_pressure(v, d_rv, hi.rho, q)
+        momentum, eos, _, _ = self.rows(hi.u, q, hi.r, big_r, delta, p_eff, hi.eps)
+        return {"mass": delta / tau - d_rv, "momentum": momentum,
+                "energy": (hi.eps - lo.eps) / tau + p_eff * d_rv,
+                "trajectory": (hi.r - lo.r) / tau - v, "eos": eos}
 
     def scales(self, aux: dict) -> np.ndarray:
         """Row scaling for the convergence test: velocity rows by max(1, |u|),
@@ -559,10 +572,9 @@ class _StepSystem:
 
 
 def _scaled_norm(f: np.ndarray, scales: np.ndarray) -> float:
-    a = np.abs(f) / scales
-    if not np.all(np.isfinite(a)):
-        return math.inf
-    return float(a.max())
+    """max |f| / scales, or inf if a row holds a NaN or an inf."""
+    norm = float((np.abs(f) / scales).max())  # a NaN row makes the max NaN
+    return norm if math.isfinite(norm) else math.inf
 
 
 def step(lo: GridLayer, tau: float, params: SchemeParams,
@@ -580,11 +592,11 @@ def step(lo: GridLayer, tau: float, params: SchemeParams,
     GridLayer.validate's default 1e-10), so no partial state escapes.  The
     caller may retry with a smaller tau, as run_simulation does.
     """
-    if not tau > 0.0 or not np.isfinite(tau):
+    if not tau > 0.0 or not math.isfinite(tau):
         raise ConfigError(f"step length must be positive and finite, got {tau}")
     system = _StepSystem(lo, tau, params)
     history: list[float] = []
-    floor = None  # per-row round-off floor, set once, at an iterate after an update
+    floor = floor_max = None  # per-row round-off floor and its bound, set once, after an update
 
     def reject(reason: str) -> StepRejected:
         report = StepReport(accepted=False, iterations=len(history),
@@ -598,18 +610,21 @@ def step(lo: GridLayer, tau: float, params: SchemeParams,
         return _scaled_norm(f, scales), x, f, aux, scales
 
     def at_floor(point: tuple) -> bool:
-        nonlocal floor
-        _, _, f, aux, scales = point
+        nonlocal floor, floor_max
+        point_norm, _, f, aux, scales = point
         if floor is None:
             floor = system.row_floor(aux)
-        return bool(np.all(np.abs(f) <= np.maximum(params.newton_tol * scales, floor)))
+            floor_max = max(float(floor.max()), 2.0 * params.newton_tol)
+        # scales >= 1: the norm's row has |f| >= norm, so above both bounds it fails
+        return point_norm <= floor_max and bool(
+            (np.abs(f) <= np.maximum(params.newton_tol * scales, floor)).all())
 
     norm, x, f, aux, _ = point = evaluate(system.initial_guess(earlier))
-    if earlier and not (np.isfinite(norm) and np.all(aux["rho_hat"] > 0.0)):
+    if earlier and not (math.isfinite(norm) and (aux["rho_hat"] > 0.0).all()):
         # the guess inverts a cell or is not finite: start from lo
         norm, x, f, aux, _ = point = evaluate(system.initial_guess())
     history.append(norm)
-    if not np.isfinite(norm):
+    if not math.isfinite(norm):
         raise reject("non-finite residual at the initial guess")
 
     reason = ""
@@ -637,17 +652,15 @@ def step(lo: GridLayer, tau: float, params: SchemeParams,
             if trial[0] <= params.newton_tol or trial[0] < norm:
                 break
             lam *= 0.5
-        if not np.isfinite(best[0]):
+        if not math.isfinite(best[0]):
             raise reject("Newton iteration diverged (non-finite residual)")
         if best[0] >= norm and best[0] > params.newton_tol and not at_floor(best):
             raise reject(f"Newton stagnated at residual {best[0]:.3e}")
         norm, x, f, aux, _ = point = best
         history.append(norm)
 
-    if params.is_conservative:
-        p_hat = 2.0 * aux["q"] - lo.p  # snapshot pressure consistent with the half-sum
-    else:
-        p_hat = aux["q"]
+    # conservative: the snapshot pressure consistent with the half-sum q
+    p_hat = 2.0 * aux["q"] - lo.p if params.is_conservative else aux["q"]
     try:
         hi = GridLayer(mesh=lo.mesh, t=lo.t + tau, r=aux["r_hat"], u=aux["u_hat"],
                        rho=aux["rho_hat"], p=p_hat, eps=aux["eps_hat"])
@@ -655,8 +668,8 @@ def step(lo: GridLayer, tau: float, params: SchemeParams,
     except LayerError as exc:
         raise reject(f"positivity/ordering failure: {exc}") from exc
 
-    residuals = step_residuals(TwoLayerView(lo=lo, hi=hi, tau=tau), params)
-    residual_max = {name: float(np.max(np.abs(residuals[name]))) for name in RESIDUAL_FAMILIES}
+    residuals = system.check(hi)  # the post-accept check, on Newton's system
+    residual_max = {name: float(np.abs(residuals[name]).max()) for name in RESIDUAL_FAMILIES}
     report = StepReport(accepted=True, iterations=len(history),
                         final_residual_norm=norm, history=history,
                         residual_max=residual_max, reason=reason, residuals=residuals)
@@ -671,18 +684,4 @@ def step_residuals(view: TwoLayerView, params: SchemeParams) -> dict[str, np.nda
     and trajectory rows the solve eliminates.  Keys are RESIDUAL_FAMILIES;
     rows 0 and -1 of "momentum" are the boundary closures.
     """
-    lo, hi, tau = view.lo, view.hi, view.tau
-    system = _StepSystem(lo, tau, params)
-    v = 0.5 * (lo.u + hi.u)
-    big_r, d_rv = system.swept_rate(v, hi.r)
-    delta = 1.0 / hi.rho - 1.0 / lo.rho
-    q = 0.5 * (lo.p + hi.p) if params.is_conservative else hi.p
-    p_eff = system.effective_pressure(v, d_rv, hi.rho, q)
-    momentum, eos, _, _ = system.rows(hi.u, q, hi.r, big_r, delta, p_eff, hi.eps)
-    return {
-        "mass": delta / tau - d_rv,
-        "momentum": momentum,
-        "energy": (hi.eps - lo.eps) / tau + p_eff * d_rv,
-        "trajectory": (hi.r - lo.r) / tau - v,
-        "eos": eos,
-    }
+    return _StepSystem(view.lo, view.tau, params).check(view.hi)

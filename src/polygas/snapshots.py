@@ -82,9 +82,10 @@ def _read_table(path, header: tuple[str, ...]) -> np.ndarray:
     """The table's value columns, read-only; a table whose exact bytes were
     among the last _TABLES_HELD read is not parsed again."""
     path = Path(path)
-    if not path.exists():
-        raise SnapshotError(f"snapshot file not found: {path}")
-    data = path.read_bytes()
+    try:
+        data = path.read_bytes()
+    except (FileNotFoundError, NotADirectoryError):
+        raise SnapshotError(f"snapshot file not found: {path}") from None
     key = (data, header)
     table = _TABLES.get(key)
     if table is None:
@@ -146,7 +147,7 @@ def read_snapshot(nodes_path, cells_path, t: float | None = None) -> GridLayer:
         raise SnapshotError(
             f"{cells_path}: {cells.shape[0]} cells do not match {nodes.shape[0]} nodes")
     mesh = MassMesh(nodes[:, 0])
-    if not np.allclose(cells[:, 0], mesh.midpoints, rtol=0.0, atol=1e-12 * (1 + np.abs(mesh.midpoints)).max()):
+    if not (np.abs(cells[:, 0] - mesh.midpoints) <= 1e-12 * (1 + np.abs(mesh.midpoints).max())).all():
         raise SnapshotError(f"{cells_path}: cell midpoints disagree with the nodal mesh")
     if t is None:
         t = float((read_snapshot_meta(nodes_path, mesh.n_cells) or {}).get("time", 0.0))
@@ -163,10 +164,12 @@ def read_snapshot_meta(nodes_path, n_cells: int | None = None) -> dict | None:
     nodes_path = Path(nodes_path)
     stem = nodes_path.name.removesuffix("_nodes.csv")
     path = nodes_path.with_name(stem + "_meta.json")
-    if stem == nodes_path.name or not path.exists():
+    if stem == nodes_path.name:
         return None
     try:
         meta = json.loads(path.read_text())
+    except (FileNotFoundError, NotADirectoryError):
+        return None
     except ValueError as exc:
         raise SnapshotError(f"{path}: not a JSON sidecar: {exc}") from None
     if not isinstance(meta, dict):

@@ -63,7 +63,7 @@ class GridLayer:
         if (self.rho <= 0.0).any():
             i = int(np.argmax(self.rho <= 0.0))
             raise LayerError(f"nonpositive density in cell {i}: rho={self.rho[i]!r}")
-        dr = np.diff(self.r)
+        dr = self.r[1:] - self.r[:-1]
         if (dr <= 0.0).any():
             i = int(np.argmax(dr <= 0.0))
             raise LayerError(f"radii not strictly increasing at node {i + 1}")
@@ -81,7 +81,8 @@ class GridLayer:
         the scheme preserves it.
         """
         h = self.mesh.h
-        vol = np.diff(self.r ** (n + 1)) / (n + 1)
+        r_pow = self.r ** (n + 1)
+        vol = (r_pow[1:] - r_pow[:-1]) / (n + 1)
         return float((np.abs(self.rho * vol - h) / h).max())
 
 

@@ -176,6 +176,24 @@ def test_audit_all_sums_every_row_in_one_kernel_call(monkeypatch, problem, mode)
         carried = {b.law: b.density_sum_hi for b in budgets}
 
 
+@pytest.mark.parametrize("mode", ("pointwise", "conservative"))
+def test_audit_all_computes_each_layer_term_once(monkeypatch, rng, mode):
+    view = random_view(rng, n_cells=10)
+    params = SchemeParams(n=0, gamma=2.0, eos_mode=mode)
+    alone = [audit_all(view, params, (law,))[0].to_record() for law in ALL_LAWS]
+    averaged = []
+
+    def counted(f, _real=conservation.cell_average):
+        averaged.append(f.tobytes())
+        return _real(f)
+    monkeypatch.setattr(conservation, "cell_average", counted)
+    shared = [budget.to_record() for budget in audit_all(view, params)]
+    # u^2 of each layer for ENERGY and both quadratic balances; r u and r^2
+    # of each layer for the quadratic balances
+    assert len(averaged) == len(set(averaged)) == (6 if mode == "conservative" else 2)
+    assert json.dumps(shared) == json.dumps(alone)
+
+
 # --- flux pressure closures -----------------------------------------------------------
 
 @pytest.mark.parametrize("visc_nu", (0.0, 2.0))

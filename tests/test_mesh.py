@@ -28,6 +28,19 @@ def test_hand_mesh_geometry():
             derived[0] = 0.0
 
 
+def test_node_weights_are_read_only_and_match_the_spacing_formula(rng):
+    hand = MassMesh([0.0, 1.0, 3.0, 6.0])
+    assert np.array_equal(hand.w, [2.0, 1.0 / 1.5, 1.0 / 2.5, 2.0 / 3.0])
+    widths = rng.uniform(0.1, 2.0, 17)
+    mesh = MassMesh(np.concatenate(([0.3], 0.3 + np.cumsum(widths))))
+    h, hbar = mesh.h, mesh.interior_spacings()
+    expected = np.concatenate(([2.0 / h[0]], 1.0 / hbar, [2.0 / h[-1]]))
+    assert mesh.w.tobytes() == expected.tobytes()
+    assert mesh.w is mesh.w  # built once per mesh
+    with pytest.raises(ValueError):
+        mesh.w[0] = 0.0
+
+
 def test_nodal_masses_sum_to_total_mass(rng):
     widths = rng.uniform(0.1, 2.0, 17)
     mesh = MassMesh(np.concatenate(([2.0], 2.0 + np.cumsum(widths))))

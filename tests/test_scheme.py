@@ -13,6 +13,7 @@ from polygas import (
     StepRejected,
     MassMesh,
     TwoLayerView,
+    cell_average,
     effective_cell_pressure,
     make_initial_layer,
     problem_library,
@@ -21,7 +22,7 @@ from polygas import (
     step_residuals,
     total_nodal_quantity,
 )
-from polygas.scheme import _StepSystem
+from polygas.scheme import _StepSystem, _scaled_norm
 
 from conftest import advance, pulse_start
 
@@ -43,6 +44,13 @@ def test_r_factor_matches_volume_difference(rng):
         # coincident radii: the factor degenerates to the area r^n
         r = rng.uniform(0.1, 3.0, 50)
         assert np.allclose(r_factor(r, r, n), r ** n, rtol=1e-15)
+
+
+def test_public_helpers_accept_lists():
+    r_lo, r_hi = [0.5, 1.0, 2.0], [0.75, 1.5, 2.0]
+    for n in (0, 1, 2):
+        assert np.array_equal(r_factor(r_lo, r_hi, n), r_factor(np.array(r_lo), np.array(r_hi), n))
+    assert np.array_equal(cell_average([1.0, 3.0, 7.0]), [2.0, 5.0])
 
 
 def test_r_factor_rejects_bad_geometry():
@@ -211,6 +219,38 @@ def test_accepted_step_meets_its_own_tolerances(n, eos_mode, visc_nu, boundary):
     for family, value in report.residual_max.items():
         assert value <= 100.0 * params.newton_tol, (family, value)
     assert report.history[0] > report.history[-1]  # it actually had work to do
+
+
+@pytest.mark.parametrize("boundary", ("wall", "linear"))
+@pytest.mark.parametrize("visc_nu", (0.0, 2.0))
+@pytest.mark.parametrize("eos_mode", ("pointwise", "conservative"))
+@pytest.mark.parametrize("n", (0, 1, 2))
+def test_step_reports_the_residuals_step_residuals_recomputes(n, eos_mode, visc_nu, boundary):
+    # step checks the accepted layer on Newton's own system; a fresh system
+    # built from the stored pair must give the same rows, bit for bit
+    bcs = {"bc_left" if n == 0 else "bc_right": _LINEAR_TRACE} if boundary == "linear" else {}
+    layer, params = pulse_start(n=n, gamma=1.4, cells=40, eos_mode=eos_mode,
+                                visc_nu=visc_nu, **bcs)
+    earlier = ()
+    for _ in range(3):  # the later steps start from extrapolated guesses
+        hi, report = step(layer, 0.01, params, earlier=earlier)
+        fresh = step_residuals(TwoLayerView(lo=layer, hi=hi, tau=0.01), params)
+        assert list(report.residuals) == list(fresh)
+        for name, rows in fresh.items():
+            assert report.residuals[name].tobytes() == rows.tobytes(), name
+        assert report.residual_max == {name: float(np.abs(rows).max())
+                                       for name, rows in fresh.items()}
+        earlier, layer = (layer, *earlier[:1]), hi
+
+
+@pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf))
+@pytest.mark.parametrize("row", (0, 2, 4))
+def test_scaled_norm_is_inf_for_a_row_holding_nan_or_inf(bad, row):
+    f = np.array([1e-3, -4.0, 2e-3, 0.0, -1e-9])
+    scales = np.array([1.0, 2.0, 1.0, 3.0, 1.0])
+    assert _scaled_norm(f, scales) == 2.0
+    f[row] = bad
+    assert _scaled_norm(f, scales) == math.inf
 
 
 def test_step_rejects_on_iteration_cap():

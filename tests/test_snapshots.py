@@ -126,6 +126,30 @@ def test_reader_checks_midpoints(tmp_path):
         read_snapshot(paths["nodes"], tampered)
 
 
+@pytest.mark.parametrize("bad", ("nan", "inf", "-inf"))
+def test_reader_rejects_non_finite_midpoints(tmp_path, bad):
+    paths = write_snapshot(_sample_layer(), tmp_path, step=0)
+    text = paths["cells"].read_bytes().decode()
+    first = text.split("\r\n")[1].split(",")[1]
+    paths["cells"].write_text(text.replace(f"0,{first},", f"0,{bad},", 1), newline="")
+    with pytest.raises(SnapshotError) as info:
+        read_snapshot(paths["nodes"], paths["cells"])
+    assert str(info.value) == f"{paths['cells']}: cell midpoints disagree with the nodal mesh"
+
+
+def test_missing_tables_are_not_found_and_a_missing_sidecar_is_none(tmp_path):
+    paths = write_snapshot(_sample_layer(), tmp_path, step=7, tau=0.0125)
+    through_a_file = paths["cells"] / "snap_nodes.csv"
+    for missing in (tmp_path / "missing_nodes.csv", through_a_file):
+        with pytest.raises(SnapshotError) as info:
+            read_snapshot(missing, paths["cells"])
+        assert str(info.value) == f"snapshot file not found: {missing}"
+    assert read_snapshot_meta(through_a_file) is None
+    paths["meta"].unlink()
+    assert read_snapshot_meta(paths["nodes"]) is None
+    assert read_snapshot(paths["nodes"], paths["cells"]).t == 0.0
+
+
 # --- exact file format ---------------------------------------------------------
 
 def _golden_layer():
