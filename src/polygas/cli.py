@@ -23,7 +23,8 @@ import numpy as np
 
 from .conservation import ALL_LAWS, LawId, audit_all, write_ledger
 from .mesh import MeshError
-from .problems import EulerProfile, ProblemError, invert_mass_coordinate, make_initial_layer, problem_library
+from .problems import (EulerProfile, ProblemError, _uniform_nodes, invert_mass_coordinate,
+                       make_initial_layer, problem_library)
 from .scheme import (
     FLOOR_REASON,
     BoundaryCondition,
@@ -40,16 +41,6 @@ log = logging.getLogger("polygas")
 
 
 # --- configuration --------------------------------------------------------------
-
-_TOP_KEYS = {"problem", "mesh", "params", "time", "snapshot_every", "output_dir",
-             "audit", "budget_tol"}
-_PARAM_KEYS = {"n", "gamma", "alpha", "eos_mode", "visc_nu", "newton_tol",
-               "newton_max_iter", "bc_left", "bc_right"}
-_TIME_KEYS = {"t_end", "tau", "allow_tau_halving", "max_halvings"}
-_MESH_FORMS = ({"cells"}, {"r_nodes"}, {"s_min", "s_max", "cells"}, {"s_nodes"})
-_BC_KEYS = {"kind", "u_wall", "p0", "trace"}
-_TRACE_KEYS = {"kind", "p0", "rate"}
-
 
 @dataclass
 class RunConfig:
@@ -69,16 +60,7 @@ class RunConfig:
     budget_tol: float = 1e-10
     max_halvings: int = 0
     problem_name: str = ""
-    problem_options: dict = dataclasses.field(default_factory=dict)
     mesh_spec: dict = dataclasses.field(default_factory=dict)
-
-
-def _check_keys(mapping: dict, allowed: set, context: str) -> None:
-    if not isinstance(mapping, dict):
-        raise ConfigError(f"{context} must be an object, got {type(mapping).__name__}")
-    unknown = set(mapping) - allowed
-    if unknown:
-        raise ConfigError(f"unknown key(s) in {context}: {sorted(unknown)}")
 
 
 def _integer(value, context: str) -> int:
@@ -88,10 +70,22 @@ def _integer(value, context: str) -> int:
     return int(value)
 
 
-def _number(value, context: str) -> float:
-    """A finite JSON number; a boolean, a string, Infinity or NaN is an error."""
-    if type(value) not in (int, float) or not math.isfinite(value):
+def _count(value, context: str) -> int:
+    if _integer(value, context) < 0:
+        raise ConfigError(f"{context} must be >= 0, got {value!r}")
+    return int(value)
+
+
+def _number(value, context: str) -> int | float:
+    """A finite JSON number, as given; a boolean, a string, Infinity or NaN is an error."""
+    if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
         raise ConfigError(f"{context} must be a finite number, got {value!r}")
+    return value
+
+
+def _positive(value, context: str) -> float:
+    if not _number(value, context) > 0.0:
+        raise ConfigError(f"{context} must be positive, got {value!r}")
     return float(value)
 
 
@@ -99,161 +93,147 @@ def _number_list(value, context: str) -> np.ndarray:
     """A JSON list of finite numbers, as a float array."""
     if not isinstance(value, list):
         raise ConfigError(f"{context} must be a list of numbers, got {value!r}")
-    return np.array([_number(x, context) for x in value])
+    return np.array([_number(x, context) for x in value], dtype=float)
 
 
-def _parse_trace(raw, context: str) -> PressureTrace:
+def _typed(what: str, *types):
+    """Checker for a value of exactly one of `types` (so a boolean is no int)."""
+    def check(value, context: str):
+        if type(value) not in types:
+            raise ConfigError(f"{context} must be {what}, got {value!r}")
+        return value
+    return check
+
+
+_flag, _text = _typed("a boolean", bool), _typed("a string", str)
+
+
+def _block(raw, table: dict, context: str, required=()) -> dict:
+    """The checked values of the config object `raw`.
+
+    `table` maps each allowed key to its checker, (value, context) -> value,
+    which raises ConfigError naming the key's path.
+    """
     if not isinstance(raw, dict):
-        return PressureTrace(kind="constant", p0=_number(raw, context))
-    _check_keys(raw, _TRACE_KEYS, context)
-    return PressureTrace(kind=raw.get("kind", "constant"),
-                         p0=_number(raw.get("p0", 1.0), f"{context}.p0"),
-                         rate=_number(raw.get("rate", 0.0), f"{context}.rate"))
+        raise ConfigError(f"{context} must be an object, got {type(raw).__name__}")
+    unknown = set(raw) - set(table)
+    if unknown:
+        raise ConfigError(f"unknown key(s) in {context}: {sorted(unknown)}")
+    missing = [key for key in required if key not in raw]
+    if missing:
+        raise ConfigError(f"{context} needs {', '.join(missing)}")
+    return {key: table[key](value, f"{context}.{key}") for key, value in raw.items()}
 
 
-def _parse_bc(raw, context: str) -> BoundaryCondition:
-    _check_keys(raw, _BC_KEYS, context)
-    kind = raw.get("kind")
+def _trace(raw, context: str) -> PressureTrace:
+    """A constant pressure, or an object of the _TRACE table."""
+    if not isinstance(raw, dict):
+        return PressureTrace(p0=_number(raw, context))
+    return PressureTrace(**_block(raw, _TRACE, context))
+
+
+def _boundary(raw, context: str) -> BoundaryCondition:
+    bc = _block(raw, _BOUNDARY, context)
+    kind = bc.pop("kind", None)
+    if kind not in ("wall", "pressure"):
+        raise ConfigError(f"{context}: boundary kind must be 'wall' or 'pressure', got {kind!r}")
+    extra = set(bc) - ({"u_wall"} if kind == "wall" else {"p0", "trace"})
+    if extra:
+        raise ConfigError(f"{context}: {kind} boundary takes no {sorted(extra)}")
     if kind == "wall":
-        extra = set(raw) & {"p0", "trace"}
-        if extra:
-            raise ConfigError(f"{context}: wall boundary takes no {sorted(extra)}")
-        return BoundaryCondition.wall(_number(raw.get("u_wall", 0.0), f"{context}.u_wall"))
-    if kind == "pressure":
-        if "u_wall" in raw:
-            raise ConfigError(f"{context}: pressure boundary takes no 'u_wall'")
-        if "trace" in raw:
-            return BoundaryCondition.pressure(_parse_trace(raw["trace"], f"{context}.trace"))
-        if "p0" in raw:
-            return BoundaryCondition.pressure(_number(raw["p0"], f"{context}.p0"))
+        return BoundaryCondition.wall(bc.get("u_wall", 0.0))
+    if not bc:
         raise ConfigError(f"{context}: pressure boundary needs 'trace' or 'p0'")
-    raise ConfigError(f"{context}: boundary kind must be 'wall' or 'pressure', got {kind!r}")
+    return BoundaryCondition.pressure(bc.get("trace", bc.get("p0")))
 
 
-def _parse_laws(raw) -> tuple[LawId, ...]:
-    if raw == "all":
-        return ALL_LAWS
-    if raw == "none":
-        return ()
+def _laws(raw, context: str) -> tuple[LawId, ...]:
+    if raw in ("all", "none"):
+        return ALL_LAWS if raw == "all" else ()
     if not isinstance(raw, list):
-        raise ConfigError("'audit' must be \"all\", \"none\" or a list of law names")
+        raise ConfigError(f"{context} must be \"all\", \"none\" or a list of law names")
     known = {law.value: law for law in LawId}
-    laws = []
     for name in raw:
-        if name not in known:
-            raise ConfigError(f"unknown conservation law {name!r}; known: {sorted(known)}")
-        laws.append(known[name])
-    return tuple(laws)
+        if type(name) is not str or name not in known:
+            raise ConfigError(f"{context}: unknown conservation law {name!r}; "
+                              f"known: {sorted(known)}")
+    return tuple(known[name] for name in raw)
 
 
-def _resolve_mesh(spec: dict, profile: EulerProfile, options: dict, n: int) -> EulerProfile:
-    """Apply the mesh block: replace the profile's node radii."""
+def _problem(raw, context: str) -> tuple[str, dict]:
+    """A problem name, or an object of a 'name' and that problem's options."""
+    if isinstance(raw, str):
+        return raw, {}
+    if not isinstance(raw, dict) or "name" not in raw:
+        raise ConfigError(f"{context} must be a name or an object with a 'name', got {raw!r}")
+    # problem_library checks the option names; their values are numbers, cells integral
+    options = {key: (_integer if key == "cells" else _number)(value, f"{context}.{key}")
+               for key, value in raw.items() if key != "name"}
+    return raw["name"], options
+
+
+_TRACE = {"kind": _text, "p0": _number, "rate": _number}
+_BOUNDARY = {"kind": _text, "u_wall": _number, "p0": _number, "trace": _trace}
+_PARAMS = {"n": _integer, "gamma": _number, "alpha": _number, "eos_mode": _text,
+           "visc_nu": _number, "newton_tol": _number, "newton_max_iter": _integer,
+           "bc_left": _boundary, "bc_right": _boundary}
+_TIME = {"t_end": _positive, "tau": _positive, "allow_tau_halving": _flag,
+         "max_halvings": _count}
+_MESH = {"cells": _integer, "r_nodes": _number_list, "s_min": _number, "s_max": _number,
+         "s_nodes": _number_list}
+_MESH_FORMS = ({"cells"}, {"r_nodes"}, {"s_min", "s_max", "cells"}, {"s_nodes"})
+_TOP = {"problem": _problem, "audit": _laws, "budget_tol": _positive, "snapshot_every": _count,
+        "output_dir": _typed("a path string or null", str, type(None)),
+        "mesh": lambda raw, context: _block(raw, _MESH, context),
+        "params": lambda raw, context: _block(raw, _PARAMS, context),
+        "time": lambda raw, context: _block(raw, _TIME, context, required=("t_end", "tau"))}
+
+
+def _resolve_mesh(spec: dict, profile: EulerProfile, n: int) -> EulerProfile:
+    """Apply a checked mesh block: replace the profile's node radii."""
     if not spec:
         return profile
-    keys = set(spec)
-    if keys not in [set(form) for form in _MESH_FORMS]:
+    if set(spec) not in _MESH_FORMS:
         raise ConfigError(f"mesh spec must be one of {[sorted(f) for f in _MESH_FORMS]}, "
-                          f"got keys {sorted(keys)}")
-    if keys == {"cells"}:
-        cells = _integer(spec["cells"], "config.mesh.cells")
-        r_min = float(options.get("r_min", 0.0))
-        r_max = float(options.get("r_max", 1.0))
-        return profile.with_r_nodes(np.linspace(r_min, r_max, cells + 1))
-    if keys == {"r_nodes"}:
-        return profile.with_r_nodes(_number_list(spec["r_nodes"], "config.mesh.r_nodes"))
-    if keys == {"s_nodes"}:
-        s = _number_list(spec["s_nodes"], "config.mesh.s_nodes")
-    else:
-        cells = _integer(spec["cells"], "config.mesh.cells")
-        s = np.linspace(_number(spec["s_min"], "config.mesh.s_min"),
-                        _number(spec["s_max"], "config.mesh.s_max"), cells + 1)
+                          f"got keys {sorted(spec)}")
+    if "r_nodes" in spec:
+        return profile.with_r_nodes(spec["r_nodes"])
+    if "s_nodes" in spec:
+        s = spec["s_nodes"]
+    elif "s_min" in spec:
+        s = _uniform_nodes(spec["s_min"], spec["s_max"], spec["cells"])
+    else:  # uniform in r over the problem's interval
+        r = profile.r_nodes
+        return profile.with_r_nodes(_uniform_nodes(r[0], r[-1], spec["cells"]))
     return profile.with_r_nodes(invert_mass_coordinate(profile, n, s))
 
 
 def resolve_config(raw: dict) -> RunConfig:
-    """Validate a raw config mapping and build the resolved RunConfig."""
-    _check_keys(raw, _TOP_KEYS, "config")
-    problem = raw.get("problem", "uniform")
-    if isinstance(problem, str):
-        name, options = problem, {}
-    elif isinstance(problem, dict) and "name" in problem:
-        options = {k: v for k, v in problem.items() if k != "name"}
-        name = problem["name"]
-    else:
-        raise ConfigError(f"config.problem must be a name or an object with a 'name', "
-                          f"got {problem!r}")
-    # problem options are numbers (cells integral); the rest keep their JSON type
-    for key, value in options.items():
-        if key == "cells":
-            options[key] = _integer(value, "config.problem.cells")
-        else:
-            _number(value, f"config.problem.{key}")
+    """Check a raw config mapping against the tables and build the RunConfig."""
+    config = _block(raw, _TOP, "config", required=("time",))
+    name, options = config.get("problem", ("uniform", {}))
     profile, params = problem_library(name, **options)
-
-    overrides = raw.get("params", {})
-    _check_keys(overrides, _PARAM_KEYS, "config.params")
-    overrides = dict(overrides)
-    for key, value in overrides.items():
-        context = f"config.params.{key}"
-        if key in ("bc_left", "bc_right"):
-            overrides[key] = _parse_bc(value, context)
-        elif key in ("n", "newton_max_iter"):
-            overrides[key] = _integer(value, context)
-        elif key != "eos_mode":
-            _number(value, context)
-    params = dataclasses.replace(params, **overrides)
-
+    params = dataclasses.replace(params, **config.get("params", {}))
     # the profile's gamma must match the scheme's so eps = p/((gamma-1) rho)
     profile = dataclasses.replace(profile, gamma=params.gamma)
-    mesh_spec = raw.get("mesh", {})
-    _check_keys(mesh_spec, set().union(*_MESH_FORMS), "config.mesh")
-    profile = _resolve_mesh(mesh_spec, profile, options, params.n)
-
-    time_block = raw.get("time")
-    if time_block is None:
-        raise ConfigError("config needs a 'time' block with t_end and tau")
-    _check_keys(time_block, _TIME_KEYS, "config.time")
-    try:
-        t_end = _number(time_block["t_end"], "config.time.t_end")
-        tau = _number(time_block["tau"], "config.time.tau")
-    except KeyError as exc:
-        raise ConfigError(f"config.time needs {exc.args[0]!r}") from None
-    if not t_end > 0.0 or not tau > 0.0:
-        raise ConfigError(f"t_end and tau must be positive, got {t_end}, {tau}")
-
-    budget_tol = _number(raw.get("budget_tol", 1e-10), "config.budget_tol")
-    if not budget_tol > 0.0:
-        raise ConfigError("budget_tol must be positive")
-    snapshot_every = _integer(raw.get("snapshot_every", 0), "config.snapshot_every")
-    if snapshot_every < 0:
-        raise ConfigError("snapshot_every must be >= 0")
-    max_halvings = _integer(time_block.get("max_halvings", 10), "config.time.max_halvings")
-    if max_halvings < 0:
-        raise ConfigError("max_halvings must be >= 0")
-    allow_tau_halving = time_block.get("allow_tau_halving", False)
-    if type(allow_tau_halving) is not bool:
-        raise ConfigError(f"config.time.allow_tau_halving must be a boolean, got {allow_tau_halving!r}")
-    output_dir = raw.get("output_dir")
-    if output_dir is not None and type(output_dir) is not str:
-        raise ConfigError(f"config.output_dir must be a path string, got {output_dir!r}")
-
+    mesh_spec = config.get("mesh", {})
+    profile = _resolve_mesh(mesh_spec, profile, params.n)
+    time = config["time"]
     return RunConfig(
-        profile=profile, params=params, t_end=t_end, tau=tau,
-        snapshot_every=snapshot_every,
-        output_dir=output_dir,
-        laws=_parse_laws(raw.get("audit", "all")),
-        budget_tol=budget_tol,
-        max_halvings=max_halvings if allow_tau_halving else 0,
-        problem_name=name, problem_options=options, mesh_spec=dict(mesh_spec))
+        profile=profile, params=params, t_end=time["t_end"], tau=time["tau"],
+        snapshot_every=config.get("snapshot_every", 0),
+        output_dir=config.get("output_dir"),
+        laws=config.get("audit", ALL_LAWS),
+        budget_tol=config.get("budget_tol", 1e-10),
+        max_halvings=time.get("max_halvings", 10) if time.get("allow_tau_halving") else 0,
+        problem_name=name, mesh_spec=mesh_spec)
 
 
 def load_config(path) -> RunConfig:
-    with open(path) as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: not valid JSON: {exc}") from None
-    return resolve_config(raw)
+    try:
+        return resolve_config(json.loads(Path(path).read_text(encoding="utf-8")))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"{path}: not valid UTF-8 JSON: {exc}") from None
 
 
 def with_resolution(cfg: RunConfig, cells: int, tau: float) -> RunConfig:
@@ -261,7 +241,7 @@ def with_resolution(cfg: RunConfig, cells: int, tau: float) -> RunConfig:
     if cfg.mesh_spec and set(cfg.mesh_spec) != {"cells"}:
         raise ConfigError("convergence studies need a mesh given as {'cells': ...}")
     mesh_spec = {"cells": cells}
-    profile = _resolve_mesh(mesh_spec, cfg.profile, cfg.problem_options, cfg.params.n)
+    profile = _resolve_mesh(mesh_spec, cfg.profile, cfg.params.n)
     return dataclasses.replace(cfg, profile=profile, tau=tau, output_dir=None,
                                snapshot_every=0, mesh_spec=mesh_spec)
 

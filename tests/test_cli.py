@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import json
 import math
@@ -8,8 +9,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from polygas import ConfigError, LawId, read_snapshot, snapshots
+from polygas import (
+    ConfigError,
+    LawId,
+    LayerError,
+    MeshError,
+    ProblemError,
+    read_snapshot,
+    snapshots,
+)
 from polygas import cli
 from polygas.cli import (
     RunConfig,
@@ -316,6 +326,8 @@ def test_negative_max_halvings_is_a_config_error(tmp_path, capsys):
     ("params", "n", True),
     ("params", "newton_max_iter", 7.5),
     ("mesh", "cells", 20.5),
+    ("top", "audit", [[], "energy"]),
+    ("top", "audit", [{}]),
 ])
 def test_config_types_are_strict(tmp_path, capsys, where, key, value):
     raw = _pulse_raw()
@@ -363,6 +375,7 @@ _BAD_NUMBERS = [
     ("amplitude", ("problem", "amplitude"), True),
     ("r_nodes", ("mesh",), {"r_nodes": [0.0, "0.5", 1.0]}),
     ("s_min", ("mesh",), {"s_min": False, "s_max": 1.0, "cells": 4}),
+    ("alpha", ("params", "alpha"), 10 ** 400),  # no float holds it
 ]
 
 
@@ -390,6 +403,93 @@ def test_output_dir_must_be_a_string(tmp_path, capsys, value):
     assert "output_dir" in capsys.readouterr().err
     raw["output_dir"] = str(tmp_path / "out")
     assert resolve_config(raw).output_dir == str(tmp_path / "out")
+
+
+@pytest.mark.parametrize("mesh", [{"cells": -5}, {"cells": 1},
+                                  {"s_min": 0, "s_max": 0.5, "cells": -3},
+                                  {"s_min": 0, "s_max": 0.5, "cells": 0}])
+def test_both_uniform_mesh_forms_need_two_cells(tmp_path, capsys, mesh):
+    raw = _pulse_raw(mesh=mesh)
+    with pytest.raises(ProblemError, match="at least 2 cells"):
+        resolve_config(raw)
+    assert main(["run", "--config", str(_write_config(tmp_path, raw)),
+                 "--out", str(tmp_path / "out")]) == 3
+    assert "cells" in capsys.readouterr().err
+
+
+def test_a_config_file_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
+    # a valid config apart from its encoding: latin-1 writes the é as byte 0xe9
+    path = tmp_path / "latin1.json"
+    path.write_bytes(json.dumps(_pulse_raw(output_dir="caf\u00e9"), ensure_ascii=False)
+                     .encode("latin-1"))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 3
+    assert str(path) in capsys.readouterr().err
+    with pytest.raises(ConfigError, match="UTF-8"):
+        load_config(path)
+
+
+# valid configs that together use every block and form of the config
+_MUTATION_BASES = [
+    {"problem": {"name": "sod", "cells": 8, "split": 0.5},
+     "params": {"n": 0, "gamma": 1.4, "eos_mode": "conservative", "visc_nu": 1.0,
+                "bc_left": {"kind": "wall", "u_wall": 0.0},
+                "bc_right": {"kind": "pressure",
+                             "trace": {"kind": "linear", "p0": 0.1, "rate": 0.5}}},
+     "time": {"t_end": 0.02, "tau": 0.01, "allow_tau_halving": True, "max_halvings": 3},
+     "mesh": {"s_min": 0.0, "s_max": 0.5625, "cells": 6},
+     "snapshot_every": 1, "output_dir": "out", "audit": ["mass", "energy"],
+     "budget_tol": 1e-9},
+    {"problem": {"name": "smooth_pulse", "cells": 10, "amplitude": 0.05},
+     "params": {"n": 1, "alpha": 0.7, "newton_tol": 1e-11, "newton_max_iter": 20,
+                "bc_right": {"kind": "pressure", "p0": 1.0}},
+     "time": {"t_end": 0.1, "tau": 0.05},
+     "mesh": {"r_nodes": [0.0, 0.4, 0.7, 1.0]}, "audit": "all"},
+    {"problem": {"name": "expansion", "cells": 6, "rate": 2.0},
+     "params": {"bc_left": {"kind": "pressure", "trace": 1.0}},
+     "time": {"t_end": 0.1, "tau": 0.05, "allow_tau_halving": False},
+     "mesh": {"cells": 5}, "audit": "none", "output_dir": None},
+    {"problem": "uniform", "time": {"t_end": 0.1, "tau": 0.05},
+     "mesh": {"s_nodes": [0.0, 0.25, 1.0]}},
+]
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 40) | st.floats(-1e3, 1e3) | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(st.text(max_size=8),
+                                                                      children, max_size=4),
+    max_leaves=8)
+
+
+def _paths(node, path=()):
+    """The path of `node` and of every leaf and subtree below it."""
+    yield path
+    if isinstance(node, (dict, list)):
+        for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+            yield from _paths(child, path + (key,))
+
+
+def test_mutation_bases_are_valid():
+    for raw in _MUTATION_BASES:
+        assert isinstance(resolve_config(copy.deepcopy(raw)), RunConfig)
+
+
+@settings(max_examples=500, deadline=None)
+@given(data=st.data())
+def test_any_one_changed_value_resolves_or_is_a_config_error(data):
+    # resolve_config may raise only errors that main maps to exit 3
+    raw = copy.deepcopy(data.draw(st.sampled_from(_MUTATION_BASES)))
+    path = data.draw(st.sampled_from(list(_paths(raw))))
+    value = data.draw(_JSON)
+    if not path:
+        raw = value
+    else:
+        target = raw
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+    try:
+        assert isinstance(resolve_config(raw), RunConfig)
+    except (ConfigError, ProblemError, MeshError, LayerError):
+        pass
 
 
 @pytest.mark.parametrize("visc_nu", (0.0, 1.0))
