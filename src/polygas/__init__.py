@@ -9,8 +9,6 @@ from .state import (
     TwoLayerView,
     cell_average,
     interp_nodal_pressure,
-    total_cell_quantity,
-    total_nodal_quantity,
 )
 from .scheme import (
     BoundaryCondition,
@@ -97,8 +95,6 @@ __all__ = [
     "run_simulation",
     "step",
     "step_residuals",
-    "total_cell_quantity",
-    "total_nodal_quantity",
     "with_resolution",
     "write_ledger",
     "write_snapshot",

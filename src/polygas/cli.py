@@ -142,8 +142,8 @@ def _boundary(raw, context: str) -> BoundaryCondition:
         raise ConfigError(f"{context}: {kind} boundary takes no {sorted(extra)}")
     if kind == "wall":
         return BoundaryCondition.wall(bc.get("u_wall", 0.0))
-    if not bc:
-        raise ConfigError(f"{context}: pressure boundary needs 'trace' or 'p0'")
+    if len(bc) != 1:
+        raise ConfigError(f"{context}: pressure boundary takes 'trace' or 'p0', got {sorted(bc)}")
     return BoundaryCondition.pressure(bc.get("trace", bc.get("p0")))
 
 

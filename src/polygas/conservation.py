@@ -22,8 +22,8 @@ import enum
 import functools
 import json
 import math
-from collections.abc import Callable, Iterator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,7 +42,6 @@ class LawId(enum.Enum):
 
 #: audit order is fixed so ledgers are reproducible
 ALL_LAWS = tuple(LawId)
-_Finish = Callable[[Iterator[float]], "ConservationBudget"]
 
 
 @dataclass
@@ -105,49 +104,35 @@ def write_ledger(records: list[dict], path) -> None:
 
 class _Recomputed:
     """What several laws use, recomputed from the raw layers of one view: the
-    time-centred velocity v, the area factor R, the effective cell pressure and,
-    on first use, the nodal flux pressure p* and each layer's terms by "lo"/"hi"."""
+    time-centred velocity v, the area factor R, the effective cell pressure, the
+    nodal flux pressure p*, and each layer's terms by "lo"/"hi" (<r u> on first
+    use by a quadratic balance)."""
 
-    def __init__(self, view: TwoLayerView, params: SchemeParams, lo_totals=None):
+    def __init__(self, view: TwoLayerView, params: SchemeParams):
         self.view, self.params = view, params
         self.layers = {"lo": view.lo, "hi": view.hi}
-        self.lo_totals = {k: v for k, v in (lo_totals or {}).items() if k is not LawId.ADDITIONAL_2}
-        self.rows: list[np.ndarray] = []  # density rows queued for one exact_sums call
         self.v = v = 0.5 * (view.lo.u + view.hi.u)
         self.big_r = r_factor(view.lo.r, view.hi.r, params.n)
         a = params.alpha_effective
-        self.p_eff = a * view.hi.p + (1.0 - a) * view.lo.p
+        self.p_eff = p_eff = a * view.hi.p + (1.0 - a) * view.lo.p
         if params.visc_nu != 0.0:
             du = v[1:] - v[:-1]
             rho_half = 0.5 * (view.lo.rho + view.hi.rho)
             rv = self.big_r * v
             compressing = (rv[1:] - rv[:-1]) / view.mesh.h < 0.0
-            self.p_eff = self.p_eff + np.where(compressing,
-                                               params.visc_nu * rho_half * du * du, 0.0)
-
-    @functools.cached_property
-    def star(self) -> np.ndarray:
-        view, params, p_eff = self.view, self.params, self.p_eff
-        alpha_eff = params.alpha_effective
+            self.p_eff = p_eff = p_eff + np.where(compressing,
+                                                  params.visc_nu * rho_half * du * du, 0.0)
         bc_left, bc_right = effective_boundaries(params, float(view.lo.r[0]))
-        star = np.empty(view.mesh.n_nodes)
+        self.star = star = np.empty(view.mesh.n_nodes)
         star[1:-1] = interp_nodal_pressure(p_eff, view.mesh)
         star[0] = (p_eff[0] if bc_left.kind == "wall"
-                   else boundary_pressure(bc_left, view.lo.t, view.hi.t, alpha_eff))
+                   else boundary_pressure(bc_left, view.lo.t, view.hi.t, a))
         star[-1] = (p_eff[-1] if bc_right.kind == "wall"
-                    else boundary_pressure(bc_right, view.lo.t, view.hi.t, alpha_eff))
-        return star
-
-    @functools.cached_property
-    def energy(self) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-        """<u^2>/2 and eps + <u^2>/2 per cell."""
+                    else boundary_pressure(bc_right, view.lo.t, view.hi.t, a))
         ke = {k: 0.5 * cell_average(layer.u * layer.u) for k, layer in self.layers.items()}
-        return {k: (ke[k], layer.eps + ke[k]) for k, layer in self.layers.items()}
-
-    @functools.cached_property
-    def ru(self) -> dict[str, np.ndarray]:
-        """<r u> per cell."""
-        return {k: cell_average(layer.r * layer.u) for k, layer in self.layers.items()}
+        #: <u^2>/2 and eps + <u^2>/2 per cell
+        self.energy = {k: (ke[k], layer.eps + ke[k]) for k, layer in self.layers.items()}
+        self.ru: dict[str, np.ndarray] | None = None
 
 
 def effective_cell_pressure(view: TwoLayerView, params: SchemeParams) -> np.ndarray:
@@ -164,85 +149,60 @@ def pressure_star(view: TwoLayerView, params: SchemeParams) -> np.ndarray:
     return _Recomputed(view, params).star
 
 
-def _cell_budget(law: LawId, rc: _Recomputed, d_lo: np.ndarray, d_hi: np.ndarray,
-                 flux: np.ndarray, expected_zero: bool, note: str = "") -> _Finish:
-    """Queue a budget for a cell-based law from its density and nodal flux."""
+class _Terms(NamedTuple):
+    """What one law contributes to its budget: densities d_lo, d_hi weighted by
+    cell or node masses, the local residual and the boundary fluxes."""
+
+    weights: np.ndarray
+    d_lo: np.ndarray
+    d_hi: np.ndarray
+    residuals: np.ndarray
+    flux_left: float
+    flux_right: float
+    expected_zero: bool = True
+    note: str = ""
+
+
+def _cell_law(rc: _Recomputed, d_lo: np.ndarray, d_hi: np.ndarray, flux: np.ndarray,
+              expected_zero: bool = True, note: str = "") -> _Terms:
+    """Terms of a cell-based law from its density and nodal flux."""
     res = (d_hi - d_lo) / rc.view.tau + (flux[1:] - flux[:-1]) / rc.view.mesh.h
-    return _budget(law, rc, rc.view.mesh.h, d_lo, d_hi, res, float(flux[0]), float(flux[-1]),
-                   expected_zero, note)
+    return _Terms(rc.view.mesh.h, d_lo, d_hi, res, float(flux[0]), float(flux[-1]),
+                  expected_zero, note)
 
 
-def _budget(law: LawId, rc: _Recomputed, weights: np.ndarray, d_lo: np.ndarray,
-            d_hi: np.ndarray, res: np.ndarray, flux_left: float, flux_right: float,
-            expected_zero: bool, note: str = "") -> _Finish:
-    """Queue the weighted density rows on rc.rows (lo unless carried, then hi);
-    node-based laws (momentum family, n = 0 only) weight by nodal masses."""
-    carried = law in rc.lo_totals
-    rc.rows += [weights * d_hi] if carried else [weights * d_lo, weights * d_hi]
-    def finish(totals: Iterator[float]) -> ConservationBudget:
-        sum_lo = rc.lo_totals[law] if carried else next(totals)
-        sum_hi = next(totals)
-        net = flux_right - flux_left
-        defect = abs(sum_hi - sum_lo + rc.view.tau * net)
-        scale = max(abs(sum_lo), abs(sum_hi), rc.view.tau * (abs(flux_left) + abs(flux_right)))
-        return ConservationBudget(
-            law=law, applicable=True, expected_zero=expected_zero,
-            per_cell_residual_max=float(np.abs(res).max()),
-            density_sum_lo=sum_lo, density_sum_hi=sum_hi,
-            boundary_flux_net=net, identity_defect=defect,
-            relative_defect=defect / scale if scale > 0.0 else 0.0,
-            note=note, residuals=res)
-    return finish
+# --- the six laws: each returns its _Terms, or its note when it does not apply ---
 
-
-def _not_applicable(law: LawId, note: str) -> _Finish:
-    return lambda totals: ConservationBudget(law=law, applicable=False, note=note)
-
-
-# --- the six laws --------------------------------------------------------------
-
-def _mass(view: TwoLayerView, params: SchemeParams, rc: _Recomputed) -> _Finish:
+def _mass(rc: _Recomputed) -> _Terms:
     """Cell law: specific volume vs. swept volume, density 1/rho, flux -R v."""
-    return _cell_budget(LawId.MASS, rc,
-                        1.0 / view.lo.rho, 1.0 / view.hi.rho,
-                        -rc.big_r * rc.v, expected_zero=True)
+    return _cell_law(rc, 1.0 / rc.view.lo.rho, 1.0 / rc.view.hi.rho, -rc.big_r * rc.v)
 
 
-def _energy(view: TwoLayerView, params: SchemeParams, rc: _Recomputed) -> _Finish:
+def _energy(rc: _Recomputed) -> _Terms:
     """Cell law: total energy eps + <u^2>/2, flux R p* v."""
-    return _cell_budget(LawId.ENERGY, rc, rc.energy["lo"][1], rc.energy["hi"][1],
-                        rc.big_r * rc.star * rc.v, expected_zero=True)
+    return _cell_law(rc, rc.energy["lo"][1], rc.energy["hi"][1], rc.big_r * rc.star * rc.v)
 
 
-def _momentum(view: TwoLayerView, params: SchemeParams, rc: _Recomputed) -> _Finish:
-    """Nodal law (plane geometry only): density u, flux p*."""
-    if params.n != 0:
-        return _not_applicable(LawId.MOMENTUM, f"momentum balance needs n=0, run has n={params.n}")
-    u_t = (view.hi.u - view.lo.u) / view.tau
-    res = u_t[1:-1] + (rc.p_eff[1:] - rc.p_eff[:-1]) / view.mesh.interior_spacings()
-    return _budget(LawId.MOMENTUM, rc, view.mesh.nodal_masses, view.lo.u, view.hi.u, res,
-                   float(rc.star[0]), float(rc.star[-1]), expected_zero=True)
-
-
-def _center_of_mass(view: TwoLayerView, params: SchemeParams,
-                    rc: _Recomputed) -> _Finish:
-    """Nodal law (plane geometry only): density r - t u, flux -t^{(1/2)} p*."""
-    if params.n != 0:
-        return _not_applicable(LawId.CENTER_OF_MASS,
-                               f"center-of-mass balance needs n=0, run has n={params.n}")
-    t_half = view.t_half
-    d_lo = view.lo.r - view.lo.t * view.lo.u
-    d_hi = view.hi.r - view.hi.t * view.hi.u
+def _nodal(law: LawId, rc: _Recomputed) -> _Terms | str:
+    """Nodal laws (plane geometry only), density d and flux c p*, weighted by
+    nodal masses.  MOMENTUM: d = u, c = 1; CENTER_OF_MASS: d = r - t u,
+    c = -t^{(1/2)}."""
+    view = rc.view
+    if rc.params.n != 0:
+        return f"{law.value.replace('_', '-')} balance needs n=0, run has n={rc.params.n}"
+    if law is LawId.MOMENTUM:
+        c, d_lo, d_hi = 1.0, view.lo.u, view.hi.u
+    else:
+        c = -view.t_half
+        d_lo, d_hi = (layer.r - layer.t * layer.u for layer in (view.lo, view.hi))
     res = ((d_hi - d_lo)[1:-1] / view.tau
-           - t_half * (rc.p_eff[1:] - rc.p_eff[:-1]) / view.mesh.interior_spacings())
-    return _budget(LawId.CENTER_OF_MASS, rc, view.mesh.nodal_masses, d_lo, d_hi, res,
-                   -t_half * float(rc.star[0]), -t_half * float(rc.star[-1]),
-                   expected_zero=True)
+           + c * (rc.p_eff[1:] - rc.p_eff[:-1]) / view.mesh.interior_spacings())
+    return _Terms(view.mesh.nodal_masses, d_lo, d_hi, res,
+                  c * float(rc.star[0]), c * float(rc.star[-1]))
 
 
-def _additional_density_flux(view: TwoLayerView, rc: _Recomputed, law: LawId,
-                             include_correction: bool = True):
-    """Density pair and nodal flux of one of the quadratic balances.
+def _quadratic(law: LawId, rc: _Recomputed, include_correction: bool = True) -> _Terms:
+    """One of the quadratic balances, with no applicability gate.
 
     ADDITIONAL_1: density 2 t (eps + <u^2>/2) - <r u>,
                   flux R p* (2 t^{(1/2)} v - r^{(1/2)}).
@@ -252,59 +212,55 @@ def _additional_density_flux(view: TwoLayerView, rc: _Recomputed, law: LawId,
     The tau^2/8 term is the step-dependent correction that closes the second
     balance exactly; include_correction=False measures its contribution.
     """
+    view, params = rc.view, rc.params
+    if rc.ru is None:
+        rc.ru = {k: cell_average(layer.r * layer.u) for k, layer in rc.layers.items()}
     r_half = 0.5 * (view.lo.r + view.hi.r)
-
-    def density(k):
-        layer, (ke, e_tot) = rc.layers[k], rc.energy[k]
-        if law is LawId.ADDITIONAL_1:
-            return 2.0 * layer.t * e_tot - rc.ru[k]
-        d = layer.t ** 2 * e_tot - layer.t * rc.ru[k] + 0.5 * cell_average(layer.r * layer.r)
-        if include_correction:
-            d = d + 0.25 * view.tau ** 2 * ke
-        return d
-
+    d = {}
     if law is LawId.ADDITIONAL_1:
         flux = rc.big_r * rc.star * (2.0 * view.t_half * rc.v - r_half)
+        for k, layer in rc.layers.items():
+            d[k] = 2.0 * layer.t * rc.energy[k][1] - rc.ru[k]
     else:
         flux = rc.big_r * rc.star * (view.t_sq_half * rc.v - view.t_half * r_half)
-    return density("lo"), density("hi"), flux
+        for k, layer in rc.layers.items():
+            ke, e_tot = rc.energy[k]
+            d[k] = layer.t ** 2 * e_tot - layer.t * rc.ru[k] + 0.5 * cell_average(layer.r * layer.r)
+            if include_correction:
+                d[k] = d[k] + 0.25 * view.tau ** 2 * ke
+    note = f"gamma={params.gamma!r}, gamma_star={params.gamma_star!r}, visc_nu={params.visc_nu!r}"
+    at_star = math.isclose(params.gamma, params.gamma_star, rel_tol=1e-12)
+    return _cell_law(rc, d["lo"], d["hi"], flux,
+                     expected_zero=at_star and params.visc_nu == 0.0, note=note)
+
+
+def _additional(law: LawId, rc: _Recomputed) -> _Terms | str:
+    """Quadratic balances; applicable only in conservative mode."""
+    if not rc.params.is_conservative:
+        return "quadratic balances hold only in conservative EOS mode"
+    return _quadratic(law, rc)
 
 
 def additional_1_residuals(view: TwoLayerView, params: SchemeParams) -> np.ndarray:
     """Per-cell residual of the first quadratic balance, with no applicability
     gate, so off-design configurations (pointwise mode, gamma far from
     gamma_star) can be measured as negative controls."""
-    d_lo, d_hi, flux = _additional_density_flux(view, _Recomputed(view, params),
-                                                LawId.ADDITIONAL_1)
-    return (d_hi - d_lo) / view.tau + (flux[1:] - flux[:-1]) / view.mesh.h
+    return _quadratic(LawId.ADDITIONAL_1, _Recomputed(view, params)).residuals
 
 
 def additional_2_residuals(view: TwoLayerView, params: SchemeParams,
                            include_correction: bool = True) -> np.ndarray:
     """Per-cell residual of the second quadratic balance (ungated)."""
-    d_lo, d_hi, flux = _additional_density_flux(view, _Recomputed(view, params),
-                                                LawId.ADDITIONAL_2, include_correction)
-    return (d_hi - d_lo) / view.tau + (flux[1:] - flux[:-1]) / view.mesh.h
+    return _quadratic(LawId.ADDITIONAL_2, _Recomputed(view, params),
+                      include_correction).residuals
 
 
-def _additional(law: LawId, view: TwoLayerView, params: SchemeParams,
-                rc: _Recomputed) -> _Finish:
-    """Quadratic balances; applicable only in conservative mode."""
-    if not params.is_conservative:
-        return _not_applicable(law, "quadratic balances hold only in conservative EOS mode")
-    note = f"gamma={params.gamma!r}, gamma_star={params.gamma_star!r}, visc_nu={params.visc_nu!r}"
-    at_star = math.isclose(params.gamma, params.gamma_star, rel_tol=1e-12)
-    d_lo, d_hi, flux = _additional_density_flux(view, rc, law)
-    return _cell_budget(law, rc, d_lo, d_hi, flux,
-                        expected_zero=at_star and params.visc_nu == 0.0, note=note)
-
-
-#: law -> body(view, params, recomputed) -> _Finish; audit_all shares one _Recomputed
+#: law -> body(recomputed) -> _Terms | note; audit_all shares one _Recomputed
 _LAWS = {
     LawId.MASS: _mass,
     LawId.ENERGY: _energy,
-    LawId.MOMENTUM: _momentum,
-    LawId.CENTER_OF_MASS: _center_of_mass,
+    LawId.MOMENTUM: functools.partial(_nodal, LawId.MOMENTUM),
+    LawId.CENTER_OF_MASS: functools.partial(_nodal, LawId.CENTER_OF_MASS),
     LawId.ADDITIONAL_1: functools.partial(_additional, LawId.ADDITIONAL_1),
     LawId.ADDITIONAL_2: functools.partial(_additional, LawId.ADDITIONAL_2),
 }
@@ -319,7 +275,28 @@ def audit_all(view: TwoLayerView, params: SchemeParams,
     function gave for the step ending on view.lo, so bit for bit a fresh sum.
     ADDITIONAL_2's is ignored: its density holds this step's tau^2/8 term.
     """
-    rc = _Recomputed(view, params, lo_totals)
-    finish = [_LAWS[law](view, params, rc) for law in ALL_LAWS if law in laws]
-    totals = iter(exact_sums(rc.rows))  # one kernel call for every law's rows
-    return [build(totals) for build in finish]
+    rc = _Recomputed(view, params)
+    carried = {k: v for k, v in (lo_totals or {}).items() if k is not LawId.ADDITIONAL_2}
+    terms = [(law, _LAWS[law](rc)) for law in ALL_LAWS if law in laws]
+    # weighted density rows, lo unless carried, then hi, summed in one kernel call
+    rows = [t.weights * d for law, t in terms if isinstance(t, _Terms)
+            for d in ((t.d_hi,) if law in carried else (t.d_lo, t.d_hi))]
+    totals = iter(exact_sums(rows))
+    budgets = []
+    for law, t in terms:
+        if isinstance(t, str):
+            budgets.append(ConservationBudget(law=law, applicable=False, note=t))
+            continue
+        sum_lo = carried[law] if law in carried else next(totals)
+        sum_hi = next(totals)
+        net = t.flux_right - t.flux_left
+        defect = abs(sum_hi - sum_lo + view.tau * net)
+        scale = max(abs(sum_lo), abs(sum_hi), view.tau * (abs(t.flux_left) + abs(t.flux_right)))
+        budgets.append(ConservationBudget(
+            law=law, applicable=True, expected_zero=t.expected_zero,
+            per_cell_residual_max=float(np.abs(t.residuals).max()),
+            density_sum_lo=sum_lo, density_sum_hi=sum_hi,
+            boundary_flux_net=net, identity_defect=defect,
+            relative_defect=defect / scale if scale > 0.0 else 0.0,
+            note=t.note, residuals=t.residuals))
+    return budgets

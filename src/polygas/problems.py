@@ -10,6 +10,7 @@ midpoint of each cell; on a discontinuity the cell takes the side its
 midpoint falls on.
 """
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -55,7 +56,7 @@ class EulerProfile:
             raise ProblemError("node radii must be strictly increasing")
         r.setflags(write=False)
         object.__setattr__(self, "r_nodes", r)
-        if not np.isfinite(self.gamma) or self.gamma in (0.0, 1.0):
+        if not math.isfinite(self.gamma) or self.gamma in (0.0, 1.0):
             raise ProblemError(f"gamma must be finite and different from 0 and 1, got {self.gamma}")
 
     @property
@@ -167,7 +168,10 @@ def _uniform_nodes(r_min: float, r_max: float, cells: int) -> np.ndarray:
         raise ProblemError(f"need at least 2 cells, got {cells}")
     if not r_max > r_min:
         raise ProblemError(f"empty radial interval [{r_min}, {r_max}]")
-    return np.linspace(r_min, r_max, cells + 1)
+    try:
+        return np.linspace(r_min, r_max, cells + 1)
+    except ValueError as exc:  # numpy refuses a count it cannot index
+        raise ProblemError(f"cannot build a mesh of {cells} cells: {exc}") from None
 
 
 def _take(options: dict, defaults: dict, name: str) -> dict:

@@ -91,7 +91,7 @@ class BoundaryCondition:
             raise ConfigError(f"unknown boundary kind {self.kind!r}")
         if self.kind == "pressure" and self.trace is None:
             raise ConfigError("pressure boundary needs a trace")
-        if not np.isfinite(self.u_wall):
+        if not math.isfinite(self.u_wall):
             raise ConfigError("wall velocity must be finite")
 
     @classmethod
@@ -135,7 +135,7 @@ class SchemeParams:
     def __post_init__(self):
         if self.n not in GEOMETRIES:
             raise ConfigError(f"geometry exponent must be one of {GEOMETRIES}, got {self.n}")
-        if not np.isfinite(self.gamma) or self.gamma in (0.0, 1.0):
+        if not math.isfinite(self.gamma) or self.gamma in (0.0, 1.0):
             raise ConfigError(f"gamma must be finite and different from 0 and 1, got {self.gamma}")
         if not 0.0 <= self.alpha <= 1.0:
             raise ConfigError(f"alpha must lie in [0, 1], got {self.alpha}")

@@ -22,6 +22,8 @@ class LayerError(ValueError):
 
 _NODAL_FIELDS = ("r", "u")
 _CELL_FIELDS = ("rho", "p", "eps")
+#: largest mass-consistency defect (relative to the cell width) a valid layer may have
+_MASS_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -53,12 +55,11 @@ class GridLayer:
                 arr.setflags(write=False)
                 object.__setattr__(self, name, arr)
 
-    def validate(self, n: int, mass_tol: float = 1e-10) -> None:
+    def validate(self, n: int) -> None:
         """Check physical invariants for geometry exponent n (0, 1 or 2).
 
         Raises LayerError on nonpositive density, disordered or (for n >= 1)
-        negative radii, or a mass-consistency defect above ``mass_tol``
-        (relative to the cell width).
+        negative radii, or a mass-consistency defect above _MASS_TOL.
         """
         if (self.rho <= 0.0).any():
             i = int(np.argmax(self.rho <= 0.0))
@@ -70,8 +71,8 @@ class GridLayer:
         if n >= 1 and self.r[0] < 0.0:
             raise LayerError(f"negative radius {self.r[0]!r} with curved geometry n={n}")
         defect = self.mass_consistency_defect(n)
-        if defect > mass_tol:
-            raise LayerError(f"mass-consistency defect {defect:.3e} exceeds {mass_tol:.1e}")
+        if defect > _MASS_TOL:
+            raise LayerError(f"mass-consistency defect {defect:.3e} exceeds {_MASS_TOL:.1e}")
 
     def mass_consistency_defect(self, n: int) -> float:
         """Max relative defect of h_i = rho_i * (r_{i+1}^{n+1} - r_i^{n+1})/(n+1).
@@ -183,18 +184,3 @@ def exact_sums(rows) -> list[float]:
         lo, hi = tau + np.nextafter(rho - err, -np.inf), tau + np.nextafter(rho + err, np.inf)
         sums = {i: s for i, s, t in zip(idx, lo.tolist(), hi.tolist()) if s == t}
     return [sums[i] if i in sums else math.fsum(a.tolist()) for i, a in enumerate(rows)]
-
-
-def exact_sum(a) -> float:
-    """Correctly rounded sum of a float array, bit for bit math.fsum(a)."""
-    return exact_sums([a])[0]
-
-
-def total_cell_quantity(layer: GridLayer, density_cells: np.ndarray) -> float:
-    """Mass-weighted total sum(h_i * density_i), correctly rounded (exact_sum)."""
-    return exact_sum(layer.mesh.h * np.asarray(density_cells))
-
-
-def total_nodal_quantity(layer: GridLayer, density_nodes: np.ndarray) -> float:
-    """Node-mass-weighted total sum(m_i * density_i), correctly rounded (exact_sum)."""
-    return exact_sum(layer.mesh.nodal_masses * np.asarray(density_nodes))

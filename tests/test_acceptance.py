@@ -19,7 +19,7 @@ from polygas import (
     make_initial_layer,
 )
 from polygas.cli import convergence_study, resolve_config, run_simulation
-from polygas.state import cell_average, total_cell_quantity
+from polygas.state import cell_average, exact_sums
 from conftest import advance
 
 # pinned tolerances ------------------------------------------------------------------
@@ -80,8 +80,9 @@ def _max_defect(result, laws) -> float:
 
 
 def _totals(layer) -> tuple[float, float]:
-    volume = total_cell_quantity(layer, 1.0 / layer.rho)
-    energy = total_cell_quantity(layer, layer.eps + 0.5 * cell_average(layer.u * layer.u))
+    h = layer.mesh.h
+    volume, energy = exact_sums([h * (1.0 / layer.rho),
+                                 h * (layer.eps + 0.5 * cell_average(layer.u * layer.u))])
     return volume, energy
 
 

@@ -49,8 +49,6 @@ PUBLIC = [
     "run_simulation",
     "step",
     "step_residuals",
-    "total_cell_quantity",
-    "total_nodal_quantity",
     "with_resolution",
     "write_ledger",
     "write_snapshot",

@@ -376,6 +376,7 @@ _BAD_NUMBERS = [
     ("r_nodes", ("mesh",), {"r_nodes": [0.0, "0.5", 1.0]}),
     ("s_min", ("mesh",), {"s_min": False, "s_max": 1.0, "cells": 4}),
     ("alpha", ("params", "alpha"), 10 ** 400),  # no float holds it
+    ("trace", ("params", "bc_right"), {"kind": "pressure", "p0": 5.0, "trace": 2.0}),
 ]
 
 
@@ -415,6 +416,39 @@ def test_both_uniform_mesh_forms_need_two_cells(tmp_path, capsys, mesh):
     assert main(["run", "--config", str(_write_config(tmp_path, raw)),
                  "--out", str(tmp_path / "out")]) == 3
     assert "cells" in capsys.readouterr().err
+
+
+# JSON integers past 2^63, which numpy cannot cast to a float array
+@pytest.mark.parametrize("where, value, code", [
+    (("params", "gamma"), 10 ** 20, 1),
+    (("problem", "gamma"), 10 ** 20, 0),
+    (("params", "bc_left"), {"kind": "wall", "u_wall": 10 ** 20}, 1),
+], ids=["params.gamma", "problem.gamma", "u_wall"])
+def test_oversized_json_integers_run_without_a_traceback(tmp_path, capsys, where, value, code):
+    raw = _pulse_raw()
+    raw[where[0]][where[1]] = value
+    config = _write_config(tmp_path, raw)
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == code
+    assert "Traceback" not in capsys.readouterr().err
+    summary = (tmp_path / "out" / "summary.json").read_text()
+    assert (json.loads(summary)["failure"] is None) is (code == 0)
+    if where == ("params", "gamma"):  # printed as written
+        assert '"gamma": 100000000000000000000' in summary
+
+
+# cell counts numpy refuses before it allocates anything
+@pytest.mark.parametrize("where, value", [
+    ("mesh", {"cells": 10 ** 20}),
+    ("mesh", {"s_min": 0.0, "s_max": 0.5, "cells": 10 ** 20}),
+    ("problem", {"name": "smooth_pulse", "cells": 10 ** 20}),
+], ids=["mesh.cells", "mesh.s_cells", "problem.cells"])
+def test_an_unbuildable_cell_count_is_a_problem_error(tmp_path, capsys, where, value):
+    raw = _pulse_raw(**{where: value})
+    with pytest.raises(ProblemError, match="cannot build a mesh of 100000000000000000000 cells"):
+        resolve_config(raw)
+    assert main(["run", "--config", str(_write_config(tmp_path, raw)),
+                 "--out", str(tmp_path / "out")]) == 3
+    assert "100000000000000000000 cells" in capsys.readouterr().err
 
 
 def test_a_config_file_that_is_not_utf8_is_a_config_error(tmp_path, capsys):

@@ -17,7 +17,6 @@ from polygas import (
     interp_nodal_pressure,
 )
 from polygas import audit_all, conservation, state
-from polygas.state import exact_sum
 from conftest import advance, pulse_start, random_layer, random_mesh
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
@@ -98,7 +97,7 @@ def _outcome(fn, a):
 @settings(max_examples=400, deadline=None)
 @given(a=sum_inputs())
 def test_exact_sum_is_math_fsum_bit_for_bit(a):
-    assert _outcome(exact_sum, a) == _outcome(math.fsum, a)
+    assert _outcome(lambda a: state.exact_sums([a])[0], a) == _outcome(math.fsum, a)
 
 
 @settings(max_examples=200, deadline=None)
@@ -106,7 +105,7 @@ def test_exact_sum_is_math_fsum_bit_for_bit(a):
 def test_exact_sum_kernel_matches_math_fsum_at_every_size(a):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(state, "_EXACT_SUM_MIN_SIZE", 1)
-        assert _outcome(exact_sum, a) == _outcome(math.fsum, a)
+        assert _outcome(lambda a: state.exact_sums([a])[0], a) == _outcome(math.fsum, a)
 
 
 @st.composite
@@ -175,7 +174,7 @@ def test_exact_sums_certificate_settles_long_finite_input(monkeypatch):
     got = state.exact_sums(cases)
     assert [struct.pack("<d", x) for x in got] == [struct.pack("<d", x) for x in expected]
     with pytest.raises(TypeError):  # too short: math.fsum's turn
-        exact_sum(cases[0][:10])
+        state.exact_sums([cases[0][:10]])
 
 
 def _binade_span(rng, size, e_lo, span, bits=53):
@@ -242,7 +241,7 @@ def test_exact_sums_falls_back_only_where_the_certificate_cannot_decide(monkeypa
     calls = _fsum_calls(monkeypatch)
     for name, a in cases.items():
         calls.clear()
-        assert struct.pack("<d", exact_sum(a)) == struct.pack("<d", expected[name]), name
+        assert struct.pack("<d", state.exact_sums([a])[0]) == struct.pack("<d", expected[name]), name
         undecided = (name.startswith(("tie", "near-tie"))
                      or name.endswith(("deep-cancel", "tail-cancel"))
                      or not 2.0 ** -900 <= np.abs(a).max() <= 2.0 ** 900)
@@ -254,7 +253,7 @@ def test_exact_sum_zero_totals_keep_math_fsum_sign(monkeypatch):
     calls = _fsum_calls(monkeypatch)
     for zeros in (np.full(500, -0.0), np.concatenate((a, -a)), np.concatenate((-a, a, [-0.0]))):
         calls.clear()
-        assert struct.pack("<d", exact_sum(zeros)) == struct.pack("<d", math.fsum(zeros))
+        assert struct.pack("<d", state.exact_sums([zeros])[0]) == struct.pack("<d", math.fsum(zeros))
         assert calls == [zeros.size]  # math.fsum decides the sign of a zero
 
 
