@@ -104,7 +104,7 @@ def mass_coordinate(profile: EulerProfile, n: int) -> MassMesh:
         raise ProblemError(f"nonpositive density in cell {i}")
     r = profile.r_nodes
     if n >= 1 and r[0] < 0.0:
-        raise ProblemError(f"negative radius {r[0]!r} with curved geometry n={n}")
+        raise ProblemError(f"negative radius {float(r[0])!r} with curved geometry n={n}")
     increments = rho * np.diff(r ** (n + 1)) / (n + 1)
     s = np.concatenate(([0.0], np.cumsum(increments)))
     return MassMesh(s)

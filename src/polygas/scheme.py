@@ -636,12 +636,15 @@ def step(lo: GridLayer, tau: float, params: SchemeParams,
             raise reject(f"no Newton convergence in {params.newton_max_iter} iterations "
                          f"(residual {norm:.3e})")
         jac = system.jacobian(aux)
-        if not np.isfinite(np.concatenate(jac)).all():
-            raise reject("non-finite Jacobian")
         try:
             dx = system.newton_update(x, f, jac)
         except LinAlgError as exc:
             raise reject(f"linear solve failed: {exc}") from exc
+        # f is finite, so a NaN or infinity in jac shows in dx (or is divided
+        # away, leaving a usable dx); jac's arrays are tested in place only to
+        # name the cause of a non-finite dx
+        if not np.isfinite(dx).all() and not all(np.isfinite(a).all() for a in jac):
+            raise reject("non-finite Jacobian")
         # damped update: halve until the scaled norm stops growing
         best = None
         lam = 1.0

@@ -2,10 +2,11 @@
 
 Two files per layer: nodal (i, s, r, u) and cell (i, s_mid, rho, p, eps)
 tables, with floats written in shortest round-trip form so reading a
-snapshot back reproduces every value bit for bit.  Fields are unquoted and
-lines end in CRLF; the reader also accepts LF.  The sidecar records the
-time stamp and step index.  The CSVs are directly plottable (e.g. gnuplot
-with `set datafile separator ','`).
+snapshot back reproduces every value bit for bit.  A value whose bits match
+the previous write of its column is not formatted again.  Fields are
+unquoted and lines end in CRLF; the reader also accepts LF.  The sidecar
+records the time stamp and step index.  The CSVs are directly plottable
+(e.g. gnuplot with `set datafile separator ','`).
 
 Tables are converted by numpy's C reader, which rounds as float() does; a
 row-by-row walk with float() names a bad line and reads the spellings only
@@ -41,8 +42,31 @@ def _mesh_columns(s_bytes: bytes) -> tuple[tuple[str, ...], tuple[str, ...]]:
     return tuple(tuple(map("{},{!r}".format, itertools.count(), x.tolist())) for x in (mesh.s, mesh.midpoints))
 
 
+#: the last column written under each (header, column name): its bits and
+#: its spelled values, so the next write of that column formats only the
+#: values whose bits changed (bits, not values: -0.0 == 0.0 spells differently).
+#: A held list is never changed, so writers in threads need no lock.
+_SPELLED: dict[tuple[tuple[str, ...], str], tuple[np.ndarray, list[str]]] = {}
+
+
+def _spelled(key: tuple[tuple[str, ...], str], f: np.ndarray) -> list[str]:
+    """repr of every value of f, reusing the last spelling of its column where the bits match."""
+    bits = f.view(np.uint64)
+    held = _SPELLED.get(key)
+    if held is None or held[0].shape != bits.shape:
+        spelled = list(map(repr, f.tolist()))
+    else:
+        changed = np.flatnonzero(bits != held[0])
+        spelled = held[1].copy()
+        for i, x in zip(changed.tolist(), f[changed].tolist()):
+            spelled[i] = repr(x)
+    _SPELLED[key] = (bits.copy(), spelled)
+    return spelled
+
+
 def _write_table(path: Path, header: tuple[str, ...], leading, *fields: np.ndarray) -> None:
-    rows = map(",".join, zip(leading, *(map(repr, f.tolist()) for f in fields)))
+    columns = (_spelled((header, name), f) for name, f in zip(header[2:], fields))
+    rows = map(",".join, zip(leading, *columns))
     path.write_text(",".join(header) + "\r\n" + "\r\n".join(rows) + "\r\n", newline="")
 
 

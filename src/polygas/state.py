@@ -63,13 +63,13 @@ class GridLayer:
         """
         if (self.rho <= 0.0).any():
             i = int(np.argmax(self.rho <= 0.0))
-            raise LayerError(f"nonpositive density in cell {i}: rho={self.rho[i]!r}")
+            raise LayerError(f"nonpositive density in cell {i}: rho={float(self.rho[i])!r}")
         dr = self.r[1:] - self.r[:-1]
         if (dr <= 0.0).any():
             i = int(np.argmax(dr <= 0.0))
             raise LayerError(f"radii not strictly increasing at node {i + 1}")
         if n >= 1 and self.r[0] < 0.0:
-            raise LayerError(f"negative radius {self.r[0]!r} with curved geometry n={n}")
+            raise LayerError(f"negative radius {float(self.r[0])!r} with curved geometry n={n}")
         defect = self.mass_consistency_defect(n)
         if defect > _MASS_TOL:
             raise LayerError(f"mass-consistency defect {defect:.3e} exceeds {_MASS_TOL:.1e}")

@@ -1,5 +1,5 @@
-"""Shared helpers: random meshes/layers, small canned runs, a zeroed cell pivot
-and a counted, emptied snapshot table cache."""
+"""Shared helpers: random meshes/layers, small canned runs, a zeroed cell pivot,
+a counted, emptied snapshot table cache and an emptied column spelling cache."""
 
 import collections
 
@@ -94,3 +94,12 @@ def table_parses(monkeypatch):
         return _real(data, path, header)
     monkeypatch.setattr(snapshots, "_parse_table", counted)
     return parsed
+
+
+@pytest.fixture
+def fresh_spellings(monkeypatch):
+    """Empty the snapshot writer's column spellings for one test, so what it
+    writes does not depend on what earlier tests wrote; returns the cache."""
+    spelled = {}
+    monkeypatch.setattr(snapshots, "_SPELLED", spelled)
+    return spelled

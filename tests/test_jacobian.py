@@ -235,3 +235,19 @@ def test_vanishing_cell_pivot_rejects_the_step(monkeypatch):
         step(layer, 1e-3, params)
     assert not info.value.report.accepted
     assert info.value.report.iterations == 1
+
+
+@pytest.mark.parametrize("field", _Jacobian._fields)
+def test_a_nan_in_any_jacobian_array_rejects_the_step(monkeypatch, field):
+    profile, params = problem_library("smooth_pulse", cells=20)
+    layer = make_initial_layer(profile, params.n)
+    real = _StepSystem.jacobian
+
+    def jacobian(system, aux):
+        jac = real(system, aux)
+        getattr(jac, field)[5] = math.nan
+        return jac
+    monkeypatch.setattr(_StepSystem, "jacobian", jacobian)
+    with pytest.raises(StepRejected, match="^non-finite Jacobian$") as info:
+        step(layer, 1e-3, params)
+    assert info.value.report.iterations == 1

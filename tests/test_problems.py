@@ -101,6 +101,14 @@ def test_initial_layer_rejects_bad_profiles():
         make_initial_layer(negative_r, 1)
 
 
+def test_a_negative_radius_is_spelled_as_a_plain_float():
+    negative_r = EulerProfile(r_nodes=np.linspace(-0.5, 0.5, 4),
+                              rho=1.0, u=0.0, p=1.0, gamma=1.4)
+    with pytest.raises(ProblemError) as info:
+        make_initial_layer(negative_r, 1)
+    assert "negative radius -0.5 " in str(info.value) and "np.float64(" not in str(info.value)
+
+
 def test_too_few_cells_rejected():
     with pytest.raises(ProblemError, match="cells"):
         problem_library("uniform", cells=1)

@@ -1,12 +1,16 @@
+import builtins
 import dataclasses
 import itertools
 import math
+import sys
 import tempfile
+import threading
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from polygas import (
     GridLayer,
@@ -298,6 +302,99 @@ def test_any_finite_values_round_trip_bit_exact(t, r, u, rho, p, eps):
     with tempfile.TemporaryDirectory() as out_dir:
         paths = write_snapshot(layer, out_dir, step=1)
         _assert_same_layer(read_snapshot(paths["nodes"], paths["cells"]), layer)
+
+
+# --- incremental spelling --------------------------------------------------------
+
+def test_a_rewrite_formats_only_the_values_whose_bits_changed(tmp_path, fresh_spellings, monkeypatch):
+    spelled = []
+
+    def counted(x):
+        spelled.append(x)
+        return builtins.repr(x)
+    monkeypatch.setattr(snapshots, "repr", counted, raising=False)
+    layer = _golden_layer()
+    write_snapshot(layer, tmp_path, step=0)
+    assert len(spelled) == 2 * 4 + 3 * 3
+    spelled.clear()
+    p, u = layer.p.copy(), layer.u.copy()
+    p[1] = 5.0
+    u[0] = 0.0  # was -0.0: equal as a value, but its bits and its spelling differ
+    paths = write_snapshot(dataclasses.replace(layer, p=p, u=u), tmp_path, step=1)
+    assert list(map(repr, spelled)) == ["0.0", "5.0"]
+    assert paths["nodes"].read_bytes().splitlines()[1] == b"0,-0.0,0.0,0.0"
+
+
+_FIELDS = ("r", "u", "rho", "p", "eps")
+#: finite float64 values at the edges of repr's forms: signed zeros,
+#: subnormals, the smallest normal and the largest finite value
+_EDGES = (0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2250738585072014e-308,
+          sys.float_info.max, -sys.float_info.max)
+_VALUE = st.one_of(st.sampled_from(_EDGES), _FINITE)
+
+
+def _base_layer(n_cells):
+    mesh = MassMesh(np.linspace(0.0, 1.0, n_cells + 1))
+    nodes, cells = np.linspace(0.5, 1.5, n_cells + 1), np.linspace(2.0, 3.0, n_cells)
+    return GridLayer(mesh=mesh, t=0.0, r=nodes, u=-nodes, rho=cells, p=cells / 3, eps=cells / 7)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(writes=st.lists(st.tuples(st.sampled_from((5, 3)), st.lists(
+    st.tuples(st.sampled_from(_FIELDS), st.integers(0, 5), _VALUE), max_size=8)),
+    min_size=2, max_size=8))
+def test_incremental_spelling_matches_a_fresh_write(fresh_spellings, writes):
+    """Layers on two meshes, written interleaved into one directory, each with
+    a few entries flipped, spell exactly as a write from an empty cache does."""
+    fresh_spellings.clear()
+    layers = {n_cells: _base_layer(n_cells) for n_cells in (5, 3)}
+    with tempfile.TemporaryDirectory() as out_dir, tempfile.TemporaryDirectory() as fresh_dir:
+        for k, (n_cells, flips) in enumerate(writes):
+            fields = {name: getattr(layers[n_cells], name).copy() for name in _FIELDS}
+            for name, i, value in flips:
+                fields[name][i % fields[name].size] = value
+            layer = layers[n_cells] = dataclasses.replace(layers[n_cells], t=float(k), **fields)
+            paths = write_snapshot(layer, out_dir, step=k)
+            with mock.patch.dict(snapshots._SPELLED, clear=True):
+                fresh = write_snapshot(layer, fresh_dir, step=k)
+            for key in ("nodes", "cells"):
+                assert paths[key].read_bytes() == fresh[key].read_bytes()
+            _assert_same_layer(read_snapshot(paths["nodes"], paths["cells"]), layer)
+
+
+def test_writers_in_threads_each_spell_their_own_layer(tmp_path, fresh_spellings):
+    """Threads share the column spellings; every file still spells its own
+    layer as a write from an empty cache does."""
+    base = _base_layer(40)
+    layers = [dataclasses.replace(base, p=base.p + k * 1e-3 * (np.arange(40) % 3 == 0))
+              for k in range(4)]
+    expected = []
+    for k, layer in enumerate(layers):
+        with mock.patch.dict(snapshots._SPELLED, clear=True):
+            paths = write_snapshot(layer, tmp_path / "fresh", step=k)
+        expected.append(paths["cells"].read_bytes())
+    wrong = []
+
+    def writer(k):
+        for j in range(60):
+            m = (k + j) % len(layers)  # alternate so each write patches another thread's
+            paths = write_snapshot(layers[m], tmp_path / f"thread{k}", step=m)
+            if paths["cells"].read_bytes() != expected[m]:
+                wrong.append((k, j))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=writer, args=(k,)) for k in range(len(layers))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []
 
 
 # --- the table parser against the row-by-row reader -----------------------------

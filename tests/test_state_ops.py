@@ -286,6 +286,19 @@ def test_grid_layer_validate_catches_unphysical_states():
         GridLayer(**{**base, "rho": 2.0 * np.ones(4)}).validate(n=0)
 
 
+def test_validate_failures_spell_plain_floats():
+    # numpy 2 spells a numpy scalar np.float64(...) under !r, numpy 1 does not;
+    # the text reaches summary.json, so it must not depend on the version
+    mesh = MassMesh([0.0, 0.25, 0.5, 0.75, 1.0])
+    base = dict(mesh=mesh, t=0.0, r=np.linspace(0, 1, 5), u=np.zeros(5),
+                rho=np.ones(4), p=np.ones(4), eps=np.ones(4))
+    for over, n, text in (({"rho": np.array([1.0, -5e-20, 1.0, 1.0])}, 0, "rho=-5e-20"),
+                          ({"r": np.linspace(-0.2, 0.8, 5)}, 1, "negative radius -0.2 ")):
+        with pytest.raises(LayerError) as info:
+            GridLayer(**{**base, **over}).validate(n=n)
+        assert text in str(info.value) and "np.float64(" not in str(info.value)
+
+
 def test_mass_consistency_hand_value():
     # h_i = 0.5 each, rho * dr = 2 * 0.25 = 0.5: consistent for n = 0
     mesh = MassMesh([0.0, 0.5, 1.0])
