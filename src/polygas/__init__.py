@@ -25,11 +25,7 @@ from .conservation import (
     ALL_LAWS,
     ConservationBudget,
     LawId,
-    additional_1_residuals,
-    additional_2_residuals,
     audit_all,
-    effective_cell_pressure,
-    pressure_star,
     write_ledger,
 )
 from .problems import (
@@ -74,19 +70,15 @@ __all__ = [
     "StepRejected",
     "StepReport",
     "TwoLayerView",
-    "additional_1_residuals",
-    "additional_2_residuals",
     "audit_all",
     "audit_snapshots",
     "cell_average",
     "convergence_study",
-    "effective_cell_pressure",
     "interp_nodal_pressure",
     "invert_mass_coordinate",
     "load_config",
     "make_initial_layer",
     "mass_coordinate",
-    "pressure_star",
     "problem_library",
     "r_factor",
     "read_snapshot",

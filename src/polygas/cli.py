@@ -24,7 +24,7 @@ import numpy as np
 from .conservation import ALL_LAWS, LawId, audit_all, write_ledger
 from .mesh import MeshError
 from .problems import (EulerProfile, ProblemError, _uniform_nodes, invert_mass_coordinate,
-                       make_initial_layer, problem_library)
+                       make_initial_layer, mass_coordinate, problem_library)
 from .scheme import (
     FLOOR_REASON,
     BoundaryCondition,
@@ -197,15 +197,26 @@ def _resolve_mesh(spec: dict, profile: EulerProfile, n: int) -> EulerProfile:
         raise ConfigError(f"mesh spec must be one of {[sorted(f) for f in _MESH_FORMS]}, "
                           f"got keys {sorted(spec)}")
     if "r_nodes" in spec:
-        return profile.with_r_nodes(spec["r_nodes"])
+        return dataclasses.replace(profile, r_nodes=spec["r_nodes"])
     if "s_nodes" in spec:
-        s = spec["s_nodes"]
+        s = np.asarray(spec["s_nodes"], dtype=float)
     elif "s_min" in spec:
         s = _uniform_nodes(spec["s_min"], spec["s_max"], spec["cells"])
     else:  # uniform in r over the problem's interval
         r = profile.r_nodes
-        return profile.with_r_nodes(_uniform_nodes(r[0], r[-1], spec["cells"]))
-    return profile.with_r_nodes(invert_mass_coordinate(profile, n, s))
+        return dataclasses.replace(profile, r_nodes=_uniform_nodes(r[0], r[-1], spec["cells"]))
+    profile = dataclasses.replace(profile, r_nodes=invert_mass_coordinate(profile, n, s))
+    # the run rebuilds s from midpoint densities, starting at 0; a cell across a
+    # density jump gets one side's density and so a different mass.  Round-off
+    # scales with s itself, not with the span of an offset mesh.
+    ran = mass_coordinate(profile, n).s
+    off = np.nonzero(np.abs(ran - (s - s[0])) > 1e-12 * s[-1])[0]
+    if off.size:
+        i = int(off[0])
+        raise ConfigError(f"mass-coordinate mesh node {i} at s={float(s[i])!r} would run at "
+                          f"s={float(s[0] + ran[i])!r}: a cell straddles a density jump; "
+                          f"put a node on every jump")
+    return profile
 
 
 def resolve_config(raw: dict) -> RunConfig:

@@ -135,20 +135,6 @@ class _Recomputed:
         self.ru: dict[str, np.ndarray] | None = None
 
 
-def effective_cell_pressure(view: TwoLayerView, params: SchemeParams) -> np.ndarray:
-    """Alpha-weighted cell pressure plus the artificial viscosity visc_nu *
-    rho^{(1/2)} * (du)^2 where the cell compresses, (R v)_s < 0; shape (N,)."""
-    return _Recomputed(view, params).p_eff
-
-
-def pressure_star(view: TwoLayerView, params: SchemeParams) -> np.ndarray:
-    """Nodal flux pressure, shape (N+1): width-weighted interpolation of the
-    effective cell pressure at interior nodes, boundary closure at the ends
-    (adjacent cell value for a wall, the alpha-weighted trace for a pressure
-    boundary)."""
-    return _Recomputed(view, params).star
-
-
 class _Terms(NamedTuple):
     """What one law contributes to its budget: densities d_lo, d_hi weighted by
     cell or node masses, the local residual and the boundary fluxes."""
@@ -239,20 +225,6 @@ def _additional(law: LawId, rc: _Recomputed) -> _Terms | str:
     if not rc.params.is_conservative:
         return "quadratic balances hold only in conservative EOS mode"
     return _quadratic(law, rc)
-
-
-def additional_1_residuals(view: TwoLayerView, params: SchemeParams) -> np.ndarray:
-    """Per-cell residual of the first quadratic balance, with no applicability
-    gate, so off-design configurations (pointwise mode, gamma far from
-    gamma_star) can be measured as negative controls."""
-    return _quadratic(LawId.ADDITIONAL_1, _Recomputed(view, params)).residuals
-
-
-def additional_2_residuals(view: TwoLayerView, params: SchemeParams,
-                           include_correction: bool = True) -> np.ndarray:
-    """Per-cell residual of the second quadratic balance (ungated)."""
-    return _quadratic(LawId.ADDITIONAL_2, _Recomputed(view, params),
-                      include_correction).residuals
 
 
 #: law -> body(recomputed) -> _Terms | note; audit_all shares one _Recomputed

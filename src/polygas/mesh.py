@@ -6,6 +6,7 @@ values s_0 < s_1 < ... < s_N are fixed for the whole run; kinematic fields
 pressure, internal energy) on the N cells between them.
 """
 
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -36,9 +37,12 @@ class MassMesh:
             raise MeshError(f"need at least 3 mass nodes (2 cells), got shape {s.shape}")
         if not np.all(np.isfinite(s)):
             raise MeshError("mass nodes must be finite")
-        bad = np.nonzero(np.diff(s) <= 0.0)[0]
+        bad = np.nonzero(s[1:] <= s[:-1])[0]
         if bad.size:
             raise MeshError(f"mass nodes must be strictly increasing; violated at interval {bad[0]}")
+        # within half the float range every midpoint and width is finite
+        if max(-s[0], s[-1]) > sys.float_info.max / 2:
+            raise MeshError(f"mass nodes must lie within ±{sys.float_info.max / 2!r}")
         s.setflags(write=False)
         object.__setattr__(self, "s", s)
 

@@ -11,7 +11,7 @@ midpoint falls on.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -71,9 +71,6 @@ class EulerProfile:
 
     def nodal_u(self) -> np.ndarray:
         return _sample(self.u, self.r_nodes, "u")
-
-    def with_r_nodes(self, r_nodes) -> "EulerProfile":
-        return replace(self, r_nodes=np.asarray(r_nodes, dtype=float))
 
 
 def _sample(spec: FieldSpec, at: np.ndarray, name: str) -> np.ndarray:

@@ -17,6 +17,7 @@ from polygas import (
     LayerError,
     MeshError,
     ProblemError,
+    mass_coordinate,
     read_snapshot,
     snapshots,
 )
@@ -161,6 +162,34 @@ def test_mesh_forms():
 
     with pytest.raises(ConfigError, match="mesh spec"):
         resolve_config(_pulse_raw(mesh={"cells": 8, "r_nodes": nodes}))
+
+
+def test_a_mass_mesh_across_a_density_jump_is_a_config_error(tmp_path, capsys):
+    # sod's density jumps at s = 0.5; 4 cells up to 0.5625 put no node there,
+    # so the cell across it would take one side's density and lose 12% of its mass
+    raw = {"problem": {"name": "sod"}, "time": {"t_end": 0.01, "tau": 0.01},
+           "mesh": {"s_min": 0.0, "s_max": 0.5625, "cells": 4}}
+    with pytest.raises(ConfigError, match="mesh node 4 at s=0.5625 would run at "
+                                          "s=0.494140625: a cell straddles a density jump"):
+        resolve_config(raw)
+    assert main(["run", "--config", str(_write_config(tmp_path, raw)),
+                 "--out", str(tmp_path / "out")]) == 3
+    assert "straddles a density jump" in capsys.readouterr().err
+    # 9 cells put a node on the jump
+    raw["mesh"]["cells"] = 9
+    assert mass_coordinate(resolve_config(raw).profile, 0).s[-1] == 0.5625
+
+
+@pytest.mark.parametrize("start", (0.25, 0.999999))
+@pytest.mark.parametrize("n", (0, 1, 2))
+def test_a_mass_mesh_that_starts_past_zero_resolves(n, start):
+    # the run's mass coordinate starts at 0; s_min only says where in the
+    # profile.  Round-off follows s, so a narrow mesh far out is no jump either.
+    s_min, s_max = start / (n + 1), 1.0 / (n + 1)
+    raw = {"problem": "uniform", "params": {"n": n}, "time": {"t_end": 0.01, "tau": 0.01},
+           "mesh": {"s_min": s_min, "s_max": s_max, "cells": 6}}
+    s = mass_coordinate(resolve_config(raw).profile, n).s
+    assert s == pytest.approx(np.linspace(s_min, s_max, 7) - s_min, abs=1e-15)
 
 
 def test_with_resolution_requires_cells_mesh():
@@ -470,7 +499,7 @@ _MUTATION_BASES = [
                 "bc_right": {"kind": "pressure",
                              "trace": {"kind": "linear", "p0": 0.1, "rate": 0.5}}},
      "time": {"t_end": 0.02, "tau": 0.01, "allow_tau_halving": True, "max_halvings": 3},
-     "mesh": {"s_min": 0.0, "s_max": 0.5625, "cells": 6},
+     "mesh": {"s_min": 0.0, "s_max": 0.5625, "cells": 9},
      "snapshot_every": 1, "output_dir": "out", "audit": ["mass", "energy"],
      "budget_tol": 1e-9},
     {"problem": {"name": "smooth_pulse", "cells": 10, "amplitude": 0.05},

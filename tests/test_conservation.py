@@ -11,14 +11,10 @@ from polygas import (
     LawId,
     SchemeParams,
     TwoLayerView,
-    additional_1_residuals,
-    additional_2_residuals,
     audit_all,
     cell_average,
-    effective_cell_pressure,
     interp_nodal_pressure,
     make_initial_layer,
-    pressure_star,
     problem_library,
     step,
     write_ledger,
@@ -215,8 +211,8 @@ def test_audit_all_recomputes_shared_intermediates_once(monkeypatch, rng, visc_n
 def test_pressure_star_interior_and_wall_closure(rng):
     view = random_view(rng, n_cells=6)
     params = SchemeParams(n=0, gamma=1.4, alpha=0.3)
-    star = pressure_star(view, params)
-    p_eff = effective_cell_pressure(view, params)
+    rc = conservation._Recomputed(view, params)
+    star, p_eff = rc.star, rc.p_eff
     assert np.array_equal(star[1:-1], interp_nodal_pressure(p_eff, view.mesh))
     assert star[0] == p_eff[0]
     assert star[-1] == p_eff[-1]
@@ -228,7 +224,7 @@ def test_pressure_star_uses_trace_at_pressure_boundaries(rng):
                           bc_left=BoundaryCondition.pressure(3.0),
                           bc_right=BoundaryCondition.pressure(
                               __import__("polygas").PressureTrace("linear", p0=1.0, rate=2.0)))
-    star = pressure_star(view, params)
+    star = conservation._Recomputed(view, params).star
     assert star[0] == 3.0
     expected = 0.25 * (1.0 + 2.0 * view.hi.t) + 0.75 * (1.0 + 2.0 * view.lo.t)
     assert star[-1] == pytest.approx(expected, rel=1e-15)
@@ -236,29 +232,34 @@ def test_pressure_star_uses_trace_at_pressure_boundaries(rng):
 
 # --- detection power --------------------------------------------------------------------
 
+def _worst_ungated(law, views, params, include_correction=True):
+    return max(float(np.max(np.abs(conservation._quadratic(
+        law, conservation._Recomputed(v, params), include_correction).residuals)))
+        for v in views)
+
+
 def test_raw_evaluators_detect_off_design_configurations():
     on_design, params_on = pulse_start(n=0, gamma=3.0, cells=24, eos_mode="conservative")
     views_on = advance(on_design, params_on, 0.02, 5)
-    base = max(float(np.max(np.abs(additional_1_residuals(v, params_on)))) for v in views_on)
+    base = _worst_ungated(LawId.ADDITIONAL_1, views_on, params_on)
     assert base < 1e-10
 
     off_gamma, params_off = pulse_start(n=0, gamma=1.4, cells=24, eos_mode="conservative")
     views_off = advance(off_gamma, params_off, 0.02, 5)
-    off = max(float(np.max(np.abs(additional_1_residuals(v, params_off)))) for v in views_off)
+    off = _worst_ungated(LawId.ADDITIONAL_1, views_off, params_off)
     assert off > 1e-4
 
     pointwise, params_pw = pulse_start(n=0, gamma=3.0, cells=24, eos_mode="pointwise")
     views_pw = advance(pointwise, params_pw, 0.02, 5)
-    pw = max(float(np.max(np.abs(additional_1_residuals(v, params_pw)))) for v in views_pw)
+    pw = _worst_ungated(LawId.ADDITIONAL_1, views_pw, params_pw)
     assert pw > 1e-7
 
 
 def test_second_balance_needs_its_step_correction():
     layer, params = pulse_start(n=0, gamma=3.0, cells=24, eos_mode="conservative")
     views = advance(layer, params, 0.02, 5)
-    with_corr = max(float(np.max(np.abs(additional_2_residuals(v, params)))) for v in views)
-    without = max(float(np.max(np.abs(additional_2_residuals(v, params, include_correction=False))))
-                  for v in views)
+    with_corr = _worst_ungated(LawId.ADDITIONAL_2, views, params)
+    without = _worst_ungated(LawId.ADDITIONAL_2, views, params, include_correction=False)
     assert with_corr < 1e-10
     assert without > 1e3 * with_corr
 

@@ -58,6 +58,14 @@ def test_rejects_disordered_or_short_nodes():
         MassMesh([0.0, np.nan, 1.0])
 
 
+@pytest.mark.parametrize("nodes", ([0.0, 1e308, 1.7e308], [-1.7e308, 1.7e308, 1.75e308]))
+def test_rejects_nodes_past_half_the_float_range(nodes):
+    # a midpoint or a width of such nodes overflows; a snapshot of them could
+    # be written but not read back
+    with pytest.raises(MeshError, match="within"):
+        MassMesh(nodes)
+
+
 def test_uniform_mesh_rejects_bad_arguments():
     with pytest.raises(MeshError):
         MassMesh(np.linspace(0.0, 1.0, 2))  # one cell

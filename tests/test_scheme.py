@@ -14,13 +14,13 @@ from polygas import (
     MassMesh,
     TwoLayerView,
     cell_average,
-    effective_cell_pressure,
     make_initial_layer,
     problem_library,
     r_factor,
     step,
     step_residuals,
 )
+from polygas.conservation import _Recomputed
 from polygas.scheme import _StepSystem, _scaled_norm
 from polygas.state import exact_sums
 
@@ -77,14 +77,14 @@ def test_viscous_pressure_hand_value():
     # with (R v)_s = -0.5, in the solver's kernel and in the audit alike
     view = _plane_view([0.5, 0.0, -0.5], [0.5, 0.0, -0.5])
     params = SchemeParams(n=0, gamma=1.4, visc_nu=2.0)
-    assert effective_cell_pressure(view, params) == pytest.approx([1.5, 1.5], rel=1e-14)
+    assert _Recomputed(view, params).p_eff == pytest.approx([1.5, 1.5], rel=1e-14)
     assert step_residuals(view, params)["energy"] == pytest.approx([-0.75, -0.75], rel=1e-14)
     # expansion: switch off
     view = _plane_view([-0.5, 0.0, 0.5], [-0.5, 0.0, 0.5])
-    assert np.all(effective_cell_pressure(view, params) == 1.0)
+    assert np.all(_Recomputed(view, params).p_eff == 1.0)
     assert np.all(step_residuals(view, params)["energy"] == 0.5)
     params = SchemeParams(n=0, gamma=1.4, visc_nu=0.0)
-    assert np.all(effective_cell_pressure(view, params) == 1.0)
+    assert np.all(_Recomputed(view, params).p_eff == 1.0)
     assert np.all(step_residuals(view, params)["energy"] == 0.5)
 
 
