@@ -330,7 +330,6 @@ def run_simulation(cfg: RunConfig, out_dir=None) -> SimulationResult:
         else:
             failure = str(rejected)
             reports.append(rejected.report)
-            log.error("step %d rejected: %s", step_index, failure)
             break
         view = TwoLayerView(lo=layer, hi=hi, tau=tau_j)
         for budget in audit_all(view, cfg.params, cfg.laws, lo_totals=lo_totals):
@@ -460,12 +459,11 @@ def _write_convergence(report: dict, out_dir) -> None:
 
 # --- offline audit ------------------------------------------------------------------
 
-def audit_snapshots(cfg: RunConfig, lo_nodes, lo_cells, hi_nodes, hi_cells,
-                    tau: float | None = None) -> list[dict]:
+def audit_snapshots(cfg: RunConfig, lo_nodes, lo_cells, hi_nodes, hi_cells) -> list[dict]:
     """Rebuild two layers from snapshot files and audit the step between them.
 
-    The hi-side sidecar, read once, gives the hi time, the step index and,
-    unless tau is given, the step length, so the records match the inline
+    The hi-side sidecar, read once, gives the hi time, the step index and the
+    step length (else the time difference), so the records match the inline
     ledger of the producing run byte for byte.
     """
     lo = read_snapshot(lo_nodes, lo_cells)
@@ -474,8 +472,7 @@ def audit_snapshots(cfg: RunConfig, lo_nodes, lo_cells, hi_nodes, hi_cells,
         raise SnapshotError("snapshots live on different meshes; audit needs one mesh")
     meta = read_snapshot_meta(hi_nodes, hi.mesh.n_cells) or {}
     hi = dataclasses.replace(hi, t=float(meta.get("time", 0.0)))
-    if tau is None:
-        tau = float(meta.get("tau", hi.t - lo.t))
+    tau = float(meta.get("tau", hi.t - lo.t))
     if not tau > 0.0:
         raise SnapshotError(f"non-positive step length {tau} between snapshots")
     step_index = int(meta["step"]) - 1 if "step" in meta else None
@@ -515,15 +512,12 @@ def _cmd_convergence(args) -> int:
 
 def _cmd_audit(args) -> int:
     cfg = load_config(args.config)
-    records = audit_snapshots(cfg, args.lo_nodes, args.lo_cells,
-                              args.hi_nodes, args.hi_cells, tau=args.tau)
-    lines = [json.dumps(record) for record in records]
+    records = audit_snapshots(cfg, args.lo_nodes, args.lo_cells, args.hi_nodes, args.hi_cells)
     if args.out:
         Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-        with open(args.out, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
-    for line in lines:
-        print(line)
+        write_ledger(records, args.out)
+    for record in records:
+        print(json.dumps(record))
     return 0
 
 
@@ -552,8 +546,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_audit.add_argument("--lo-cells", required=True)
     p_audit.add_argument("--hi-nodes", required=True)
     p_audit.add_argument("--hi-cells", required=True)
-    p_audit.add_argument("--tau", type=float, default=None,
-                         help="step length (default: hi sidecar, else time difference)")
     p_audit.add_argument("--out", help="also write the records to this JSONL file")
     p_audit.set_defaults(func=_cmd_audit)
     return parser
@@ -566,11 +558,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ProblemError, MeshError, LayerError, SnapshotError) as exc:
-        log.error("%s", exc)
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
+    except (ConfigError, ProblemError, MeshError, LayerError, SnapshotError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

@@ -70,7 +70,10 @@ class PressureTrace:
             return self.p0
         if self.kind == "linear":
             return self.p0 + self.rate * t
-        return self.p0 * math.exp(-self.rate * t)
+        try:
+            return self.p0 * math.exp(-self.rate * t)
+        except OverflowError:  # exp raises past ~709, where a linear trace gives inf
+            return math.inf
 
 
 @dataclass(frozen=True)

@@ -11,10 +11,9 @@ records the time stamp and step index.  The CSVs are directly plottable
 Tables are converted by numpy's C reader, which rounds as float() does; a
 row-by-row walk with float() names a bad line and reads the spellings only
 float() accepts.  The reader keeps the last few tables it parsed, keyed by
-their exact bytes, so a file rewritten in place is always parsed afresh.
+their path and exact bytes, so a file rewritten in place is parsed afresh.
 """
 
-import collections
 import functools
 import itertools
 import json
@@ -95,31 +94,25 @@ def write_snapshot(layer: GridLayer, out_dir, step: int,
     return paths
 
 
-#: parsed tables by (file bytes, header), least recently read first; four is
-#: the two tables of each of the last two snapshots, so a series audit of
-#: consecutive pairs parses the snapshot the pairs share once
-_TABLES: collections.OrderedDict[tuple[bytes, tuple[str, ...]], np.ndarray] = collections.OrderedDict()
-_TABLES_HELD = 4
-
-
 def _read_table(path, header: tuple[str, ...]) -> np.ndarray:
-    """The table's value columns, read-only; a table whose exact bytes were
-    among the last _TABLES_HELD read is not parsed again."""
+    """The table's value columns, read-only."""
     path = Path(path)
     try:
         data = path.read_bytes()
     except (FileNotFoundError, NotADirectoryError):
         raise SnapshotError(f"snapshot file not found: {path}") from None
-    key = (data, header)
-    table = _TABLES.get(key)
-    if table is None:
-        table = _parse_table(data, path, header)
-        table.setflags(write=False)
-        _TABLES[key] = table
-        if len(_TABLES) > _TABLES_HELD:
-            _TABLES.popitem(last=False)
-    else:
-        _TABLES.move_to_end(key)
+    return _table(data, path, header)
+
+
+@functools.lru_cache(maxsize=4)
+def _table(data: bytes, path: Path, header: tuple[str, ...]) -> np.ndarray:
+    """The read-only table parsed from these bytes.  Four are the two tables of
+    each of the last two snapshots, so a series audit of consecutive pairs
+    parses the snapshot the pairs share once.  Errors name the path, so it is
+    in the key: two files of identical bytes are parsed once each.  An error
+    is not cached: it is raised on every read."""
+    table = _parse_table(data, path, header)
+    table.setflags(write=False)
     return table
 
 

@@ -1,8 +1,6 @@
 """Shared helpers: random meshes/layers, small canned runs, a zeroed cell pivot,
 a counted, emptied snapshot table cache and an emptied column spelling cache."""
 
-import collections
-
 import numpy as np
 import pytest
 
@@ -86,7 +84,7 @@ def table_parses(monkeypatch):
     """Empty the snapshot reader's table cache for one test and record the
     path of every table it parses, so parse counts do not depend on what
     earlier tests read."""
-    monkeypatch.setattr(snapshots, "_TABLES", collections.OrderedDict())
+    snapshots._table.cache_clear()
     parsed = []
 
     def counted(data, path, header, _real=snapshots._parse_table):

@@ -11,10 +11,9 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from polygas import LawId, conservation, make_initial_layer
+from polygas import LawId, TwoLayerView, conservation, step
 from polygas.cli import convergence_study, resolve_config, run_simulation
 from polygas.state import cell_average, exact_sums
-from conftest import advance
 
 # pinned tolerances ------------------------------------------------------------------
 TOL_STATIC_DEFECT = 1e-13      # budgets on a resting uniform state
@@ -54,14 +53,18 @@ def _run(name: str, n: int, gamma: float, eos_mode: str, cells: int,
 
 @lru_cache(maxsize=None)
 def _views(*key):
-    """The layer pairs of the _run(*key) run, stepped again with its config and
-    the step lengths its ledger records (the last step may be shortened)."""
+    """The layer pairs of the _run(*key) run, stepped again as the run steps:
+    with its config, the step lengths its ledger records (the last step may be
+    shortened) and Newton warm-started from the last accepted layers."""
     cfg, result = _run(*key)
-    layer = make_initial_layer(cfg.profile, cfg.params.n)
-    views = []
+    layer, earlier, views = result.initial_layer, (), []
     for rec in _law_records(result, LawId.MASS):
-        views += advance(layer, cfg.params, rec["tau"], 1)
-        layer = views[-1].hi
+        hi, _ = step(layer, rec["tau"], cfg.params, earlier=earlier)
+        views.append(TwoLayerView(lo=layer, hi=hi, tau=rec["tau"]))
+        earlier, layer = (layer, *earlier[:1]), hi
+    assert layer.t == result.final_layer.t  # the run's own layers, bit for bit
+    for name in ("r", "u", "rho", "p", "eps"):
+        assert getattr(layer, name).tobytes() == getattr(result.final_layer, name).tobytes()
     return views
 
 

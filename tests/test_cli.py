@@ -672,7 +672,7 @@ def test_a_series_audit_equals_pairs_audited_with_an_empty_cache(tmp_path, table
     in_order = [json.dumps(record) for pair in pairs for record in audit_snapshots(cfg, *pair)]
     fresh = []
     for pair in pairs:
-        snapshots._TABLES.clear()
+        snapshots._table.cache_clear()
         fresh += [json.dumps(record) for record in audit_snapshots(cfg, *pair)]
     assert len(table_parses) == 10 + 4 * len(pairs)
     assert in_order == fresh
@@ -807,6 +807,39 @@ def test_audit_names_the_line_of_a_non_numeric_field(tmp_path, capsys):
     assert f"{hi_cells}:3: could not convert string to float: 'abc'" in capsys.readouterr().err
 
 
+def test_audit_with_an_exp_decay_trace_that_overflows_exits_3(tmp_path, capsys):
+    args, _, _ = _audit_pair(tmp_path)  # the pair t = 0 -> 0.01: exp(1000) overflows
+    raw = _pulse_raw()
+    raw["params"]["bc_right"] = {"kind": "pressure",
+                                 "trace": {"kind": "exp_decay", "p0": 1, "rate": -1e5}}
+    args[args.index("--config") + 1] = str(_write_config(tmp_path, raw, "decay.json"))
+    capsys.readouterr()
+    assert main(args) == 3
+    assert capsys.readouterr().err == "error: boundary pressure trace not finite on [0.0, 0.01]\n"
+
+
+def test_audit_of_a_sidecar_without_tau_at_the_lo_time_is_an_error(tmp_path, capsys):
+    args, hi_nodes, _ = _audit_pair(tmp_path)
+    meta = Path(str(hi_nodes).replace("_nodes.csv", "_meta.json"))
+    meta.write_text('{"time": 0.0, "step": 1, "cells": 20}')
+    capsys.readouterr()
+    assert main(args) == 3
+    assert capsys.readouterr().err == "error: non-positive step length 0.0 between snapshots\n"
+
+
+def test_audit_out_of_no_laws_is_an_empty_file_like_the_run_ledger(tmp_path, capsys):
+    args, _, _ = _audit_pair(tmp_path)
+    raw = _pulse_raw(audit="none", snapshot_every=1, time={"t_end": 0.02, "tau": 0.01})
+    assert main(["run", "--config", str(_write_config(tmp_path, raw, "none.json")),
+                 "--out", str(tmp_path / "none")]) == 0
+    args[args.index("--config") + 1] = str(tmp_path / "none.json")
+    capsys.readouterr()
+    assert main(args + ["--out", str(tmp_path / "audit" / "none.jsonl")]) == 0
+    assert capsys.readouterr().out == ""
+    assert (tmp_path / "audit" / "none.jsonl").read_bytes() == b""
+    assert (tmp_path / "none" / "ledger.jsonl").read_bytes() == b""
+
+
 def test_main_convergence_writes_tables(tmp_path, capsys):
     raw = {
         "problem": {"name": "uniform", "cells": 4},
@@ -841,3 +874,63 @@ def test_main_exit_codes(tmp_path, capsys):
     missing_out = _write_config(tmp_path, _pulse_raw(), "no_out.json")
     assert main(["run", "--config", str(missing_out)]) == 3
     assert "output directory" in capsys.readouterr().err
+
+
+# config errors, an unwritable --out and a failed convergence level, through main
+_EXIT_3 = {
+    "wall-p0": (("params", "bc_left"), {"kind": "wall", "p0": 1},
+                "config.params.bc_left: wall boundary takes no ['p0']"),
+    "empty-interval": (("problem",), {"name": "smooth_pulse", "cells": 20, "r_min": 1, "r_max": 0.5},
+                       "empty radial interval [1, 0.5]"),
+    "disordered-r-nodes": (("mesh",), {"r_nodes": [0, 0.5, 0.4, 1]},
+                           "node radii must be strictly increasing"),
+    "zero-newton-tol": (("params", "newton_tol"), 0, "newton_tol must be positive"),
+}
+
+
+@pytest.mark.parametrize("case", list(_EXIT_3))
+def test_a_config_error_exits_3_with_its_message(tmp_path, capsys, case):
+    path, value, message = _EXIT_3[case]
+    raw = _pulse_raw()
+    target = raw
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    assert main(["run", "--config", str(_write_config(tmp_path, raw)),
+                 "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_an_out_directory_below_a_regular_file_exits_3(tmp_path, capsys):
+    (tmp_path / "file").write_text("")
+    out = tmp_path / "file" / "out"
+    assert main(["run", "--config", str(_write_config(tmp_path, _pulse_raw())),
+                 "--out", str(out)]) == 3
+    assert capsys.readouterr().err == f"error: [Errno 20] Not a directory: '{out}'\n"
+
+
+def test_a_failed_convergence_level_exits_3_naming_it(tmp_path, capsys):
+    raw = _pulse_raw(problem={"name": "smooth_pulse", "cells": 10, "amplitude": 0.3})
+    raw["params"]["newton_max_iter"] = 1
+    assert main(["convergence", "--config", str(_write_config(tmp_path, raw))]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: convergence run at cells=10, tau=0.01 failed: ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("raw, code, start", [
+    ({"problem": "nonexistent", "time": {"t_end": 0.1, "tau": 0.1}}, 3, "error: "),
+    (_pulse_raw(problem={"name": "smooth_pulse", "cells": 10, "amplitude": 0.3},
+                params={"n": 0, "gamma": 1.4, "newton_max_iter": 1}),
+     1, "ERROR polygas: run stopped after 0 steps: "),
+], ids=["bad-config", "rejected-step"])
+def test_an_error_prints_one_stderr_line(tmp_path, raw, code, start):
+    """Through a process of its own, since pytest captures log records."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, POLYGAS_LOG="warning")
+    done = subprocess.run([sys.executable, "-m", "polygas", "run",
+                           "--config", str(_write_config(tmp_path, raw)),
+                           "--out", str(tmp_path / "out")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == code
+    assert done.stderr.startswith(start) and done.stderr.count("\n") == 1, done.stderr

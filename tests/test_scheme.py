@@ -21,7 +21,7 @@ from polygas import (
     step_residuals,
 )
 from polygas.conservation import _Recomputed
-from polygas.scheme import _StepSystem, _scaled_norm
+from polygas.scheme import _StepSystem, _scaled_norm, boundary_pressure
 from polygas.state import exact_sums
 
 from conftest import advance, pulse_start
@@ -380,6 +380,14 @@ def test_pressure_trace_shapes():
     assert PressureTrace("exp_decay", p0=1.0, rate=1.0)(1.0) == pytest.approx(math.exp(-1.0))
     with pytest.raises(ConfigError):
         PressureTrace("steps")
+
+
+def test_an_exp_decay_trace_that_overflows_is_a_named_config_error():
+    bc = BoundaryCondition.pressure(PressureTrace("exp_decay", p0=1.0, rate=-1000.0))
+    assert boundary_pressure(bc, 0.0, 0.4, 0.5) > 1e173
+    with pytest.raises(ConfigError) as info:
+        boundary_pressure(bc, 0.4, 0.8, 0.5)
+    assert str(info.value) == "boundary pressure trace not finite on [0.4, 0.8]"
 
 
 def test_boundary_condition_validation():

@@ -154,6 +154,12 @@ def test_missing_tables_are_not_found_and_a_missing_sidecar_is_none(tmp_path):
     assert read_snapshot(paths["nodes"], paths["cells"]).t == 0.0
 
 
+
+def test_a_file_not_named_like_a_nodes_table_has_no_sidecar(tmp_path):
+    paths = write_snapshot(_sample_layer(), tmp_path, step=7, tau=0.0125)
+    assert paths["meta"].is_file() and read_snapshot_meta(paths["cells"]) is None
+
+
 # --- exact file format ---------------------------------------------------------
 
 def _golden_layer():
@@ -261,7 +267,7 @@ def test_a_corrupt_table_raises_on_every_read_naming_its_path(tmp_path, table_pa
             read_snapshot(nodes, cells, t=0.0)
         assert str(info.value) == f"{nodes}:3: could not convert string to float: 'abc'"
     assert table_parses == paths
-    assert not snapshots._TABLES
+    assert snapshots._table.cache_info().currsize == 0
 
 
 def test_the_reader_holds_at_most_four_tables(tmp_path, table_parses):
@@ -270,12 +276,12 @@ def test_the_reader_holds_at_most_four_tables(tmp_path, table_parses):
                for k in range(3)]
     for paths in written:
         read_snapshot(paths["nodes"], paths["cells"])
-    assert len(table_parses) == 6 and len(snapshots._TABLES) == 4
+    assert len(table_parses) == 6 and snapshots._table.cache_info().currsize == 4
     # the least recently read snapshot was dropped; the last one is still held
     for paths in (written[0], written[2]):
         read_snapshot(paths["nodes"], paths["cells"])
     assert table_parses[6:] == [written[0]["nodes"], written[0]["cells"]]
-    assert len(snapshots._TABLES) == 4
+    assert snapshots._table.cache_info().currsize == 4
 
 
 def test_tables_handed_out_are_read_only(tmp_path):
