@@ -374,11 +374,10 @@ def run_simulation(cfg: RunConfig, out_dir=None) -> SimulationResult:
         with open(out_path / "summary.json", "w") as fh:
             json.dump(summary, fh, indent=2)
             fh.write("\n")
-    if failure:
-        log.error("run stopped after %d steps: %s", step_index, failure)
-    elif violations:
+    # a failure is the caller's to report: `run` logs it, a convergence level raises it
+    if violations and not failure:
         log.warning("run finished with %d budget violations", len(violations))
-    else:
+    elif not failure:
         log.info("run finished: %d steps to t=%g", step_index, layer.t)
     return SimulationResult(
         initial_layer=initial, final_layer=layer, steps=step_index, records=records,
@@ -468,7 +467,7 @@ def audit_snapshots(cfg: RunConfig, lo_nodes, lo_cells, hi_nodes, hi_cells) -> l
     """
     lo = read_snapshot(lo_nodes, lo_cells)
     hi = read_snapshot(hi_nodes, hi_cells, t=0.0)
-    if not np.array_equal(lo.mesh.s, hi.mesh.s):
+    if lo.mesh is not hi.mesh and not np.array_equal(lo.mesh.s, hi.mesh.s):
         raise SnapshotError("snapshots live on different meshes; audit needs one mesh")
     meta = read_snapshot_meta(hi_nodes, hi.mesh.n_cells) or {}
     hi = dataclasses.replace(hi, t=float(meta.get("time", 0.0)))
@@ -489,6 +488,8 @@ def _cmd_run(args) -> int:
     if out_dir is None:
         raise ConfigError("no output directory: pass --out or set 'output_dir'")
     result = run_simulation(cfg, out_dir=out_dir)
+    if result.failure:
+        log.error("run stopped after %d steps: %s", result.steps, result.failure)
     print(f"{cfg.problem_name}: {result.steps} steps to t={result.final_layer.t:g}, "
           f"exit {result.exit_code}"
           + (f" ({result.failure})" if result.failure else

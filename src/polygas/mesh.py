@@ -25,8 +25,8 @@ class MassMesh:
 
     Cell widths and midpoints are always derived from ``s`` so there is a
     single source of truth; the node array is made read-only on construction.
-    Widths, nodal masses, staggered spacings and the node weights of the
-    pressure jump are computed once per mesh and handed out read-only.
+    Widths, midpoints, nodal masses, staggered spacings and the node weights
+    of the pressure jump are computed once per mesh and handed out read-only.
     """
 
     s: np.ndarray
@@ -59,10 +59,10 @@ class MassMesh:
         """Cell widths h_i = s_{i+1} - s_i, shape (N,)."""
         return _read_only(np.diff(self.s))
 
-    @property
+    @cached_property
     def midpoints(self) -> np.ndarray:
         """Cell midpoints s_{i+1/2}, shape (N,)."""
-        return 0.5 * (self.s[:-1] + self.s[1:])
+        return _read_only(0.5 * (self.s[:-1] + self.s[1:]))
 
     @cached_property
     def nodal_masses(self) -> np.ndarray:

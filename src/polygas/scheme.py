@@ -35,8 +35,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import LinAlgError
-from scipy.linalg.lapack import dgtsv
+from numpy.linalg import LinAlgError
 
 from .state import GridLayer, LayerError, TwoLayerView, cell_average
 
@@ -503,6 +502,8 @@ class _StepSystem:
         LinAlgError on a cell pivot |c_q_j| <= _PIVOT_RTOL / rho_j or a
         singular tridiagonal system.
         """
+        # imported here, so a process that never solves never loads LAPACK
+        from scipy.linalg.lapack import dgtsv
         lower, diag, upper, q_lo, q_hi, c_lo, c_q, c_hi = jac
         weak = np.abs(c_q) <= _PIVOT_RTOL * self.inv_rho
         if weak.any():

@@ -35,9 +35,16 @@ CELL_HEADER = ("i", "s_mid", "rho", "p", "eps")
 
 
 @functools.lru_cache(maxsize=4)
+def _mesh(s_bytes: bytes) -> MassMesh:
+    """One mesh per set of node bytes, so the layers of a series share it and
+    its derived arrays.  Bytes, not values: a -0.0 node is another mesh."""
+    return MassMesh(np.frombuffer(s_bytes))
+
+
+@functools.lru_cache(maxsize=4)
 def _mesh_columns(s_bytes: bytes) -> tuple[tuple[str, ...], tuple[str, ...]]:
     """The leading "i,s" and "i,s_mid" fields of every row, keyed by the mesh's node bytes."""
-    mesh = MassMesh(np.frombuffer(s_bytes))
+    mesh = _mesh(s_bytes)
     return tuple(tuple(map("{},{!r}".format, itertools.count(), x.tolist())) for x in (mesh.s, mesh.midpoints))
 
 
@@ -163,7 +170,7 @@ def read_snapshot(nodes_path, cells_path, t: float | None = None) -> GridLayer:
     if cells.shape[0] != nodes.shape[0] - 1:
         raise SnapshotError(
             f"{cells_path}: {cells.shape[0]} cells do not match {nodes.shape[0]} nodes")
-    mesh = MassMesh(nodes[:, 0])
+    mesh = _mesh(nodes[:, 0].tobytes())
     if not (np.abs(cells[:, 0] - mesh.midpoints) <= 1e-12 * (1 + np.abs(mesh.midpoints).max())).all():
         raise SnapshotError(f"{cells_path}: cell midpoints disagree with the nodal mesh")
     if t is None:

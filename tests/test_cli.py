@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -679,6 +680,25 @@ def test_a_series_audit_equals_pairs_audited_with_an_empty_cache(tmp_path, table
     assert in_order == (tmp_path / "ledger.jsonl").read_text().splitlines()
 
 
+def test_the_snapshots_of_a_run_share_one_mesh(tmp_path):
+    _, pairs = _series_run(tmp_path, 2)
+    lo_nodes, lo_cells, hi_nodes, hi_cells = pairs[1]
+    assert read_snapshot(lo_nodes, lo_cells).mesh is read_snapshot(hi_nodes, hi_cells).mesh
+
+
+def test_a_pair_on_meshes_equal_in_value_not_in_bytes_still_audits(tmp_path):
+    """A first node spelled -0.0 gives another mesh object of the same values:
+    the audit's identity test is only a fast path."""
+    cfg, pairs = _series_run(tmp_path, 1)
+    lo_nodes, lo_cells, hi_nodes, hi_cells = pairs[0]
+    records = [json.dumps(record) for record in audit_snapshots(cfg, *pairs[0])]
+    table = hi_nodes.read_bytes()
+    assert table.count(b"\r\n0,0.0,") == 1
+    hi_nodes.write_bytes(table.replace(b"\r\n0,0.0,", b"\r\n0,-0.0,"))
+    assert read_snapshot(hi_nodes, hi_cells).mesh is not read_snapshot(lo_nodes, lo_cells).mesh
+    assert [json.dumps(record) for record in audit_snapshots(cfg, *pairs[0])] == records
+
+
 _REPLAY_CASES = {f"n{n}-{mode}": (n, mode, {"t_end": 0.03, "tau": 0.01})
                  for n in (0, 1, 2) for mode in ("pointwise", "conservative")}
 # tau halves on the first step and again on the second (a falling outer
@@ -723,6 +743,28 @@ def test_python_dash_m_polygas_runs_without_a_warning(tmp_path):
     assert "RuntimeWarning" not in done.stderr
     assert "smooth_pulse: 2 steps" in done.stdout
     assert (tmp_path / "out" / "ledger.jsonl").is_file()
+
+
+def test_a_read_and_an_audit_load_no_lapack_until_the_first_solve(tmp_path):
+    """Through a process of its own, since this one has loaded scipy.linalg."""
+    raw = _pulse_raw(snapshot_every=1, time={"t_end": 0.01, "tau": 0.01})
+    config_path = _write_config(tmp_path, raw)
+    _, pairs = _series_run(tmp_path / "out", 1)
+    script = textwrap.dedent("""
+        import json, sys
+        import polygas
+        cfg = polygas.resolve_config(json.loads(open(sys.argv[1]).read()))
+        polygas.audit_snapshots(cfg, *sys.argv[2:])
+        print("scipy.linalg" in sys.modules)
+        polygas.step(polygas.read_snapshot(*sys.argv[2:4]), cfg.tau, cfg.params)
+        print("scipy.linalg" in sys.modules)
+    """)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", script, str(config_path), *map(str, pairs[0])],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\nTrue\n"
 
 
 def test_main_run_and_audit(tmp_path, capsys):
@@ -918,17 +960,21 @@ def test_a_failed_convergence_level_exits_3_naming_it(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
-@pytest.mark.parametrize("raw, code, start", [
-    ({"problem": "nonexistent", "time": {"t_end": 0.1, "tau": 0.1}}, 3, "error: "),
-    (_pulse_raw(problem={"name": "smooth_pulse", "cells": 10, "amplitude": 0.3},
-                params={"n": 0, "gamma": 1.4, "newton_max_iter": 1}),
-     1, "ERROR polygas: run stopped after 0 steps: "),
-], ids=["bad-config", "rejected-step"])
-def test_an_error_prints_one_stderr_line(tmp_path, raw, code, start):
+_NO_NEWTON_CONVERGENCE = _pulse_raw(problem={"name": "smooth_pulse", "cells": 10, "amplitude": 0.3},
+                                    params={"n": 0, "gamma": 1.4, "newton_max_iter": 1})
+
+
+@pytest.mark.parametrize("command, raw, code, start", [
+    ("run", {"problem": "nonexistent", "time": {"t_end": 0.1, "tau": 0.1}}, 3, "error: "),
+    ("run", _NO_NEWTON_CONVERGENCE, 1, "ERROR polygas: run stopped after 0 steps: "),
+    ("convergence", _NO_NEWTON_CONVERGENCE, 3,
+     "error: convergence run at cells=10, tau=0.01 failed: "),
+], ids=["bad-config", "rejected-step", "failed-convergence-level"])
+def test_an_error_prints_one_stderr_line(tmp_path, command, raw, code, start):
     """Through a process of its own, since pytest captures log records."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src, POLYGAS_LOG="warning")
-    done = subprocess.run([sys.executable, "-m", "polygas", "run",
+    done = subprocess.run([sys.executable, "-m", "polygas", command,
                            "--config", str(_write_config(tmp_path, raw)),
                            "--out", str(tmp_path / "out")],
                           env=env, capture_output=True, text=True, timeout=120)

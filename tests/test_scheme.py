@@ -17,6 +17,8 @@ from polygas import (
     make_initial_layer,
     problem_library,
     r_factor,
+    resolve_config,
+    run_simulation,
     step,
     step_residuals,
 )
@@ -142,6 +144,37 @@ def test_galilean_shift_leaves_plane_residuals_unchanged(rng):
         assert np.allclose(plain[family], moved[family], atol=1e-12), family
     # the wall closures at rows 0 and -1 see the shifted velocity itself
     assert np.allclose(plain["momentum"][1:-1], moved["momentum"][1:-1], atol=1e-12)
+
+
+# --- mass-unit scaling --------------------------------------------------------------------
+
+_DENSITY_AND_PRESSURE = {"smooth_pulse": {"rho0": 1.0, "p0": 1.0},
+                         "sod": {"rho_left": 1.0, "p_left": 1.0, "rho_right": 0.125, "p_right": 0.1}}
+
+
+@pytest.mark.parametrize("mode", ["pointwise", "conservative"])
+@pytest.mark.parametrize("n", [0, 1, 2])
+@pytest.mark.parametrize("problem", list(_DENSITY_AND_PRESSURE))
+def test_scaling_density_and_pressure_by_a_power_of_two_is_exact(problem, n, mode):
+    """Multiplying rho and p by 2^7 only changes the mass unit, and scaling by
+    a power of two is exact: r, u and eps keep their bits, rho and p scale
+    without round-off, and Newton and the audits see the same numbers."""
+    def run(scale):
+        options = {key: scale * value for key, value in _DENSITY_AND_PRESSURE[problem].items()}
+        time = {"t_end": 0.03, "tau": 0.01, "allow_tau_halving": problem == "sod"}
+        return run_simulation(resolve_config({"problem": {"name": problem, "cells": 40, **options},
+                                              "params": {"n": n, "eos_mode": mode},
+                                              "time": time}))
+
+    plain, scaled = run(1.0), run(2.0**7)
+    assert plain.exit_code == scaled.exit_code == 0 and plain.steps == scaled.steps == 3
+    a, b = plain.final_layer, scaled.final_layer
+    for name in ("r", "u", "eps"):
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+    assert np.array_equal(2.0**7 * a.rho, b.rho) and np.array_equal(2.0**7 * a.p, b.p)
+    assert [r.iterations for r in plain.reports] == [r.iterations for r in scaled.reports]
+    assert ([r["relative_defect"] for r in plain.records]
+            == [r["relative_defect"] for r in scaled.records])
 
 
 # --- Newton's starting point ---------------------------------------------------------
