@@ -132,31 +132,37 @@ def interp_nodal_pressure(p_cells: np.ndarray, mesh: MassMesh) -> np.ndarray:
     p*_i = (h_i p_{i-1/2} + h_{i-1} p_{i+1/2}) / (h_{i-1} + h_i): the weights
     are swapped relative to naive linear interpolation, which is exactly what
     makes the energy flux telescope.  Output lies between the adjacent cell
-    values.  Interior nodes 1..N-1 only, shape (N-1,).
+    values.  Interior nodes 1..N-1 only, along the last axis: shape (..., N-1).
     """
     p = np.asarray(p_cells)
     h = mesh.h
-    return (h[1:] * p[:-1] + h[:-1] * p[1:]) / (h[:-1] + h[1:])
+    return (h[1:] * p[..., :-1] + h[:-1] * p[..., 1:]) / (h[:-1] + h[1:])
 
 
 def cell_average(f_nodal: np.ndarray) -> np.ndarray:
     """Plain average of a nodal field over each cell: (f_i + f_{i+1})/2.
 
     The argument is the already-evaluated nodal expression; e.g. the cell
-    kinetic energy uses cell_average(u*u), not cell_average(u)**2.
+    kinetic energy uses cell_average(u*u), not cell_average(u)**2.  Averages
+    along the last axis, so a stack of layers is averaged row by row.
     """
     f = np.asarray(f_nodal)
-    return 0.5 * (f[:-1] + f[1:])
+    return 0.5 * (f[..., :-1] + f[..., 1:])
 
 
 #: below this size math.fsum beats the certified kernel on an audit's stack of rows
 _EXACT_SUM_MIN_SIZE = 384
+#: values per block of the kernel's stack (48 KiB): on glibc, freeing a block of
+#: 64 KiB or more may hand the heap's top back to the system, and faulting it in
+#: again on the next call costs more than the sums
+_EXACT_SUM_BLOCK = 6144
 
 
 def exact_sums(rows) -> list[float]:
     """Correctly rounded sum of each 1-D float array, bit for bit math.fsum.
 
-    Rows of _EXACT_SUM_MIN_SIZE to 2^20 values share one zero-padded (k, M) stack.
+    Rows of _EXACT_SUM_MIN_SIZE to 2^20 values are zero-padded to a common width
+    M and stacked, _EXACT_SUM_BLOCK values or one row at a time.
     The error-free split q = (sigma + a) - sigma, r = a - q with sigma =
     2^(ceil(log2(M+2)) + frexp(max|a|).e) makes sum(q) exact in any order (Rump,
     Ogita & Oishi 2008, SIAM J. Sci. Comput. 31:189); fl(sum(r)) is within
@@ -170,17 +176,24 @@ def exact_sums(rows) -> list[float]:
     idx = [i for i, a in enumerate(rows) if _EXACT_SUM_MIN_SIZE <= a.size < 2 ** 20]
     if idx:
         m = max(rows[i].size for i in idx)
-        a = np.zeros((len(idx), m))
-        for j, i in enumerate(idx):
-            a[j, :rows[i].size] = rows[i]
-        amax = np.abs(a).max(axis=1)
-        ok = (amax >= 2.0 ** -900) & (amax <= 2.0 ** 900)  # False on nan
-        a[~ok], amax[~ok] = 0.0, 0.0  # a zeroed row never settles: math.fsum takes it
-        sigma = np.ldexp(1.0, np.frexp(amax)[1] + (m + 1).bit_length())[:, None]
-        q = (sigma + a) - sigma
-        r = a - q
-        tau, rho = q.sum(axis=1), r.sum(axis=1)
-        err = np.abs(r).sum(axis=1) * (2.0 ** -52 * m)
-        lo, hi = tau + np.nextafter(rho - err, -np.inf), tau + np.nextafter(rho + err, np.inf)
-        sums = {i: s for i, s, t in zip(idx, lo.tolist(), hi.tolist()) if s == t}
+        per_block = max(1, _EXACT_SUM_BLOCK // m)
+        for start in range(0, len(idx), per_block):
+            sums.update(_settled_sums(rows, idx[start:start + per_block], m))
     return [sums[i] if i in sums else math.fsum(a.tolist()) for i, a in enumerate(rows)]
+
+
+def _settled_sums(rows: list, idx: list[int], m: int) -> dict[int, float]:
+    """exact_sums' certificate over rows[idx] padded to width m: the settled sums by index."""
+    a = np.zeros((len(idx), m))
+    for j, i in enumerate(idx):
+        a[j, :rows[i].size] = rows[i]
+    amax = np.abs(a).max(axis=1)
+    ok = (amax >= 2.0 ** -900) & (amax <= 2.0 ** 900)  # False on nan
+    a[~ok], amax[~ok] = 0.0, 0.0  # a zeroed row never settles: math.fsum takes it
+    sigma = np.ldexp(1.0, np.frexp(amax)[1] + (m + 1).bit_length())[:, None]
+    q = (sigma + a) - sigma
+    r = a - q
+    tau, rho = q.sum(axis=1), r.sum(axis=1)
+    err = np.abs(r).sum(axis=1) * (2.0 ** -52 * m)
+    lo, hi = tau + np.nextafter(rho - err, -np.inf), tau + np.nextafter(rho + err, np.inf)
+    return {i: s for i, s, t in zip(idx, lo.tolist(), hi.tolist()) if s == t}

@@ -79,4 +79,6 @@ def test_readme_library_example_runs(capsys):
     code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
     exec(compile(code, f"{README}:Library use", "exec"), {})
     lines = capsys.readouterr().out.splitlines()
-    assert [line.split()[0] for line in lines] == [law.value for law in polygas.ALL_LAWS]
+    # three steps audited in one call, step-major
+    assert [line.split()[:2] for line in lines] == [
+        [law.value, f"step={k}"] for k in range(3) for law in polygas.ALL_LAWS]

@@ -20,7 +20,7 @@ from polygas import (
     write_ledger,
 )
 from polygas import conservation
-from conftest import advance, pulse_start, random_view
+from conftest import advance, pulse_start, random_layer, random_view
 
 
 # --- pure-algebra telescoping: holds for arbitrary fields, not just solutions ---
@@ -146,7 +146,7 @@ def _weighted_densities(view, law):
 def test_audit_all_sums_every_row_in_one_kernel_call(monkeypatch, problem, mode):
     profile, params = problem_library(problem, cells=400)
     params = dataclasses.replace(params, eos_mode=mode)
-    views = advance(make_initial_layer(profile, 0), params, 1e-3, 2)
+    views = advance(make_initial_layer(profile, 0), params, 1e-3, 5)
     calls = []
 
     def counted(rows, _real=conservation.exact_sums):
@@ -154,39 +154,45 @@ def test_audit_all_sums_every_row_in_one_kernel_call(monkeypatch, problem, mode)
         return _real(rows)
     monkeypatch.setattr(conservation, "exact_sums", counted)
     carried = None
-    for view in views:
-        budgets = [b for b in audit_all(view, params, lo_totals=carried) if b.applicable]
-        for budget in budgets:
-            lo, hi = _weighted_densities(view, budget.law)
-            if carried is None or budget.law is LawId.ADDITIONAL_2:
+    for batch in (views[:2], views[2:]):
+        budgets = [b for b in audit_all(batch, params, lo_totals=carried) if b.applicable]
+        laws = len(budgets) // len(batch)
+        for k, budget in enumerate(budgets):
+            lo, hi = _weighted_densities(batch[k // laws], budget.law)
+            if (carried is None or k >= laws) or budget.law is LawId.ADDITIONAL_2:
                 assert budget.density_sum_lo.hex() == math.fsum(lo).hex(), budget.law
             else:
                 assert budget.density_sum_lo == carried[budget.law]
             assert budget.density_sum_hi.hex() == math.fsum(hi).hex(), budget.law
-        # one call per audit; a carried lo total is not summed again, except
-        # ADDITIONAL_2's, whose density holds the step's tau^2/8 term
-        fresh_lo = len(budgets) if carried is None else int(mode == "conservative")
-        assert calls == [len(budgets) + fresh_lo]
-        assert len(budgets) == (6 if mode == "conservative" else 4)
+        # one call per batch, each layer's row summed once (the first only if
+        # not carried), except ADDITIONAL_2's, whose density holds each step's
+        # tau^2/8 term: its lo and hi rows are summed per step
+        per_step = int(mode == "conservative")
+        assert calls == [(laws - per_step) * (len(batch) + (carried is None))
+                         + per_step * 2 * len(batch)]
+        assert laws == (6 if mode == "conservative" else 4)
         calls.clear()
-        carried = {b.law: b.density_sum_hi for b in budgets}
+        carried = {b.law: b.density_sum_hi for b in budgets[-laws:]}
 
 
 @pytest.mark.parametrize("mode", ("pointwise", "conservative"))
 def test_audit_all_computes_each_layer_term_once(monkeypatch, rng, mode):
-    view = random_view(rng, n_cells=10)
+    first = random_view(rng, n_cells=10)
+    views = [first, TwoLayerView(lo=first.hi, hi=random_layer(rng, first.mesh, t=first.hi.t + 0.04),
+                                 tau=0.04)]
     params = SchemeParams(n=0, gamma=2.0, eos_mode=mode)
-    alone = [audit_all(view, params, (law,))[0].to_record() for law in ALL_LAWS]
+    alone = [audit_all(view, params, (law,))[0].to_record() for view in views for law in ALL_LAWS]
     averaged = []
 
     def counted(f, _real=conservation.cell_average):
-        averaged.append(f.tobytes())
+        averaged.extend(row.tobytes() for row in f)
         return _real(f)
     monkeypatch.setattr(conservation, "cell_average", counted)
-    shared = [budget.to_record() for budget in audit_all(view, params)]
-    # u^2 of each layer for ENERGY and both quadratic balances; r u and r^2
-    # of each layer for the quadratic balances
-    assert len(averaged) == len(set(averaged)) == (6 if mode == "conservative" else 2)
+    shared = [budget.to_record() for budget in audit_all(views, params)]
+    # u^2 of each of the three layers for ENERGY and both quadratic balances;
+    # r u and r^2 of each layer for the quadratic balances; the layer the two
+    # steps share is averaged once
+    assert len(averaged) == len(set(averaged)) == 3 * (3 if mode == "conservative" else 1)
     assert json.dumps(shared) == json.dumps(alone)
 
 
@@ -212,7 +218,7 @@ def test_pressure_star_interior_and_wall_closure(rng):
     view = random_view(rng, n_cells=6)
     params = SchemeParams(n=0, gamma=1.4, alpha=0.3)
     rc = conservation._Recomputed(view, params)
-    star, p_eff = rc.star, rc.p_eff
+    star, p_eff = rc.star[0], rc.p_eff[0]
     assert np.array_equal(star[1:-1], interp_nodal_pressure(p_eff, view.mesh))
     assert star[0] == p_eff[0]
     assert star[-1] == p_eff[-1]
@@ -224,7 +230,7 @@ def test_pressure_star_uses_trace_at_pressure_boundaries(rng):
                           bc_left=BoundaryCondition.pressure(3.0),
                           bc_right=BoundaryCondition.pressure(
                               __import__("polygas").PressureTrace("linear", p0=1.0, rate=2.0)))
-    star = conservation._Recomputed(view, params).star
+    star = conservation._Recomputed(view, params).star[0]
     assert star[0] == 3.0
     expected = 0.25 * (1.0 + 2.0 * view.hi.t) + 0.75 * (1.0 + 2.0 * view.lo.t)
     assert star[-1] == pytest.approx(expected, rel=1e-15)

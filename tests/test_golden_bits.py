@@ -1,4 +1,4 @@
-"""Golden bits: three short runs whose final layer, ledger lines and step
+"""Golden bits: four short runs whose final layer, ledger lines and step
 reports are pinned by sha256, and every file one of them writes.
 
 A change that claims to leave the arithmetic unchanged (a reordering of work,
@@ -8,10 +8,12 @@ that alters the arithmetic on purpose must say so and re-pin them.
 
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
 
+from polygas import cli
 from polygas.cli import resolve_config, run_simulation
 
 _WALLS = {"bc_left": {"kind": "wall"}, "bc_right": {"kind": "wall"}}
@@ -40,10 +42,19 @@ RUNS = {
         "time": {"t_end": 0.008, "tau": 1e-3},
         "audit": "all",
     },
+    # 25 steps, the last one half as long, audited in several batches
+    "plane-conservative-pulse-gamma-star-batches": {
+        "problem": {"name": "smooth_pulse", "cells": 400, "gamma": 3.0,
+                    "center": 0.49, "amplitude": 0.05},
+        "params": {"n": 0, "gamma": 3.0, "alpha": 0.5, "eos_mode": "conservative", **_WALLS},
+        "time": {"t_end": 0.0245, "tau": 1e-3},
+        "audit": "all",
+    },
 }
 
 #: run -> (final layer, ledger lines, step reports); recorded on the code
-#: before Newton and the post-accept check shared one step system
+#: before Newton and the post-accept check shared one step system, the
+#: batches run on the code before the audit took more than one step per call
 GOLDEN = {
     "plane-pointwise-pulse": (
         "cb4834963d741cc89667156582ada504f0d64a4861b856eafa9835a00c365782",
@@ -59,6 +70,11 @@ GOLDEN = {
         "f9a58872a7a208cadedbfd346fb0f4ccff7dd635519ba295cf2131a6eca3901c",
         "9815e3a2db252f6a2cd3592ba841687b5d249f36df5cc5831b769d9defd9097e",
         "9f46369947bdd9d09e52d6f17f421a146ca8efcab64d6c7676a73b79a0f84821",
+    ),
+    "plane-conservative-pulse-gamma-star-batches": (
+        "2a7dd3ae94c65d1cb9fdcc09993a6cfdbc3d2f9ca3afd804cc45f47820a35b33",
+        "9bc8184740d95029d3f0040a934f617ab200771d95224eee6fda2621378bb984",
+        "fa0451a05636ead02d982a400cfa179d183a13586294f51a7833eea4c2292736",
     ),
 }
 
@@ -79,9 +95,20 @@ def _digests(result) -> tuple[str, str, str]:
 
 
 @pytest.mark.parametrize("name", sorted(RUNS))
-def test_short_runs_keep_their_golden_bits(name):
+def test_short_runs_keep_their_golden_bits(monkeypatch, name):
+    batches = []
+
+    def captured(views, *args, _real=cli.audit_all, **kwargs):
+        batches.append(len(views))
+        return _real(views, *args, **kwargs)
+    monkeypatch.setattr(cli, "audit_all", captured)
     result = run_simulation(resolve_config(RUNS[name]))
-    assert result.exit_code == 0 and result.steps == round(RUNS[name]["time"]["t_end"] / 1e-3)
+    steps = math.ceil(RUNS[name]["time"]["t_end"] / 1e-3 - 1e-6)
+    assert result.exit_code == 0 and result.steps == steps
+    if name.endswith("-batches"):
+        # three batches or more, the last one partial and ending on a short step
+        assert len(batches) >= 3 and batches[-1] < batches[0]
+        assert result.records[-1]["tau"] < 1e-3
     assert _digests(result) == GOLDEN[name]
 
 

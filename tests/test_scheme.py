@@ -79,7 +79,7 @@ def test_viscous_pressure_hand_value():
     # with (R v)_s = -0.5, in the solver's kernel and in the audit alike
     view = _plane_view([0.5, 0.0, -0.5], [0.5, 0.0, -0.5])
     params = SchemeParams(n=0, gamma=1.4, visc_nu=2.0)
-    assert _Recomputed(view, params).p_eff == pytest.approx([1.5, 1.5], rel=1e-14)
+    assert _Recomputed(view, params).p_eff[0] == pytest.approx([1.5, 1.5], rel=1e-14)
     assert step_residuals(view, params)["energy"] == pytest.approx([-0.75, -0.75], rel=1e-14)
     # expansion: switch off
     view = _plane_view([-0.5, 0.0, 0.5], [-0.5, 0.0, 0.5])
@@ -152,26 +152,49 @@ _DENSITY_AND_PRESSURE = {"smooth_pulse": {"rho0": 1.0, "p0": 1.0},
                          "sod": {"rho_left": 1.0, "p_left": 1.0, "rho_right": 0.125, "p_right": 0.1}}
 
 
-@pytest.mark.parametrize("mode", ["pointwise", "conservative"])
-@pytest.mark.parametrize("n", [0, 1, 2])
-@pytest.mark.parametrize("problem", list(_DENSITY_AND_PRESSURE))
-def test_scaling_density_and_pressure_by_a_power_of_two_is_exact(problem, n, mode):
-    """Multiplying rho and p by 2^7 only changes the mass unit, and scaling by
+#: the pulses' boundaries at k = -5 as (bc_left, bc_right), trace pressures scaled with p
+_SCALED_BOUNDARIES = {
+    "linear": lambda scale: ({"kind": "wall"}, {"kind": "pressure", "trace": {
+        "kind": "linear", "p0": scale * 1.0, "rate": scale * -2.0}}),
+    "exp_decay": lambda scale: ({"kind": "wall"}, {"kind": "pressure", "trace": {
+        "kind": "exp_decay", "p0": scale * 1.0, "rate": 3.0}}),
+    "moving-wall": lambda scale: ({"kind": "wall", "u_wall": 0.1}, {"kind": "wall"}),
+}
+#: (problem, n, mode, k, boundaries, visc_nu): rho and p scale by 2^k.  The
+#: pulses at k = -5 send time-dependent boundary pressures, a moving wall and
+#: viscous pressure through the batched audit, with tau halving on; the other
+#: cases keep their problem's walls and viscosity.
+_SCALING_CASES = (
+    [(problem, n, mode, 7, None, None) for problem in _DENSITY_AND_PRESSURE
+     for n in (0, 1, 2) for mode in ("pointwise", "conservative")]
+    + [("smooth_pulse", 0, mode, -5, bcs, visc_nu) for bcs in _SCALED_BOUNDARIES
+       for visc_nu in (0.0, 1.0) for mode in ("pointwise", "conservative")])
+
+
+@pytest.mark.parametrize(
+    "problem, n, mode, k, bcs, visc_nu", _SCALING_CASES,
+    ids=[f"{problem}-{n}-{mode}" + (f"-k{k}-{bcs}-nu{visc_nu:g}" if bcs else "")
+         for problem, n, mode, k, bcs, visc_nu in _SCALING_CASES])
+def test_scaling_density_and_pressure_by_a_power_of_two_is_exact(problem, n, mode, k, bcs, visc_nu):
+    """Multiplying rho and p by 2^k only changes the mass unit, and scaling by
     a power of two is exact: r, u and eps keep their bits, rho and p scale
     without round-off, and Newton and the audits see the same numbers."""
     def run(scale):
         options = {key: scale * value for key, value in _DENSITY_AND_PRESSURE[problem].items()}
-        time = {"t_end": 0.03, "tau": 0.01, "allow_tau_halving": problem == "sod"}
+        params = {"n": n, "eos_mode": mode}
+        if bcs:
+            bc_left, bc_right = _SCALED_BOUNDARIES[bcs](scale)
+            params.update(visc_nu=visc_nu, bc_left=bc_left, bc_right=bc_right)
+        time = {"t_end": 0.03, "tau": 0.01, "allow_tau_halving": problem == "sod" or bool(bcs)}
         return run_simulation(resolve_config({"problem": {"name": problem, "cells": 40, **options},
-                                              "params": {"n": n, "eos_mode": mode},
-                                              "time": time}))
+                                              "params": params, "time": time}))
 
-    plain, scaled = run(1.0), run(2.0**7)
+    plain, scaled = run(1.0), run(2.0**k)
     assert plain.exit_code == scaled.exit_code == 0 and plain.steps == scaled.steps == 3
     a, b = plain.final_layer, scaled.final_layer
     for name in ("r", "u", "eps"):
         assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
-    assert np.array_equal(2.0**7 * a.rho, b.rho) and np.array_equal(2.0**7 * a.p, b.p)
+    assert np.array_equal(2.0**k * a.rho, b.rho) and np.array_equal(2.0**k * a.p, b.p)
     assert [r.iterations for r in plain.reports] == [r.iterations for r in scaled.reports]
     assert ([r["relative_defect"] for r in plain.records]
             == [r["relative_defect"] for r in scaled.records])

@@ -248,6 +248,26 @@ def test_exact_sums_falls_back_only_where_the_certificate_cannot_decide(monkeypa
         assert calls == ([a.size] if undecided else []), name
 
 
+def test_exact_sums_stacks_a_tall_batch_in_blocks_and_keeps_math_fsum(monkeypatch):
+    """A batch audit's rows exceed one block: each block stays within
+    _EXACT_SUM_BLOCK values (or holds one row), the certificate settles every
+    row and each total is math.fsum's."""
+    rng = np.random.default_rng(7)
+    rows = [rng.normal(0.0, 1.0, int(rng.integers(384, 1602))) for _ in range(30)]
+    want = [math.fsum(a) for a in rows]
+    blocks = []
+
+    def counted(rows, idx, m, _real=state._settled_sums):
+        blocks.append((len(idx), m))
+        return _real(rows, idx, m)
+    monkeypatch.setattr(state, "_settled_sums", counted)
+    calls = _fsum_calls(monkeypatch)
+    got = state.exact_sums(rows)
+    assert [struct.pack("<d", x) for x in got] == [struct.pack("<d", x) for x in want]
+    assert calls == [] and len(blocks) > 1 and sum(k for k, _ in blocks) == len(rows)
+    assert all(k * m <= state._EXACT_SUM_BLOCK or k == 1 for k, m in blocks)
+
+
 def test_exact_sum_zero_totals_keep_math_fsum_sign(monkeypatch):
     a = np.linspace(1.0, 2.0, 500)
     calls = _fsum_calls(monkeypatch)
