@@ -1,5 +1,6 @@
 """The public surface: what `import polygas` exports, and the README example."""
 
+import dataclasses
 import importlib
 import re
 from pathlib import Path
@@ -62,6 +63,14 @@ def test_audit_all_is_the_one_audit_entry():
                  if callable(obj) and not isinstance(obj, type) and not name.startswith("_")
                  and getattr(obj, "__module__", None) == conservation.__name__}
     assert functions == {"audit_all", "write_ledger"}
+
+
+def test_step_report_keeps_no_residual_rows():
+    # no per-row residual arrays; residuals stays, always None, only while the
+    # benchmark's retained-memory count reads it
+    names = [f.name for f in dataclasses.fields(polygas.StepReport)]
+    assert names == ["accepted", "iterations", "final_residual_norm", "history", "reason",
+                     "residuals"]
 
 
 def test_every_public_name_imports():

@@ -213,6 +213,9 @@ def test_run_simulation_step_count_and_clamp():
     assert result.exit_code == 0
     assert not result.violations
     assert len(result.records) == result.steps * len(list(LawId))
+    # a report keeps no per-row arrays, so a run's reports stay O(steps)
+    assert [report.accepted for report in result.reports] == [True] * 3
+    assert all(report.residuals is None for report in result.reports)
 
 
 def test_run_simulation_writes_outputs(tmp_path):
@@ -266,6 +269,8 @@ def test_run_simulation_reports_solver_failure(tmp_path):
     assert result.exit_code == 1
     assert result.failure is not None
     assert "Newton" in result.failure
+    assert not result.reports[-1].accepted
+    assert all(report.residuals is None for report in result.reports)
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["exit_code"] == 1
     assert summary["failure"] == result.failure

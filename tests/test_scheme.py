@@ -268,34 +268,17 @@ def test_accepted_step_meets_its_own_tolerances(n, eos_mode, visc_nu, boundary):
         bcs = {"bc_left" if n == 0 else "bc_right": _LINEAR_TRACE}
     layer, params = pulse_start(n=n, gamma=gamma, cells=40, eos_mode=eos_mode,
                                 visc_nu=visc_nu, **bcs)
-    hi, report = step(layer, 0.01, params)
-    assert report.accepted
-    assert report.final_residual_norm <= params.newton_tol
-    assert set(report.residual_max) == {"mass", "momentum", "energy", "trajectory", "eos"}
-    for family, value in report.residual_max.items():
-        assert value <= 100.0 * params.newton_tol, (family, value)
-    assert report.history[0] > report.history[-1]  # it actually had work to do
-
-
-@pytest.mark.parametrize("boundary", ("wall", "linear"))
-@pytest.mark.parametrize("visc_nu", (0.0, 2.0))
-@pytest.mark.parametrize("eos_mode", ("pointwise", "conservative"))
-@pytest.mark.parametrize("n", (0, 1, 2))
-def test_step_reports_the_residuals_step_residuals_recomputes(n, eos_mode, visc_nu, boundary):
-    # step checks the accepted layer on Newton's own system; a fresh system
-    # built from the stored pair must give the same rows, bit for bit
-    bcs = {"bc_left" if n == 0 else "bc_right": _LINEAR_TRACE} if boundary == "linear" else {}
-    layer, params = pulse_start(n=n, gamma=1.4, cells=40, eos_mode=eos_mode,
-                                visc_nu=visc_nu, **bcs)
     earlier = ()
     for _ in range(3):  # the later steps start from extrapolated guesses
         hi, report = step(layer, 0.01, params, earlier=earlier)
-        fresh = step_residuals(TwoLayerView(lo=layer, hi=hi, tau=0.01), params)
-        assert list(report.residuals) == list(fresh)
-        for name, rows in fresh.items():
-            assert report.residuals[name].tobytes() == rows.tobytes(), name
-        assert report.residual_max == {name: float(np.abs(rows).max())
-                                       for name, rows in fresh.items()}
+        assert report.accepted
+        assert report.final_residual_norm <= params.newton_tol
+        assert report.history[0] > report.history[-1]  # it actually had work to do
+        rows = step_residuals(TwoLayerView(lo=layer, hi=hi, tau=0.01), params)
+        assert list(rows) == ["mass", "momentum", "energy", "trajectory", "eos"]
+        for family, values in rows.items():
+            worst = float(np.abs(values).max())
+            assert worst <= 100.0 * params.newton_tol, (family, worst)
         earlier, layer = (layer, *earlier[:1]), hi
 
 
