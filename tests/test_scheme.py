@@ -257,6 +257,17 @@ def test_a_guess_that_inverts_a_cell_falls_back_to_lo():
 _LINEAR_TRACE = BoundaryCondition.pressure(PressureTrace("linear", p0=1.0, rate=0.5))
 
 
+def _assert_meets_tolerances(lo, hi, report, params):
+    assert report.accepted
+    assert report.final_residual_norm <= params.newton_tol
+    assert report.history[0] > report.history[-1]  # it actually had work to do
+    rows = step_residuals(TwoLayerView(lo=lo, hi=hi, tau=0.01), params)
+    assert list(rows) == ["mass", "momentum", "energy", "trajectory", "eos"]
+    for family, values in rows.items():
+        worst = float(np.abs(values).max())
+        assert worst <= 100.0 * params.newton_tol, (family, worst)
+
+
 @pytest.mark.parametrize("boundary", ("wall", "linear"))
 @pytest.mark.parametrize("visc_nu", (0.0, 2.0))
 @pytest.mark.parametrize("eos_mode", ("pointwise", "conservative"))
@@ -268,17 +279,24 @@ def test_accepted_step_meets_its_own_tolerances(n, eos_mode, visc_nu, boundary):
         bcs = {"bc_left" if n == 0 else "bc_right": _LINEAR_TRACE}
     layer, params = pulse_start(n=n, gamma=gamma, cells=40, eos_mode=eos_mode,
                                 visc_nu=visc_nu, **bcs)
+    hi, report = step(layer, 0.01, params)
+    _assert_meets_tolerances(layer, hi, report, params)
+
+
+@pytest.mark.parametrize("boundary", ("wall", "linear"))
+@pytest.mark.parametrize("visc_nu", (0.0, 2.0))
+@pytest.mark.parametrize("eos_mode", ("pointwise", "conservative"))
+@pytest.mark.parametrize("n", (0, 1, 2))
+def test_warm_started_steps_meet_their_own_tolerances(n, eos_mode, visc_nu, boundary):
+    # step_residuals on each stored pair bounds steps that Newton started
+    # from an extrapolated guess, as it bounds a cold first step
+    bcs = {"bc_left" if n == 0 else "bc_right": _LINEAR_TRACE} if boundary == "linear" else {}
+    layer, params = pulse_start(n=n, gamma=1.4, cells=40, eos_mode=eos_mode,
+                                visc_nu=visc_nu, **bcs)
     earlier = ()
     for _ in range(3):  # the later steps start from extrapolated guesses
         hi, report = step(layer, 0.01, params, earlier=earlier)
-        assert report.accepted
-        assert report.final_residual_norm <= params.newton_tol
-        assert report.history[0] > report.history[-1]  # it actually had work to do
-        rows = step_residuals(TwoLayerView(lo=layer, hi=hi, tau=0.01), params)
-        assert list(rows) == ["mass", "momentum", "energy", "trajectory", "eos"]
-        for family, values in rows.items():
-            worst = float(np.abs(values).max())
-            assert worst <= 100.0 * params.newton_tol, (family, worst)
+        _assert_meets_tolerances(layer, hi, report, params)
         earlier, layer = (layer, *earlier[:1]), hi
 
 
