@@ -7,7 +7,8 @@ pressure in conservative mode).  Radii, densities and internal energies are
 eliminated in closed form.  Each cell row of the Newton system couples only
 u_j, q_j and u_{j+1}, so every Newton iteration eliminates the cell unknowns
 too and solves one tridiagonal system in the N + 1 node velocities (LAPACK
-dgtsv).  The Jacobian is assembled analytically from the residual's own
+dgtsv, loaded from scipy's compiled extension at the first solve, without
+scipy.linalg).  The Jacobian is assembled analytically from the residual's own
 intermediates; the tests check it against a finite-difference Jacobian, and
 the elimination against a banded solve of the full system, both kept there
 as oracles.
@@ -29,6 +30,7 @@ round-off; in conservative mode two additional quadratic balances hold as
 well when gamma equals the geometry-specific exponent 1 + 2/(n+1).
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -277,6 +279,26 @@ _FLOOR_ULPS = 4.0
 FLOOR_REASON = "converged at round-off floor"
 
 
+@functools.cache
+def _dgtsv():
+    """LAPACK dgtsv from scipy's _flapack extension, loaded under a private name.
+
+    scipy.linalg.lapack would import all of scipy.linalg (about 300 modules,
+    27 MB) for this one routine; a later `import scipy.linalg` loads its own copy.
+    """
+    import os
+    from importlib import machinery, util
+    import scipy
+    spec = machinery.PathFinder.find_spec(
+        f"{__package__}._flapack", [os.path.join(path, "linalg") for path in scipy.__path__])
+    if spec is None:  # no such file in this scipy: take the public route
+        from scipy.linalg.lapack import dgtsv
+        return dgtsv
+    module = util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.dgtsv
+
+
 class _Jacobian(NamedTuple):
     """Nonzero entries of the Newton Jacobian, by row type.
 
@@ -493,13 +515,11 @@ class _StepSystem:
 
         Each cell row gives dq_j = -(f_cell_j + c_lo_j du_j + c_hi_j du_{j+1}) / c_q_j;
         put into the node rows, that leaves a tridiagonal system in du, solved
-        by LAPACK dgtsv, and dq follows from the cell rows.  A wall node's
-        update is exact, u_wall - u_hat, not the solve's round-off.  Raises
-        LinAlgError on a cell pivot |c_q_j| <= _PIVOT_RTOL / rho_j or a
-        singular tridiagonal system.
+        by LAPACK dgtsv (loaded at the first call, see _dgtsv), and dq follows
+        from the cell rows.  A wall node's update is exact, u_wall - u_hat, not
+        the solve's round-off.  Raises LinAlgError on a cell pivot
+        |c_q_j| <= _PIVOT_RTOL / rho_j or a singular tridiagonal system.
         """
-        # imported here, so a process that never solves never loads LAPACK
-        from scipy.linalg.lapack import dgtsv
         lower, diag, upper, q_lo, q_hi, c_lo, c_q, c_hi = jac
         weak = np.abs(c_q) <= _PIVOT_RTOL * self.inv_rho
         if weak.any():
@@ -515,8 +535,8 @@ class _StepSystem:
         b = -f[0::2]
         b[1:] += q_lo * g
         b[:-1] += q_hi * g
-        _, _, _, du, info = dgtsv(lower - q_lo * r_lo, d, upper - q_hi * r_hi, b,
-                                  True, True, True, True)
+        _, _, _, du, info = _dgtsv()(lower - q_lo * r_lo, d, upper - q_hi * r_hi, b,
+                                     True, True, True, True)
         if info != 0:
             raise LinAlgError(f"tridiagonal solve failed (dgtsv info {info})")
         # a wall row is the identity; x[0] and x[-1] are the end velocities

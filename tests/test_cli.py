@@ -33,7 +33,7 @@ from polygas.cli import (
     run_simulation,
     with_resolution,
 )
-from polygas.scheme import FLOOR_REASON
+from polygas.scheme import FLOOR_REASON, step
 
 from conftest import zero_cell_pivot
 
@@ -750,26 +750,100 @@ def test_python_dash_m_polygas_runs_without_a_warning(tmp_path):
     assert (tmp_path / "out" / "ledger.jsonl").is_file()
 
 
-def test_a_read_and_an_audit_load_no_lapack_until_the_first_solve(tmp_path):
-    """Through a process of its own, since this one has loaded scipy.linalg."""
-    raw = _pulse_raw(snapshot_every=1, time={"t_end": 0.01, "tau": 0.01})
-    config_path = _write_config(tmp_path, raw)
-    _, pairs = _series_run(tmp_path / "out", 1)
-    script = textwrap.dedent("""
-        import json, sys
-        import polygas
-        cfg = polygas.resolve_config(json.loads(open(sys.argv[1]).read()))
-        polygas.audit_snapshots(cfg, *sys.argv[2:])
-        print("scipy.linalg" in sys.modules)
-        polygas.step(polygas.read_snapshot(*sys.argv[2:4]), cfg.tau, cfg.params)
-        print("scipy.linalg" in sys.modules)
-    """)
+#: run in a process of its own, with warnings as errors (pytest's filter does
+#: not reach a child), since this one has loaded scipy.linalg; argv is the
+#: action, the config, an output directory and one snapshot pair.  It audits
+#: the pair, then does the action and prints what the action loaded
+_LAPACK_CHILD = textwrap.dedent("""
+    import json, os, sys
+    from pathlib import Path
+    import polygas
+    from polygas import cli
+
+    action, config, out, *pair = sys.argv[1:]
+    cfg = polygas.resolve_config(json.loads(Path(config).read_text()))
+    polygas.audit_snapshots(cfg, *pair)
+
+    def act(tag):
+        if action == "step":
+            layer, _ = polygas.step(polygas.read_snapshot(*pair[:2]), cfg.tau, cfg.params)
+            return [getattr(layer, f).tobytes().hex() for f in ("r", "u", "rho", "p", "eps")]
+        if action == "run":
+            assert cli.main(["run", "--config", config, "--out", f"{out}/{tag}"]) == 0
+            return {f.name: f.read_bytes().hex() for f in sorted(Path(out, tag).iterdir())}
+        import scipy  # action "scipy": what a plain import adds
+
+    before = set(sys.modules)
+    first = act("first")
+    home = os.path.dirname(sys.modules["scipy"].__file__) + os.sep
+    added = {name: os.path.relpath(getattr(sys.modules[name], "__file__", None) or home, home)
+             for name in set(sys.modules) - before
+             if name.partition(".")[0] == "scipy"
+             or (getattr(sys.modules[name], "__file__", None) or "").startswith(home)}
+    found = {"linalg": "scipy.linalg" in sys.modules, "added": added, "first": first}
+    if action != "scipy":
+        import scipy.linalg.lapack
+        from scipy.linalg import _flapack
+        found["public_copy"] = (scipy.linalg.lapack._flapack is _flapack
+                                and _flapack.__name__ == "scipy.linalg._flapack"
+                                and sys.modules[_flapack.__name__] is _flapack)
+        found["same_again"] = act("again") == first
+    print(json.dumps(found))
+""")
+
+
+def _lapack_child(tmp_path, action, *, prelude=""):
+    config_path = _write_config(tmp_path, _pulse_raw(snapshot_every=1,
+                                                     time={"t_end": 0.01, "tau": 0.01}))
+    _, pairs = _series_run(tmp_path / "series", 1)
     src = str(Path(cli.__file__).resolve().parents[1])
-    done = subprocess.run([sys.executable, "-c", script, str(config_path), *map(str, pairs[0])],
+    done = subprocess.run([sys.executable, "-W", "error", "-c", prelude + _LAPACK_CHILD, action,
+                           str(config_path), str(tmp_path / "out"), *map(str, pairs[0])],
                           env=dict(os.environ, PYTHONPATH=src),
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout == "False\nTrue\n"
+    return json.loads(done.stdout.splitlines()[-1]), pairs[0]
+
+
+@pytest.mark.parametrize("action", ["step", "run"])
+def test_a_read_and_an_audit_load_no_lapack_until_the_first_solve(tmp_path, action):
+    """A solve loads scipy's LAPACK extension alone, not scipy.linalg, and a
+    later `import scipy.linalg` still binds its own copy and solves the same."""
+    plain_scipy, _ = _lapack_child(tmp_path, "scipy")
+    assert not plain_scipy["linalg"]
+    found, _ = _lapack_child(tmp_path, action)
+    assert "scipy" in found["added"]  # the read and the audit loaded none of it
+    assert not found["linalg"]
+    assert set(plain_scipy["added"]) <= set(found["added"])
+    [(name, path)] = [item for item in found["added"].items()
+                      if item[0] not in plain_scipy["added"]]
+    assert not name.startswith("scipy")
+    assert os.path.dirname(path) == "linalg"
+    assert os.path.basename(path).startswith("_flapack.")
+    assert found["public_copy"] and found["same_again"]
+
+
+def test_a_solve_falls_back_to_scipy_linalg_where_it_finds_no_extension(tmp_path):
+    """Without a _flapack file to load, the first solve takes the public import."""
+    prelude = textwrap.dedent("""
+        from importlib import machinery
+        _find_spec = machinery.PathFinder.find_spec
+
+        def _find_no_private_copy(name, path=None, target=None):
+            if name.endswith("._flapack") and not name.startswith("scipy."):
+                return None
+            return _find_spec(name, path, target)
+        machinery.PathFinder.find_spec = _find_no_private_copy
+    """)
+    found, pair = _lapack_child(tmp_path, "step", prelude=prelude)
+    assert found["linalg"]
+    assert [name for name in found["added"] if name.endswith("._flapack")] == [
+        "scipy.linalg._flapack"]
+    cfg = resolve_config(_pulse_raw(snapshot_every=1, time={"t_end": 0.01, "tau": 0.01}))
+    layer, _ = step(read_snapshot(*pair[:2]), cfg.tau, cfg.params)
+    assert found["first"] == [getattr(layer, f).tobytes().hex()
+                              for f in ("r", "u", "rho", "p", "eps")]
+    assert found["public_copy"] and found["same_again"]
 
 
 def test_main_run_and_audit(tmp_path, capsys):
