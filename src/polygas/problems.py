@@ -11,6 +11,7 @@ midpoint falls on.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -161,23 +162,51 @@ def _bump(xi: np.ndarray) -> np.ndarray:
 
 
 def _uniform_nodes(r_min: float, r_max: float, cells: int) -> np.ndarray:
+    if not isinstance(cells, numbers.Real):  # "10" < 2 fails
+        raise ProblemError(f"cells must be an integer, got {cells!r}")
     if cells < 2:
         raise ProblemError(f"need at least 2 cells, got {cells}")
     if not r_max > r_min:
         raise ProblemError(f"empty radial interval [{r_min}, {r_max}]")
     try:
         return np.linspace(r_min, r_max, cells + 1)
-    except ValueError as exc:  # numpy refuses a count it cannot index
+    except (TypeError, ValueError) as exc:  # numpy refuses 10.0, or a count it cannot index
         raise ProblemError(f"cannot build a mesh of {cells} cells: {exc}") from None
 
 
-def _take(options: dict, defaults: dict, name: str) -> dict:
-    unknown = set(options) - set(defaults)
-    if unknown:
-        raise ConfigError(f"unknown option(s) for problem {name!r}: {sorted(unknown)}")
-    merged = dict(defaults)
-    merged.update(options)
-    return merged
+def _smooth_pulse(opt: dict) -> tuple[dict, dict]:
+    amp, center, width = opt["amplitude"], opt["center"], opt["width"]
+    if not 0.0 < width:
+        raise ProblemError(f"pulse width must be positive, got {width}")
+    return dict(rho=opt["rho0"], u=lambda r: amp * _bump((r - center) / width), p=opt["p0"]), {}
+
+
+def _sod(opt: dict) -> tuple[dict, dict]:
+    split = opt["split"]
+    rho_l, rho_r, p_l, p_r = opt["rho_left"], opt["rho_right"], opt["p_left"], opt["p_right"]
+    return (dict(rho=lambda r: np.where(r < split, rho_l, rho_r), u=0.0,
+                 p=lambda r: np.where(r < split, p_l, p_r),
+                 density_segments=((opt["r_min"], rho_l), (split, rho_r))),
+            dict(visc_nu=opt["visc_nu"]))
+
+
+def _expansion(opt: dict) -> tuple[dict, dict]:
+    trace = PressureTrace(kind="exp_decay", p0=opt["p0"], rate=opt["rate"])
+    return (dict(rho=opt["rho0"], u=0.0, p=opt["p0"]),
+            dict(bc_right=BoundaryCondition.pressure(trace)))
+
+
+#: name -> (the problem's own option defaults, builder); a builder maps the
+#: merged options to the profile's fields (density_segments only where rho is
+#: not a constant) and the SchemeParams that differ from their defaults
+_PROBLEMS = {
+    "uniform": (dict(rho0=1.0, p0=1.0, u0=0.0),
+                lambda opt: (dict(rho=opt["rho0"], u=opt["u0"], p=opt["p0"]), {})),
+    "smooth_pulse": (dict(amplitude=0.05, center=0.5, width=0.2, rho0=1.0, p0=1.0), _smooth_pulse),
+    "sod": (dict(rho_left=1.0, p_left=1.0, rho_right=0.125, p_right=0.1, split=0.5,
+                 visc_nu=2.0), _sod),
+    "expansion": (dict(rho0=1.0, p0=1.0, rate=1.0), _expansion),
+}
 
 
 def problem_library(name: str, **options) -> tuple[EulerProfile, SchemeParams]:
@@ -190,59 +219,19 @@ def problem_library(name: str, **options) -> tuple[EulerProfile, SchemeParams]:
     sod          : two-state Riemann initial data (needs viscosity)
     expansion    : resting gas with an exponentially decaying pressure trace
                    pulling on the right boundary
+
+    Every problem also takes r_min (0), r_max (1), cells (100) and gamma (1.4).
     """
-    if name == "uniform":
-        opt = _take(options, dict(rho0=1.0, p0=1.0, u0=0.0, r_min=0.0, r_max=1.0,
-                                  cells=100, gamma=1.4), name)
-        profile = EulerProfile(
-            r_nodes=_uniform_nodes(opt["r_min"], opt["r_max"], opt["cells"]),
-            rho=opt["rho0"], u=opt["u0"], p=opt["p0"], gamma=opt["gamma"],
-            density_segments=((opt["r_min"], opt["rho0"]),))
-        params = SchemeParams(n=0, gamma=opt["gamma"])
-        return profile, params
-
-    if name == "smooth_pulse":
-        opt = _take(options, dict(amplitude=0.05, center=0.5, width=0.2, rho0=1.0,
-                                  p0=1.0, r_min=0.0, r_max=1.0, cells=100, gamma=1.4), name)
-        amp, center, width = opt["amplitude"], opt["center"], opt["width"]
-        if not 0.0 < width:
-            raise ProblemError(f"pulse width must be positive, got {width}")
-        profile = EulerProfile(
-            r_nodes=_uniform_nodes(opt["r_min"], opt["r_max"], opt["cells"]),
-            rho=opt["rho0"],
-            u=lambda r: amp * _bump((r - center) / width),
-            p=opt["p0"], gamma=opt["gamma"],
-            density_segments=((opt["r_min"], opt["rho0"]),))
-        params = SchemeParams(n=0, gamma=opt["gamma"])
-        return profile, params
-
-    if name == "sod":
-        opt = _take(options, dict(rho_left=1.0, p_left=1.0, rho_right=0.125,
-                                  p_right=0.1, split=0.5, r_min=0.0, r_max=1.0,
-                                  cells=100, gamma=1.4, visc_nu=2.0), name)
-        split = opt["split"]
-        rho_l, rho_r = opt["rho_left"], opt["rho_right"]
-        p_l, p_r = opt["p_left"], opt["p_right"]
-        profile = EulerProfile(
-            r_nodes=_uniform_nodes(opt["r_min"], opt["r_max"], opt["cells"]),
-            rho=lambda r: np.where(r < split, rho_l, rho_r),
-            u=0.0,
-            p=lambda r: np.where(r < split, p_l, p_r),
-            gamma=opt["gamma"],
-            density_segments=((opt["r_min"], rho_l), (split, rho_r)))
-        params = SchemeParams(n=0, gamma=opt["gamma"], visc_nu=opt["visc_nu"])
-        return profile, params
-
-    if name == "expansion":
-        opt = _take(options, dict(rho0=1.0, p0=1.0, rate=1.0, r_min=0.0, r_max=1.0,
-                                  cells=100, gamma=1.4), name)
-        profile = EulerProfile(
-            r_nodes=_uniform_nodes(opt["r_min"], opt["r_max"], opt["cells"]),
-            rho=opt["rho0"], u=0.0, p=opt["p0"], gamma=opt["gamma"],
-            density_segments=((opt["r_min"], opt["rho0"]),))
-        trace = PressureTrace(kind="exp_decay", p0=opt["p0"], rate=opt["rate"])
-        params = SchemeParams(n=0, gamma=opt["gamma"],
-                              bc_right=BoundaryCondition.pressure(trace))
-        return profile, params
-
-    raise ConfigError(f"unknown problem {name!r}; available: uniform, smooth_pulse, sod, expansion")
+    if not isinstance(name, str) or name not in _PROBLEMS:  # a config may pass a list
+        raise ConfigError(f"unknown problem {name!r}; available: {', '.join(_PROBLEMS)}")
+    defaults, build = _PROBLEMS[name]
+    opt = {"r_min": 0.0, "r_max": 1.0, "cells": 100, "gamma": 1.4, **defaults}
+    unknown = set(options) - set(opt)
+    if unknown:
+        raise ConfigError(f"unknown option(s) for problem {name!r}: {sorted(unknown)}")
+    opt.update(options)
+    fields, overrides = build(opt)
+    fields.setdefault("density_segments", ((opt["r_min"], fields["rho"]),))  # a constant rho
+    profile = EulerProfile(r_nodes=_uniform_nodes(opt["r_min"], opt["r_max"], opt["cells"]),
+                           gamma=opt["gamma"], **fields)
+    return profile, SchemeParams(n=0, gamma=opt["gamma"], **overrides)

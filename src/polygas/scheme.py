@@ -410,8 +410,7 @@ class _StepSystem:
                    + 0.5 * q * brack_s)
             f_cell = 0.5 * (eps_hat + lo.eps) - rhs
         else:
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                f_cell = eps_hat - q * (self.inv_rho + delta) / self.gm1
+            f_cell = eps_hat - q * (self.inv_rho + delta) / self.gm1
         return f_node, f_cell, u_t, brack_s
 
     def residual(self, x: np.ndarray) -> tuple[np.ndarray, dict]:
@@ -424,8 +423,7 @@ class _StepSystem:
         r_hat = lo.r + tau * v
         big_r, d_rv = self.swept_rate(v, r_hat)
         delta = tau * d_rv  # change of specific volume over the step
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            rho_hat = lo.rho / (1.0 + lo.rho * delta)
+        rho_hat = lo.rho / (1.0 + lo.rho * delta)
         p_eff = self.effective_pressure(v, d_rv, rho_hat, q)
         eps_hat = lo.eps - p_eff * delta  # energy equation, eliminated
         f_node, f_cell, u_t, brack_s = self.rows(u_hat, q, r_hat, big_r, delta, p_eff, eps_hat)
@@ -597,6 +595,7 @@ def _scaled_norm(f: np.ndarray, scales: np.ndarray) -> float:
     return norm if math.isfinite(norm) else math.inf
 
 
+@np.errstate(all="ignore")  # a non-finite outcome is a named rejection, not a warning
 def step(lo: GridLayer, tau: float, params: SchemeParams,
          earlier: tuple[GridLayer, ...] = ()) -> tuple[GridLayer, StepReport]:
     """Advance one implicit step; returns (new layer, report).

@@ -611,6 +611,13 @@ def test_convergence_study_reports_numeric_orders():
     assert report["temporal"]["tau"] == [0.02, 0.01, 0.005]
 
 
+def test_convergence_study_on_sod_warns_that_orders_are_void(caplog):
+    raw = {"problem": {"name": "sod", "cells": 10}, "time": {"t_end": 0.01, "tau": 0.01}}
+    convergence_study(resolve_config(raw), levels=3, mode="temporal")
+    assert [r.getMessage() for r in caplog.records if r.levelname == "WARNING"] == [
+        "convergence study on a discontinuous problem: order claims are void"]
+
+
 def test_convergence_study_rejects_bad_arguments():
     cfg = resolve_config(_pulse_raw())
     with pytest.raises(ConfigError, match="levels"):
@@ -1006,6 +1013,14 @@ _EXIT_3 = {
     "disordered-r-nodes": (("mesh",), {"r_nodes": [0, 0.5, 0.4, 1]},
                            "node radii must be strictly increasing"),
     "zero-newton-tol": (("params", "newton_tol"), 0, "newton_tol must be positive"),
+    "zero-t-end": (("time", "t_end"), 0.0, "config.time.t_end must be positive, got 0.0"),
+    "negative-tau": (("time", "tau"), -1, "config.time.tau must be positive, got -1"),
+    "zero-budget-tol": (("budget_tol",), 0, "config.budget_tol must be positive, got 0"),
+    "s-nodes-past-the-mass": (("mesh",), {"s_nodes": [0, 0.5, 2]}, "mass coordinate outside [0, 1.0]"),
+    "gamma-one": (("problem", "gamma"), 1.0,
+                  "gamma must be finite and different from 0 and 1, got 1.0"),
+    "list-name": (("problem",), {"name": ["sod"]},
+                  "unknown problem ['sod']; available: uniform, smooth_pulse, sod, expansion"),
 }
 
 
@@ -1020,6 +1035,13 @@ def test_a_config_error_exits_3_with_its_message(tmp_path, capsys, case):
     assert main(["run", "--config", str(_write_config(tmp_path, raw)),
                  "--out", str(tmp_path / "out")]) == 3
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_a_negative_density_with_a_mass_mesh_exits_3(tmp_path, capsys):
+    raw = _pulse_raw(problem={"name": "uniform", "rho0": -1}, mesh={"s_nodes": [0, 0.5, 1]})
+    assert main(["run", "--config", str(_write_config(tmp_path, raw)),
+                 "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err == "error: density segments must be positive\n"
 
 
 def test_an_out_directory_below_a_regular_file_exits_3(tmp_path, capsys):
@@ -1046,9 +1068,11 @@ _NO_NEWTON_CONVERGENCE = _pulse_raw(problem={"name": "smooth_pulse", "cells": 10
 @pytest.mark.parametrize("command, raw, code, start", [
     ("run", {"problem": "nonexistent", "time": {"t_end": 0.1, "tau": 0.1}}, 3, "error: "),
     ("run", _NO_NEWTON_CONVERGENCE, 1, "ERROR polygas: run stopped after 0 steps: "),
+    ("run", _pulse_raw(time={"t_end": 1e300, "tau": 1e300}), 1,
+     "ERROR polygas: run stopped after 0 steps: Newton iteration diverged"),
     ("convergence", _NO_NEWTON_CONVERGENCE, 3,
      "error: convergence run at cells=10, tau=0.01 failed: "),
-], ids=["bad-config", "rejected-step", "failed-convergence-level"])
+], ids=["bad-config", "rejected-step", "overflowing-step", "failed-convergence-level"])
 def test_an_error_prints_one_stderr_line(tmp_path, command, raw, code, start):
     """Through a process of its own, since pytest captures log records."""
     src = str(Path(cli.__file__).resolve().parents[1])

@@ -1,3 +1,6 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -10,6 +13,7 @@ from polygas import (
     mass_coordinate,
     problem_library,
 )
+from polygas.problems import _PROBLEMS
 
 
 def test_mass_coordinate_unit_density_sphere():
@@ -112,3 +116,27 @@ def test_a_negative_radius_is_spelled_as_a_plain_float():
 def test_too_few_cells_rejected():
     with pytest.raises(ProblemError, match="cells"):
         problem_library("uniform", cells=1)
+
+
+@pytest.mark.parametrize("cells", (10.0, "10"))
+def test_cells_of_the_wrong_type_are_a_problem_error(cells):
+    with pytest.raises(ProblemError, match="cells"):
+        problem_library("smooth_pulse", cells=cells)
+
+
+def test_a_field_of_the_wrong_shape_or_non_finite_is_a_problem_error():
+    r = np.linspace(0.0, 1.0, 5)
+    wrong_shape = EulerProfile(r_nodes=r, rho=np.ones(3), u=0.0, p=1.0, gamma=1.4)
+    with pytest.raises(ProblemError, match=r"^field 'rho' has shape \(3,\), expected \(4,\)$"):
+        make_initial_layer(wrong_shape, 0)
+    non_finite = EulerProfile(r_nodes=r, rho=1.0, u=lambda x: np.where(x > 0.5, np.inf, 0.0),
+                              p=1.0, gamma=1.4)
+    with pytest.raises(ProblemError, match="^field 'u' evaluates to non-finite values$"):
+        make_initial_layer(non_finite, 0)
+
+
+def test_readme_and_docstring_name_every_library_problem():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    listed = re.search(r"Problems:\s*(.*?)\(each", readme, re.S).group(1)
+    assert re.findall(r"`(\w+)`", listed) == list(_PROBLEMS)
+    assert re.findall(r"^    (\w+) +:", problem_library.__doc__, re.M) == list(_PROBLEMS)

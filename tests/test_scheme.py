@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -200,6 +201,41 @@ def test_scaling_density_and_pressure_by_a_power_of_two_is_exact(problem, n, mod
             == [r["relative_defect"] for r in scaled.records])
 
 
+# --- plane mirror symmetry ------------------------------------------------------------
+
+#: (original, mirrored) options on [0, 1]: u(r) -> -u(1 - r), cell fields reversed
+_MIRRORED = {
+    "smooth_pulse": ({"center": 0.3, "amplitude": 0.05}, {"center": 0.7, "amplitude": -0.05}),
+    "sod": ({"split": 0.4}, {"split": 0.6, "rho_left": 0.125, "p_left": 0.1,
+                             "rho_right": 1.0, "p_right": 1.0}),
+}
+#: (tau, bound) per problem.  Measured largest gaps over r, u, rho, p, eps, each
+#: relative to the original run's max |field| (1 for r): 1.2e-13 (pulse, in u)
+#: and 2.8e-13 (Sod, in u); the bounds leave a margin of about ten.
+_MIRROR_BOUNDS = {"smooth_pulse": (0.002, 1e-12), "sod": (0.001, 3e-12)}
+
+
+@pytest.mark.parametrize("problem", list(_MIRRORED))
+def test_a_mirrored_plane_run_is_the_original_reversed(problem):
+    """Reflecting r -> 1 - r maps a plane run onto itself with u -> -u.  Not
+    bitwise: dgtsv eliminates in one direction, so round-off differs."""
+    tau, bound = _MIRROR_BOUNDS[problem]
+
+    def run(options):
+        cfg = resolve_config({"problem": {"name": problem, "cells": 200, **options},
+                              "audit": "none", "time": {"t_end": 100 * tau, "tau": tau}})
+        result = run_simulation(cfg)
+        assert result.exit_code == 0 and result.steps == 100
+        return result.final_layer
+
+    a, b = (run(options) for options in _MIRRORED[problem])
+    assert np.max(np.abs(b.r - (1.0 - a.r[::-1]))) <= bound
+    assert np.max(np.abs(b.u + a.u[::-1])) <= bound * np.max(np.abs(a.u))
+    for name in ("rho", "p", "eps"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert np.max(np.abs(y - x[::-1])) <= bound * np.max(np.abs(x)), name
+
+
 # --- Newton's starting point ---------------------------------------------------------
 
 @pytest.mark.parametrize("mode", ("pointwise", "conservative"))
@@ -318,6 +354,18 @@ def test_step_rejects_on_iteration_cap():
     assert not report.accepted
     assert report.iterations >= 1
     assert "no Newton convergence" in report.reason
+
+@pytest.mark.parametrize("tau, reason", [
+    (1e300, "Newton iteration diverged (non-finite residual)"),
+    (1e308, "non-finite Jacobian"),
+])
+def test_an_overflowing_step_is_a_named_rejection_not_a_warning(tau, reason):
+    layer, params = pulse_start(n=0, gamma=1.4, cells=20)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(StepRejected) as info:
+            step(layer, tau, params)
+    assert info.value.report.reason == reason
 
 
 def test_one_step_approaches_a_fine_reference():
@@ -454,6 +502,8 @@ def test_boundary_condition_validation():
         BoundaryCondition(kind="free")
     bc = BoundaryCondition.pressure(2.5)
     assert bc.trace(0.0) == 2.5
+    with pytest.raises(ConfigError, match="^wall velocity must be finite$"):
+        BoundaryCondition.wall(float("inf"))
 
 
 def test_step_rejects_bad_tau():
