@@ -281,10 +281,10 @@ def _totals(layer: GridLayer, n: int) -> dict:
     return dict(zip(rows, exact_sums(rows.values())))
 
 
-#: a run audits its accepted steps in batches of B steps with B (N+1) at most
-#: this many values (or one step), so the audit's (B, N+1) arrays stay at
-#: 32 KiB, below the 64 KiB whose free lets glibc trim the heap: 40 steps per
-#: call at 100 cells, 10 at 400, 2 at 1600 (the fastest measured there)
+#: a run audits its accepted steps in batches of max(1, this // (N+1)) steps:
+#: 40 per call at 100 cells, 10 at 400, 2 at 1600 and 1 from 2048 cells on.
+#: At 1600 cells the batch audits in less memory than one step takes, so
+#: glibc's heap neither grows nor trims around the audit
 AUDIT_BATCH_ELEMENTS = 4096
 
 
@@ -312,8 +312,8 @@ def run_simulation(cfg: RunConfig, out_dir=None) -> SimulationResult:
     rejected stops the run with exit code 1; a violated expected-zero budget
     marks exit code 2; otherwise 0.  Wall nodes start at their wall velocity.
     Each step's Newton iteration starts from the last accepted layers.
-    Accepted steps are audited in batches of up to AUDIT_BATCH_ELEMENTS
-    nodal values, and at the end of the loop.
+    Accepted steps are audited in batches of max(1, AUDIT_BATCH_ELEMENTS //
+    (N+1)), and at the end of the loop.
     """
     if cfg.max_halvings < 0:
         raise ConfigError(f"max_halvings must be >= 0, got {cfg.max_halvings}")
@@ -339,6 +339,7 @@ def run_simulation(cfg: RunConfig, out_dir=None) -> SimulationResult:
     last_written = 0
     lo_totals: dict = {}  # hi totals of the last audit: the next batch's lo totals
     batch: list[TwoLayerView] = []  # accepted steps not yet audited
+    batch_steps = max(1, AUDIT_BATCH_ELEMENTS // initial.mesh.n_nodes)
     earlier: tuple = ()  # the accepted layers before `layer`, newest first
 
     while True:
@@ -358,7 +359,7 @@ def run_simulation(cfg: RunConfig, out_dir=None) -> SimulationResult:
             reports.append(rejected.report)
             break
         batch.append(TwoLayerView(lo=layer, hi=hi, tau=tau_j))
-        if (len(batch) + 1) * layer.mesh.n_nodes > AUDIT_BATCH_ELEMENTS:
+        if len(batch) == batch_steps:
             _audit_steps(batch, step_index + 1 - len(batch), cfg, lo_totals, records, violations)
             batch = []
         reports.append(report)

@@ -10,14 +10,18 @@ tau * net boundary flux|, which holds to summation round-off whenever the
 local identities hold.  The totals are math.fsum's bit for bit, from one
 certified error-free extraction per call (state.exact_sums; Rump et al. 2008).
 
-The run is one array program: each layer's terms are computed once on a
-(B+1, ·) stack of the run's B+1 layers, each step's on (B, ·) arrays, and each
+The run is one array program: each layer's shared terms are computed once on
+a (B+1, ·) stack of the run's B+1 layers, each step's on (B, ·) arrays, and each
 layer's density row is summed once, so two steps sharing a layer share its
-totals.  Across calls, lo_totals (LawId -> density_sum_lo of the first step)
-carries the previous call's last hi totals instead of re-summing that layer.
-ADDITIONAL_2 is the exception: its density holds the step's tau^2/8 term,
-which a halved or shortened step changes, so its lo and hi rows are summed
-per step.  Per-cell residuals always use the raw layers.
+totals.  Each law builds its own terms on top, and audit_all reduces them at
+once to the law's weighted density rows, residual maxima and boundary fluxes,
+so no law's arrays live beside the next law's: a batch audits in about the
+memory of its shared stacks and density rows.  Across calls, lo_totals
+(LawId -> density_sum_lo of the first step) carries the previous call's last
+hi totals instead of re-summing that layer.  ADDITIONAL_2 is the exception:
+its density holds the step's tau^2/8 term, which a halved or shortened step
+changes, so its lo and hi rows are summed per step.  Per-cell residuals always
+use the raw layers.
 
 Laws are written in the canonical form density_t + flux_s = 0; the sign of
 each flux is folded in so every budget uses the same defect formula.
@@ -73,7 +77,6 @@ class ConservationBudget:
     identity_defect: float = 0.0
     relative_defect: float = 0.0
     note: str = ""
-    residuals: np.ndarray | None = None  # diagnostics only, not serialized
 
     def to_record(self, step: int | None = None, t: float | None = None,
                   tau: float | None = None) -> dict:
@@ -121,13 +124,14 @@ def _consecutive(views: TwoLayerView | Sequence[TwoLayerView]) -> list[TwoLayerV
 
 class _Recomputed:
     """What several laws use, recomputed from the raw layers of B consecutive
-    views.  Per layer, rows of (B+1, ·) stacks: the fields, the times t and t^2,
-    <u^2>/2, eps + <u^2>/2 and (on first use by a quadratic balance) <r u>.  Per
-    step, rows of (B, ·) arrays: the time-centred velocity v, the area factor R,
+    views.  Per layer, rows of (B+1, ·) stacks: r, u, <u^2>/2,
+    eps + <u^2>/2, the times t and t^2 and (on first use by a quadratic balance)
+    <r u>.  Per step, rows of (B, ·) arrays: the time-centred velocity v, R v,
     the effective cell pressure, the nodal flux pressure p* and R p*, and the
-    columns tau, t^{(1/2)}, (t^2)^{(1/2)} and tau^2/4.  The mesh weights are
-    (1, ·) rows, so a lone view's arithmetic meets operands of its own shape,
-    which numpy runs on its fast path."""
+    columns tau, t^{(1/2)}, (t^2)^{(1/2)} and tau^2/4.  Whatever one law alone
+    uses, its body builds, so it is freed with that law's terms.  The mesh
+    weights are (1, ·) rows, so a lone view's arithmetic meets operands of its
+    own shape, which numpy runs on its fast path."""
 
     def __init__(self, views: TwoLayerView | Sequence[TwoLayerView], params: SchemeParams):
         self.views = views = _consecutive(views)
@@ -135,9 +139,8 @@ class _Recomputed:
         mesh = views[0].mesh
         self.h, self.nodal_masses, self.spacings = (
             w[None] for w in (mesh.h, mesh.nodal_masses, mesh.interior_spacings()))
-        layers = [views[0].lo, *(view.hi for view in views)]
-        self.r, self.u, self.rho, p, eps = (np.array([getattr(layer, name) for layer in layers])
-                                            for name in ("r", "u", "rho", "p", "eps"))
+        self.layers = layers = [views[0].lo, *(view.hi for view in views)]
+        self.r, self.u, p, e_tot = (self.stack(name) for name in ("r", "u", "p", "eps"))
         # each scalar is the Python float a lone view forms (t ** 2 is pow, not
         # t * t), stacked as a column
         self.t, self.t_sq = np.array([(layer.t, layer.t ** 2) for layer in layers]).T[..., None]
@@ -145,42 +148,48 @@ class _Recomputed:
             [(view.tau, view.t_half, view.t_sq_half, 0.25 * view.tau ** 2)
              for view in views]).T[..., None]
         self.v = v = 0.5 * (self.u[:-1] + self.u[1:])
-        self.big_r = r_factor(self.r[:-1], self.r[1:], params.n)
+        # R = 1 in the plane, where R v and R p* are v and p* bit for bit
+        big_r = r_factor(self.r[:-1], self.r[1:], params.n) if params.n else None
+        self.rv = rv = v if big_r is None else big_r * v
         a = params.alpha_effective
         self.p_eff = p_eff = a * p[1:] + (1.0 - a) * p[:-1]
         if params.visc_nu != 0.0:
             du = v[:, 1:] - v[:, :-1]
-            rho_half = 0.5 * (self.rho[:-1] + self.rho[1:])
-            rv = self.big_r * v
+            rho = self.stack("rho")
+            rho_half = 0.5 * (rho[:-1] + rho[1:])
             compressing = (rv[:, 1:] - rv[:, :-1]) / self.h < 0.0
-            self.p_eff = p_eff = p_eff + np.where(compressing,
-                                                  params.visc_nu * rho_half * du * du, 0.0)
+            p_eff += np.where(compressing, params.visc_nu * rho_half * du * du, 0.0)
         self.star = star = np.empty(v.shape)
         star[:, 1:-1] = interp_nodal_pressure(p_eff, mesh)
         star[:, 0], star[:, -1] = p_eff[:, 0], p_eff[:, -1]  # walls; pressure ends below
-        for j, view in enumerate(views):
-            for col, bc in zip((0, -1), effective_boundaries(params, float(view.lo.r[0]))):
-                if bc.kind != "wall":
-                    star[j, col] = boundary_pressure(bc, view.lo.t, view.hi.t, a)
-        self.big_r_star = self.big_r * star
+        for r_left in set(self.r[:-1, 0].tolist()):  # the origin rule, once per left end
+            bcs = effective_boundaries(params, r_left)
+        for col, bc in zip((0, -1), bcs):
+            if bc.kind != "wall":
+                star[:, col] = [boundary_pressure(bc, view.lo.t, view.hi.t, a) for view in views]
+        self.big_r_star = star if big_r is None else big_r * star
         #: <u^2>/2 and eps + <u^2>/2 per cell
         self.ke = 0.5 * cell_average(self.u * self.u)
-        self.e_tot = eps + self.ke
+        e_tot += self.ke
+        self.e_tot = e_tot
         self.ru: np.ndarray | None = None
+
+    def stack(self, field: str) -> np.ndarray:
+        """The (B+1, ·) stack of one field of the layers."""
+        return np.array([getattr(layer, field) for layer in self.layers])
 
 
 class _Terms(NamedTuple):
     """What one law contributes to the budgets of B steps: densities d_lo, d_hi
     (B, ·) weighted by cell or node masses, the local residuals (B, ·) and each
-    step's boundary fluxes.  Unless per_step, d_lo[k + 1] and d_hi[k] are one
-    layer's density, so each layer is summed once."""
+    step's boundary fluxes, [left, right] per step.  Unless per_step, d_lo[k + 1]
+    and d_hi[k] are one layer's density, so each layer is summed once."""
 
     weights: np.ndarray
     d_lo: np.ndarray
     d_hi: np.ndarray
     residuals: np.ndarray
-    flux_left: list[float]
-    flux_right: list[float]
+    fluxes: list[list[float]]
     per_step: bool = False
     expected_zero: bool = True
     note: str = ""
@@ -190,16 +199,15 @@ def _cell_law(rc: _Recomputed, d_lo: np.ndarray, d_hi: np.ndarray, flux: np.ndar
               per_step: bool = False, expected_zero: bool = True, note: str = "") -> _Terms:
     """Terms of a cell-based law from its density and nodal flux."""
     res = (d_hi - d_lo) / rc.tau + (flux[:, 1:] - flux[:, :-1]) / rc.h
-    return _Terms(rc.h, d_lo, d_hi, res, flux[:, 0].tolist(), flux[:, -1].tolist(),
-                  per_step, expected_zero, note)
+    return _Terms(rc.h, d_lo, d_hi, res, flux[:, [0, -1]].tolist(), per_step, expected_zero, note)
 
 
 # --- the six laws: each returns its _Terms, or its note when it does not apply ---
 
 def _mass(rc: _Recomputed) -> _Terms:
     """Cell law: specific volume vs. swept volume, density 1/rho, flux -R v."""
-    density = 1.0 / rc.rho
-    return _cell_law(rc, density[:-1], density[1:], -rc.big_r * rc.v)
+    density = 1.0 / rc.stack("rho")
+    return _cell_law(rc, density[:-1], density[1:], -rc.rv)
 
 
 def _energy(rc: _Recomputed) -> _Terms:
@@ -213,15 +221,15 @@ def _nodal(law: LawId, rc: _Recomputed) -> _Terms | str:
     c = -t^{(1/2)}."""
     if rc.params.n != 0:
         return f"{law.value.replace('_', '-')} balance needs n=0, run has n={rc.params.n}"
-    if law is LawId.MOMENTUM:
-        c, d = 1.0, rc.u
+    dp = rc.p_eff[:, 1:] - rc.p_eff[:, :-1]
+    if law is LawId.MOMENTUM:  # c = 1: a product with 1.0 changes no bit
+        d, force, flux = rc.u, dp / rc.spacings, rc.star[:, [0, -1]]
     else:
         c, d = -rc.t_half, rc.r - rc.t * rc.u
+        force, flux = c * dp / rc.spacings, c * rc.star[:, [0, -1]]
     d_lo, d_hi = d[:-1], d[1:]
-    res = ((d_hi - d_lo)[:, 1:-1] / rc.tau
-           + c * (rc.p_eff[:, 1:] - rc.p_eff[:, :-1]) / rc.spacings)
-    flux = c * rc.star[:, [0, -1]]
-    return _Terms(rc.nodal_masses, d_lo, d_hi, res, flux[:, 0].tolist(), flux[:, 1].tolist())
+    res = (d_hi[:, 1:-1] - d_lo[:, 1:-1]) / rc.tau + force
+    return _Terms(rc.nodal_masses, d_lo, d_hi, res, flux.tolist())
 
 
 def _quadratic(law: LawId, rc: _Recomputed, include_correction: bool = True) -> _Terms:
@@ -284,28 +292,28 @@ def audit_all(views: TwoLayerView | Sequence[TwoLayerView], params: SchemeParams
     density_sum_hi this function gave for the step ending on views[0].lo, so bit
     for bit a fresh sum.  ADDITIONAL_2's is ignored: its density holds each
     step's tau^2/8 term.
+
+    Each law's terms are reduced as soon as they are built, to their weighted
+    density rows, each step's residual maximum and boundary fluxes, and freed
+    before the next law's; the rows of all laws are summed in one exact_sums call.
     """
     rc = _Recomputed(views, params)
-    n_steps = len(rc.views)
+    n_steps, taus = len(rc.views), rc.tau.ravel().tolist()
     carried = {k: v for k, v in (lo_totals or {}).items() if k is not LawId.ADDITIONAL_2}
-    terms = [(law, _LAWS[law](rc)) for law in ALL_LAWS if law in laws]
-    # weighted density rows, summed in one kernel call: each layer's once (the
-    # first unless carried), or each step's lo and hi where the step changes it
-    blocks = []
-    for law, t in terms:
-        if isinstance(t, _Terms):
-            if law not in carried:
-                blocks.append(t.weights * (t.d_lo if t.per_step else t.d_lo[:1]))
-            blocks.append(t.weights * t.d_hi)
-    totals = iter(exact_sums([row for block in blocks for row in block]))
-    taus = rc.tau.ravel().tolist()
+    rows: list[np.ndarray] = []  # weighted density rows, in law order
+    reduced = [(law, _reduce(_LAWS[law](rc), law in carried, rows))
+               for law in ALL_LAWS if law in laws]
+    del rc  # only the density rows outlive their laws
+    totals = iter(exact_sums(rows))
+    del rows  # the budgets are built once every audit array is freed
     by_law = []
-    for law, t in terms:
+    for law, t in reduced:
         if isinstance(t, str):
             by_law.append([ConservationBudget(law=law, applicable=False, note=t)
                            for _ in range(n_steps)])
             continue
-        if t.per_step:
+        fluxes, res_maxima, per_step, expected_zero, note = t
+        if per_step:
             sums_lo = list(itertools.islice(totals, n_steps))
             sums_hi = list(itertools.islice(totals, n_steps))
         else:
@@ -313,18 +321,35 @@ def audit_all(views: TwoLayerView | Sequence[TwoLayerView], params: SchemeParams
             sums_hi = list(itertools.islice(totals, n_steps))
             sums_lo = [first, *sums_hi[:-1]]
         budgets = []
-        for tau, left, right, sum_lo, sum_hi, res, res_max in zip(
-                taus, t.flux_left, t.flux_right, sums_lo, sums_hi, t.residuals,
-                np.abs(t.residuals).max(axis=1).tolist()):
+        for tau, (left, right), sum_lo, sum_hi, res_max in zip(
+                taus, fluxes, sums_lo, sums_hi, res_maxima):
             net = right - left
             defect = abs(sum_hi - sum_lo + tau * net)
             scale = max(abs(sum_lo), abs(sum_hi), tau * (abs(left) + abs(right)))
             budgets.append(ConservationBudget(
-                law=law, applicable=True, expected_zero=t.expected_zero,
+                law=law, applicable=True, expected_zero=expected_zero,
                 per_cell_residual_max=res_max,
                 density_sum_lo=sum_lo, density_sum_hi=sum_hi,
                 boundary_flux_net=net, identity_defect=defect,
                 relative_defect=defect / scale if scale > 0.0 else 0.0,
-                note=t.note, residuals=res))
+                note=note))
         by_law.append(budgets)
     return [budget for step_budgets in zip(*by_law) for budget in step_budgets]
+
+
+def _reduce(t: _Terms | str, carried: bool, rows: list) -> tuple | str:
+    """A law's terms reduced to what its budgets report: its weighted density
+    rows go to rows (each step's lo and hi rows if per_step, else the lo layer's
+    unless carried, then each hi layer's), and it returns its boundary fluxes,
+    each step's largest |residual|, per_step, expected_zero and note.  A note
+    passes through."""
+    if isinstance(t, str):
+        return t
+    w = t.weights
+    if t.per_step:
+        rows.extend(w * t.d_lo)
+    elif not carried:
+        rows.extend(w * t.d_lo[:1])
+    rows.extend(w * t.d_hi)
+    res_max = np.abs(t.residuals, out=t.residuals).max(axis=1).tolist()
+    return t.fluxes, res_max, t.per_step, t.expected_zero, t.note

@@ -53,6 +53,8 @@ class EulerProfile:
         r = np.array(self.r_nodes, dtype=float)
         if r.ndim != 1 or r.size < 3:
             raise ProblemError(f"need at least 3 radii, got shape {r.shape}")
+        if not np.isfinite(r).all():
+            raise ProblemError("node radii must be finite")
         if np.any(np.diff(r) <= 0.0):
             raise ProblemError("node radii must be strictly increasing")
         r.setflags(write=False)
@@ -166,6 +168,10 @@ def _uniform_nodes(r_min: float, r_max: float, cells: int) -> np.ndarray:
         raise ProblemError(f"cells must be an integer, got {cells!r}")
     if cells < 2:
         raise ProblemError(f"need at least 2 cells, got {cells}")
+    if not all(isinstance(r, numbers.Real) and math.isfinite(r) for r in (r_min, r_max)) \
+            or not math.isfinite(r_max - r_min):
+        raise ProblemError(f"radial interval [{r_min!r}, {r_max!r}] needs finite ends "
+                           "a finite width apart")
     if not r_max > r_min:
         raise ProblemError(f"empty radial interval [{r_min}, {r_max}]")
     try:

@@ -3,11 +3,15 @@ steps.  Its records must be those of auditing each step's view alone, every
 batch must fit the element budget, and the batches must cover each accepted
 step exactly once, in order."""
 
+import dataclasses
+import itertools
 import json
+import tracemalloc
 
 import pytest
 
-from polygas import LayerError, audit_all, cli
+from polygas import (ALL_LAWS, BoundaryCondition, ConfigError, LawId, LayerError, audit_all,
+                     cli, step)
 from polygas.cli import resolve_config, run_simulation
 from conftest import advance, pulse_start, zero_cell_pivot
 
@@ -114,3 +118,59 @@ def test_batches_fit_the_budget_and_cover_every_step_once(monkeypatch, batches, 
     assert views[0].lo is result.initial_layer and views[-1].hi is result.final_layer
     assert all(a.hi is b.lo for a, b in zip(views, views[1:]))
     assert [record["step"] for record in result.records[::len(cfg.laws)]] == list(range(10))
+
+
+def _peak_bytes(call) -> int:
+    """tracemalloc's peak over one call, above what was allocated before it;
+    a first, untraced call fills the caches a run fills once."""
+    call()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_1600_cell_batch_audits_in_less_memory_than_one_step():
+    """The batch run_simulation forms at 1600 cells (two steps) peaks below one
+    step on the same layers, carried totals or not, so the audit never grows
+    the heap past what every step already uses.  The audit that built its
+    (B+1, ·) stacks for all laws at once and kept every law's arrays until its
+    one sum peaked at 802 KiB against the step's 582."""
+    layer, params = pulse_start(n=0, gamma=1.4, cells=1600, alpha=0.5)  # pulse-plane-1600
+    views = advance(layer, params, 1e-3, 3)
+    assert max(1, cli.AUDIT_BATCH_ELEMENTS // layer.mesh.n_nodes) == 2
+    carried = {budget.law: budget.density_sum_hi for budget in audit_all(views[0], params)}
+    one_step = _peak_bytes(lambda: step(views[1].lo, 1e-3, params, earlier=(views[0].lo,)))
+    for lo_totals in (None, carried):
+        batch = _peak_bytes(lambda: audit_all(views[1:], params, lo_totals=lo_totals))
+        assert batch <= one_step, (batch, one_step)
+
+
+def test_calls_that_switch_mesh_batch_and_laws_match_fresh_lone_view_audits():
+    """No array outlives an audit_all call: calls that switch the mesh, the batch
+    length and the law subset, each right after a call that raised (one midway,
+    with its layer stacks built), give the records of auditing each view alone."""
+    plane, plane_params = pulse_start(n=0, gamma=3.0, cells=24, eos_mode="conservative")
+    sphere, sphere_params = pulse_start(n=2, gamma=5.0 / 3.0, cells=40)
+    plane_views = advance(plane, plane_params, 0.01, 4)
+    sphere_views = advance(sphere, sphere_params, 0.01, 3)
+    calls = [(plane_views[:3], plane_params, ALL_LAWS),
+             (sphere_views[1:2], sphere_params, (LawId.ENERGY, LawId.MASS)),
+             (plane_views[3:], plane_params, (LawId.ADDITIONAL_2, LawId.MOMENTUM)),
+             (sphere_views, sphere_params, ALL_LAWS),
+             (plane_views, plane_params, (LawId.CENTER_OF_MASS,))]
+    alone = [json.dumps([budget.to_record() for view in views
+                         for budget in audit_all(view, params, laws)])
+             for views, params, laws in calls]
+    # the sphere's node at r = 0 may not move: effective_boundaries raises
+    # after the stacks, v, p_eff and p* are built
+    moving = dataclasses.replace(sphere_params, bc_left=BoundaryCondition.wall(0.2))
+    failing = itertools.cycle([(sphere_views, moving, ConfigError),
+                               ([plane_views[0], plane_views[2]], plane_params, LayerError)])
+    for (views, params, laws), want, (bad_views, bad_params, error) in zip(calls, alone, failing):
+        with pytest.raises(error):
+            audit_all(bad_views, bad_params)
+        assert json.dumps([budget.to_record() for budget in audit_all(views, params, laws)]) == want

@@ -1004,6 +1004,12 @@ def test_main_exit_codes(tmp_path, capsys):
     assert "output directory" in capsys.readouterr().err
 
 
+#: ends whose difference overflows: numpy warned three times, then the mesh
+#: was blamed ("node radii must be strictly increasing")
+_OVERFLOWING_INTERVAL = {"name": "smooth_pulse", "cells": 20,
+                         "r_min": -1.7e308, "r_max": 1.7e308}
+
+
 # config errors, an unwritable --out and a failed convergence level, through main
 _EXIT_3 = {
     "wall-p0": (("params", "bc_left"), {"kind": "wall", "p0": 1},
@@ -1021,6 +1027,9 @@ _EXIT_3 = {
                   "gamma must be finite and different from 0 and 1, got 1.0"),
     "list-name": (("problem",), {"name": ["sod"]},
                   "unknown problem ['sod']; available: uniform, smooth_pulse, sod, expansion"),
+    "overflowing-interval": (("problem",), _OVERFLOWING_INTERVAL,
+                             "radial interval [-1.7e+308, 1.7e+308] needs finite ends "
+                             "a finite width apart"),
 }
 
 
@@ -1072,7 +1081,9 @@ _NO_NEWTON_CONVERGENCE = _pulse_raw(problem={"name": "smooth_pulse", "cells": 10
      "ERROR polygas: run stopped after 0 steps: Newton iteration diverged"),
     ("convergence", _NO_NEWTON_CONVERGENCE, 3,
      "error: convergence run at cells=10, tau=0.01 failed: "),
-], ids=["bad-config", "rejected-step", "overflowing-step", "failed-convergence-level"])
+    ("run", _pulse_raw(problem=_OVERFLOWING_INTERVAL), 3, "error: radial interval "),
+], ids=["bad-config", "rejected-step", "overflowing-step", "failed-convergence-level",
+        "overflowing-interval"])
 def test_an_error_prints_one_stderr_line(tmp_path, command, raw, code, start):
     """Through a process of its own, since pytest captures log records."""
     src = str(Path(cli.__file__).resolve().parents[1])

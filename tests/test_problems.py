@@ -1,3 +1,4 @@
+import math
 import re
 from pathlib import Path
 
@@ -122,6 +123,23 @@ def test_too_few_cells_rejected():
 def test_cells_of_the_wrong_type_are_a_problem_error(cells):
     with pytest.raises(ProblemError, match="cells"):
         problem_library("smooth_pulse", cells=cells)
+
+
+@pytest.mark.parametrize("ends", ({"r_min": "0"}, {"r_max": None}, {"r_max": math.inf},
+                                  {"r_min": math.nan}, {"r_min": -1.7e308, "r_max": 1.7e308}))
+def test_a_radial_interval_needs_finite_real_ends_a_finite_width_apart(ends):
+    """A str or None end was a raw TypeError, an infinite end gave numpy warnings
+    and nodes [nan, inf, ...], an overflowing width blamed the node order and a
+    nan end called the interval empty."""
+    with pytest.raises(ProblemError,
+                       match=r"^radial interval \[.*\] needs finite ends a finite width apart$"):
+        problem_library("uniform", **ends)
+
+
+@pytest.mark.parametrize("bad", (math.inf, -math.inf, math.nan))
+def test_a_profile_rejects_non_finite_radii(bad):
+    with pytest.raises(ProblemError, match="^node radii must be finite$"):
+        EulerProfile(r_nodes=[0.0, 0.5, bad], rho=1.0, u=0.0, p=1.0, gamma=1.4)
 
 
 def test_a_field_of_the_wrong_shape_or_non_finite_is_a_problem_error():
