@@ -15,7 +15,15 @@ as oracles.
 
 The equations are written once, in _StepSystem.  Newton runs its kernel on
 a layer eliminated from (u_hat, q); step_residuals, the offline check, runs
-it on a stored pair of layers and adds the eliminated rows.
+it on a stored pair of layers and adds the eliminated rows.  Newton keeps its
+unknowns, residuals, scales, round-off floors and updates as two contiguous
+blocks, a node block (u_hat, N + 1 momentum rows) and a cell block (q, N
+gas-law rows).  The plane (n = 0) runs its particular case, in which the area
+factor R is 1 and the two-layer gas law has no geometric bracket: neither is
+formed, and d delta / d u_hat = -+tau/(2h) is formed once per step.  An
+inviscid run (visc_nu = 0) builds no viscosity derivatives.  Each term
+skipped is a product by exactly 1 or a sum with an exact zero, so the results
+are the general formulas' bit for bit (at most an exact zero's sign could move).
 
 Newton starts from u and p extrapolated quadratically in time through the
 last accepted layers, so a smooth step needs one update (a resting uniform
@@ -212,14 +220,12 @@ def r_factor(r_lo, r_hi, n: int):
 
 
 def _eos_bracket(r_lo, r_hi, n: int):
-    """Nodal field whose s-difference corrects the two-layer gas law.
+    """Nodal field whose s-difference corrects the two-layer gas law, n >= 1.
 
     Equals (r^{(1/2)} * R - midpoint of r^{n+1}) in closed form:
-    0 for n = 0, -(r_hat - r)^2/4 for n = 1, -(r_hat + r)(r_hat - r)^2/3
-    for n = 2.  O(tau^2) since r_hat - r = tau * v.
+    -(r_hat - r)^2/4 for n = 1, -(r_hat + r)(r_hat - r)^2/3 for n = 2 (it
+    vanishes in the plane).  O(tau^2) since r_hat - r = tau * v.
     """
-    if n == 0:
-        return np.zeros_like(r_lo)
     d = r_hi - r_lo
     if n == 1:
         return -0.25 * d * d
@@ -227,19 +233,15 @@ def _eos_bracket(r_lo, r_hi, n: int):
 
 
 def _r_factor_slope(r_lo, r_hi, n: int):
-    """dR/dr_hi of r_factor: 0 for n = 0, 1/2 for n = 1, (2 r_hi + r_lo)/3 for n = 2."""
-    if n == 0:
-        return 0.0
+    """dR/dr_hi of r_factor for n >= 1: 1/2 for n = 1, (2 r_hi + r_lo)/3 for n = 2."""
     if n == 1:
         return 0.5
     return (2.0 * r_hi + r_lo) / 3.0
 
 
 def _eos_bracket_slope(r_lo, r_hi, n: int):
-    """d/dr_hi of _eos_bracket, with d = r_hi - r_lo: 0, -d/2 or -(d^2 + 2(r_hi + r_lo) d)/3."""
+    """d/dr_hi of _eos_bracket, with d = r_hi - r_lo: -d/2 or -(d^2 + 2(r_hi + r_lo) d)/3."""
     d = r_hi - r_lo
-    if n == 0:
-        return np.zeros_like(d)
     if n == 1:
         return -0.5 * d
     return -(d * d + 2.0 * (r_hi + r_lo) * d) / 3.0
@@ -319,7 +321,11 @@ class _Jacobian(NamedTuple):
 
 
 class _StepSystem:
-    """Nonlinear system of one step: unknowns x = [u_0, q_0, ..., q_{N-1}, u_N]."""
+    """Nonlinear system of one step.  Unknowns, residuals, scales, floors and
+    updates are (node, cell) pairs of contiguous arrays: u_hat and the momentum
+    rows (N + 1), q and the gas-law rows (N).  The plane forms no R = 1 and no
+    EOS bracket, and its d delta / d u_hat = -+tau/(2h) once, here; an inviscid
+    run forms no omega derivatives."""
 
     def __init__(self, lo: GridLayer, tau: float, params: SchemeParams):
         self.lo = lo
@@ -328,7 +334,6 @@ class _StepSystem:
         mesh = lo.mesh
         self.h = mesh.h
         self.w = mesh.w
-        self.n_unknowns = 2 * mesh.n_cells + 1
         self.inv_rho = 1.0 / lo.rho
         self.gm1 = params.gamma - 1.0
         self.alpha_eff = params.alpha_effective
@@ -337,14 +342,15 @@ class _StepSystem:
         for i, bc in ((0, self.bc_left), (-1, self.bc_right)):
             if bc.kind == "pressure":  # a -0.0 trace pads +0.0, as a wall does
                 self._pad[i] = boundary_pressure(bc, lo.t, lo.t + tau, self.alpha_eff) or 0.0
+        if params.n == 0:  # d delta_j / d u_{j+1} and d u_j in the plane
+            self._dd_hi = 0.5 * tau / self.h
+            self._dd_lo = -self._dd_hi
 
-    def initial_guess(self, earlier: tuple[GridLayer, ...] = ()) -> np.ndarray:
-        """Newton's start: extrapolated u and p; q is (p_lo + p)/2 if conservative."""
+    def initial_guess(self, earlier: tuple[GridLayer, ...] = ()) -> tuple[np.ndarray, np.ndarray]:
+        """Newton's start (u_hat, q): extrapolated u and p; q is (p_lo + p)/2
+        if conservative."""
         u, p = self.extrapolate("u", earlier), self.extrapolate("p", earlier)
-        x = np.empty(self.n_unknowns)
-        x[0::2] = u
-        x[1::2] = 0.5 * (self.lo.p + p) if self.params.is_conservative else p
-        return x
+        return u, 0.5 * (self.lo.p + p) if self.params.is_conservative else p
 
     def extrapolate(self, name: str, earlier: tuple[GridLayer, ...]) -> np.ndarray:
         """Field `name` of lo carried to lo.t + tau through up to two earlier
@@ -364,10 +370,11 @@ class _StepSystem:
             back = back + (tau + lo.t - e1.t) / (lo.t - e2.t) * (back - back_12)
         return x - tau * back
 
-    def swept_rate(self, v: np.ndarray, r_hat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Area factor R per node and swept-volume rate (R v)_s per cell."""
-        big_r = r_factor(self.lo.r, r_hat, self.params.n)
-        rv = big_r * v
+    def swept_rate(self, v: np.ndarray, r_hat: np.ndarray) -> tuple[np.ndarray | None, np.ndarray]:
+        """Area factor R per node (None in the plane, where R = 1) and
+        swept-volume rate (R v)_s per cell."""
+        big_r = r_factor(self.lo.r, r_hat, self.params.n) if self.params.n else None
+        rv = v if big_r is None else big_r * v
         return big_r, (rv[1:] - rv[:-1]) / self.h
 
     def effective_pressure(self, v: np.ndarray, d_rv: np.ndarray, rho_hat: np.ndarray,
@@ -387,13 +394,15 @@ class _StepSystem:
 
     def rows(self, u_hat, q, r_hat, big_r, delta, p_eff, eps_hat):
         """Momentum rows per node and gas-law rows per cell; delta is the step's
-        change of specific volume.  Momentum rows 0 and -1 are the boundary
-        closures: u_hat - u_wall at a wall, else a one-sided balance on the
-        half-width cell.  Returns (momentum, gas law, u_t, (bracket)_s)."""
+        change of specific volume and big_r None in the plane.  Momentum rows
+        0 and -1 are the boundary closures: u_hat - u_wall at a wall, else a
+        one-sided balance on the half-width cell.  Returns (momentum, gas law,
+        u_t, (bracket)_s), the last None where there is no bracket."""
         lo, tau, params = self.lo, self.tau, self.params
         u_t = (u_hat - lo.u) / tau
         pad = self.padded_pressure(p_eff)
-        f_node = u_t + big_r * (pad[1:] - pad[:-1]) * self.w
+        jump = pad[1:] - pad[:-1]
+        f_node = u_t + (jump if big_r is None else big_r * jump) * self.w
         for i, bc in ((0, self.bc_left), (-1, self.bc_right)):
             if bc.kind == "wall":
                 f_node[i] = u_hat[i] - bc.u_wall
@@ -403,22 +412,23 @@ class _StepSystem:
             # two-layer gas law for the half-sum pressure q, with the O(tau^2)
             # velocity and geometry corrections that close the quadratic balances
             ut2_avg = cell_average(u_t * u_t)
-            brack = _eos_bracket(lo.r, r_hat, params.n)
-            brack_s = (brack[1:] - brack[:-1]) / self.h
             rhs = (q * (self.inv_rho + 0.5 * delta) / self.gm1
-                   - 0.125 * tau * tau * ut2_avg
-                   + 0.5 * q * brack_s)
+                   - 0.125 * tau * tau * ut2_avg)
+            if params.n:
+                brack = _eos_bracket(lo.r, r_hat, params.n)
+                brack_s = (brack[1:] - brack[:-1]) / self.h
+                rhs += 0.5 * q * brack_s
             f_cell = 0.5 * (eps_hat + lo.eps) - rhs
         else:
             f_cell = eps_hat - q * (self.inv_rho + delta) / self.gm1
         return f_node, f_cell, u_t, brack_s
 
-    def residual(self, x: np.ndarray) -> tuple[np.ndarray, dict]:
-        """Residual at x = (u_hat, q), with the trajectory, mass and energy
-        equations solved for r_hat, rho_hat and eps_hat in closed form."""
+    def residual(self, x: tuple[np.ndarray, np.ndarray]) -> tuple[tuple[np.ndarray, np.ndarray], dict]:
+        """Residual (node rows, cell rows) at x = (u_hat, q), with the
+        trajectory, mass and energy equations solved for r_hat, rho_hat and
+        eps_hat in closed form."""
         lo, tau = self.lo, self.tau
-        u_hat = x[0::2]
-        q = x[1::2]
+        u_hat, q = x
         v = 0.5 * (lo.u + u_hat)
         r_hat = lo.r + tau * v
         big_r, d_rv = self.swept_rate(v, r_hat)
@@ -427,14 +437,10 @@ class _StepSystem:
         p_eff = self.effective_pressure(v, d_rv, rho_hat, q)
         eps_hat = lo.eps - p_eff * delta  # energy equation, eliminated
         f_node, f_cell, u_t, brack_s = self.rows(u_hat, q, r_hat, big_r, delta, p_eff, eps_hat)
-
-        f = np.empty(self.n_unknowns)
-        f[0::2] = f_node
-        f[1::2] = f_cell
         aux = {"u_hat": u_hat, "q": q, "r_hat": r_hat, "rho_hat": rho_hat,
                "eps_hat": eps_hat, "delta": delta, "v": v, "big_r": big_r,
                "d_rv": d_rv, "p_eff": p_eff, "u_t": u_t, "brack_s": brack_s}
-        return f, aux
+        return (f_node, f_cell), aux
 
     def jacobian(self, aux: dict) -> _Jacobian:
         """Analytic Jacobian of residual() at the point aux came from.
@@ -442,46 +448,55 @@ class _StepSystem:
         Node rows touch u_{i-1}, q_{i-1}, u_i, q_i, u_{i+1}; cell rows touch
         u_j, q_j, u_{j+1}; _Jacobian holds exactly those entries.
         Every intermediate is differentiated in closed form, using
-        d r_hat / d u_hat = tau/2 and d rho_hat / d delta = -rho_hat^2.
+        d r_hat / d u_hat = tau/2 and d rho_hat / d delta = -rho_hat^2.  Terms
+        that vanish identically are not built: the plane's R = 1 has no
+        derivative and no bracket, and an inviscid run no omega.
         """
         lo, tau, params, h, n = self.lo, self.tau, self.params, self.h, self.params.n
         v, r_hat, big_r = aux["v"], aux["r_hat"], aux["big_r"]
         delta, rho_hat, p_eff, q = aux["delta"], aux["rho_hat"], aux["p_eff"], aux["q"]
         half_tau = 0.5 * tau
 
-        # dR/du_hat and d(R v)/du_hat per node
-        d_big_r = half_tau * _r_factor_slope(lo.r, r_hat, n)
-        d_rv_node = d_big_r * v + 0.5 * big_r
-        # d delta_j / d u_j and d delta_j / d u_{j+1}
-        dd_lo = -tau * d_rv_node[:-1] / h
-        dd_hi = tau * d_rv_node[1:] / h
+        # d delta_j / d u_j and d delta_j / d u_{j+1}, through dR/du_hat and
+        # d(R v)/du_hat per node
+        if big_r is None:
+            dd_lo, dd_hi = self._dd_lo, self._dd_hi
+        else:
+            d_big_r = half_tau * _r_factor_slope(lo.r, r_hat, n)
+            d_rv_node = d_big_r * v + 0.5 * big_r
+            dd_lo = -tau * d_rv_node[:-1] / h
+            dd_hi = tau * d_rv_node[1:] / h
 
-        # d p_eff_j / d u_j, d u_{j+1}; d p_eff / d q is the constant weight a
+        # d p_eff_j / d u_j, d u_{j+1}; d p_eff / d q is the constant weight a;
+        # then d eps_hat_j / d u_j, d u_{j+1}, d q_j
         a = 1.0 if params.is_conservative else self.alpha_eff
-        if params.visc_nu > 0.0:
+        viscous = params.visc_nu > 0.0
+        if viscous:
             du = v[1:] - v[:-1]
             nu = np.where(aux["d_rv"] < 0.0, params.visc_nu, 0.0)
             rho_half = 0.5 * (lo.rho + rho_hat)
             drho_coef = -0.5 * rho_hat * rho_hat * du * du
             dp_lo = nu * (drho_coef * dd_lo - rho_half * du)
             dp_hi = nu * (drho_coef * dd_hi + rho_half * du)
+            de_lo = -(dp_lo * delta + p_eff * dd_lo)
+            de_hi = -(dp_hi * delta + p_eff * dd_hi)
         else:
-            dp_lo = dp_hi = 0.0
-
-        # d eps_hat_j / d u_j, d u_{j+1}, d q_j
-        de_lo = -(dp_lo * delta + p_eff * dd_lo)
-        de_hi = -(dp_hi * delta + p_eff * dd_hi)
+            de_lo = -(p_eff * dd_lo)
+            de_hi = -(p_eff * dd_hi)
         de_q = -a * delta
 
         if params.is_conservative:
             u_t = aux["u_t"]
-            d_brack = half_tau * _eos_bracket_slope(lo.r, r_hat, n)
             half_q = 0.5 * q
             c = half_q / self.gm1
-            c_lo = 0.5 * de_lo - c * dd_lo + 0.125 * tau * u_t[:-1] + half_q * d_brack[:-1] / h
-            c_hi = 0.5 * de_hi - c * dd_hi + 0.125 * tau * u_t[1:] - half_q * d_brack[1:] / h
-            c_q = (0.5 * de_q - (self.inv_rho + 0.5 * delta) / self.gm1
-                   - 0.5 * aux["brack_s"])
+            c_lo = 0.5 * de_lo - c * dd_lo + 0.125 * tau * u_t[:-1]
+            c_hi = 0.5 * de_hi - c * dd_hi + 0.125 * tau * u_t[1:]
+            c_q = 0.5 * de_q - (self.inv_rho + 0.5 * delta) / self.gm1
+            if n:
+                d_brack = half_tau * _eos_bracket_slope(lo.r, r_hat, n)
+                c_lo += half_q * d_brack[:-1] / h
+                c_hi -= half_q * d_brack[1:] / h
+                c_q -= 0.5 * aux["brack_s"]
         else:
             c = q / self.gm1
             c_lo = de_lo - c * dd_lo
@@ -489,15 +504,21 @@ class _StepSystem:
             c_q = de_q - (self.inv_rho + delta) / self.gm1
 
         # node rows: f_i = u_t_i + R_i w_i (P_{i+1} - P_i), a wall row the identity
-        pad = self.padded_pressure(p_eff)
-        jump = pad[1:] - pad[:-1]
-        rw = big_r * self.w
-        diag = 1.0 / tau + d_big_r * self.w * jump
-        diag[:-1] += rw[:-1] * dp_lo
-        diag[1:] -= rw[1:] * dp_hi
-
-        lower = -rw[1:] * dp_lo
-        upper = rw[:-1] * dp_hi
+        if big_r is None:
+            rw = self.w
+            diag = np.full(v.size, 1.0 / tau)
+        else:
+            rw = big_r * self.w
+            pad = self.padded_pressure(p_eff)
+            diag = 1.0 / tau + d_big_r * self.w * (pad[1:] - pad[:-1])
+        if viscous:
+            diag[:-1] += rw[:-1] * dp_lo
+            diag[1:] -= rw[1:] * dp_hi
+            lower = -rw[1:] * dp_lo
+            upper = rw[:-1] * dp_hi
+        else:  # the signed zeros of -rw * 0 and rw * 0
+            lower = np.full(q.size, -0.0)
+            upper = np.zeros(q.size)
         q_lo = -rw[1:] * a
         q_hi = rw[:-1] * a
         if self.bc_left.kind == "wall":
@@ -508,8 +529,9 @@ class _StepSystem:
             lower[-1] = q_lo[-1] = 0.0
         return _Jacobian(lower, diag, upper, q_lo, q_hi, c_lo, c_q, c_hi)
 
-    def newton_update(self, x: np.ndarray, f: np.ndarray, jac: _Jacobian) -> np.ndarray:
-        """Newton update dx solving jac . dx = -f.
+    def newton_update(self, x: tuple[np.ndarray, np.ndarray], f: tuple[np.ndarray, np.ndarray],
+                      jac: _Jacobian) -> tuple[np.ndarray, np.ndarray]:
+        """Newton update (du, dq) solving jac . (du, dq) = -f.
 
         Each cell row gives dq_j = -(f_cell_j + c_lo_j du_j + c_hi_j du_{j+1}) / c_q_j;
         put into the node rows, that leaves a tridiagonal system in du, solved
@@ -519,6 +541,7 @@ class _StepSystem:
         |c_q_j| <= _PIVOT_RTOL / rho_j or a singular tridiagonal system.
         """
         lower, diag, upper, q_lo, q_hi, c_lo, c_q, c_hi = jac
+        f_node, f_cell = f
         weak = np.abs(c_q) <= _PIVOT_RTOL * self.inv_rho
         if weak.any():
             j = int(np.argmax(weak))
@@ -526,25 +549,22 @@ class _StepSystem:
         inv_q = 1.0 / c_q
         r_lo = c_lo * inv_q
         r_hi = c_hi * inv_q
-        g = f[1::2] * inv_q
+        g = f_cell * inv_q
         d = diag.copy()
         d[1:] -= q_lo * r_hi
         d[:-1] -= q_hi * r_lo
-        b = -f[0::2]
+        b = -f_node
         b[1:] += q_lo * g
         b[:-1] += q_hi * g
         _, _, _, du, info = _dgtsv()(lower - q_lo * r_lo, d, upper - q_hi * r_hi, b,
                                      True, True, True, True)
         if info != 0:
             raise LinAlgError(f"tridiagonal solve failed (dgtsv info {info})")
-        # a wall row is the identity; x[0] and x[-1] are the end velocities
+        # a wall row is the identity; x[0] holds u_hat
         for i, bc in ((0, self.bc_left), (-1, self.bc_right)):
             if bc.kind == "wall":
-                du[i] = bc.u_wall - x[i]
-        dx = np.empty(self.n_unknowns)
-        dx[0::2] = du
-        dx[1::2] = -(g + r_lo * du[:-1] + r_hi * du[1:])
-        return dx
+                du[i] = bc.u_wall - x[0][i]
+        return du, -(g + r_lo * du[:-1] + r_hi * du[1:])
 
     def padded_pressure(self, p_eff: np.ndarray) -> np.ndarray:
         """Cell pressures padded with the external pressure at each end (0 at a
@@ -552,17 +572,18 @@ class _StepSystem:
         self._pad[1:-1] = p_eff
         return self._pad
 
-    def row_floor(self, aux: dict) -> np.ndarray:
-        """Round-off floor of every row at aux: _FLOOR_ULPS epsilons of the sum
-        of the magnitudes of the row's terms."""
-        lo, p_eff, delta = self.lo, aux["p_eff"], aux["delta"]
+    def row_floor(self, aux: dict) -> tuple[np.ndarray, np.ndarray]:
+        """Round-off floor of every (node, cell) row at aux: _FLOOR_ULPS
+        epsilons of the sum of the magnitudes of the row's terms."""
+        lo, p_eff, delta, big_r = self.lo, aux["p_eff"], aux["delta"], aux["big_r"]
         p_abs = np.abs(self.padded_pressure(p_eff))
-        terms = np.empty(self.n_unknowns)
-        terms[0::2] = ((np.abs(aux["u_hat"]) + np.abs(lo.u)) / self.tau
-                       + aux["big_r"] * (p_abs[1:] + p_abs[:-1]) * self.w)
-        terms[1::2] = (np.abs(aux["eps_hat"]) + np.abs(lo.eps) + np.abs(p_eff * delta)
-                       + np.abs(aux["q"]) * (self.inv_rho + np.abs(delta)) / abs(self.gm1))
-        return _FLOOR_ULPS * np.finfo(float).eps * terms
+        p_sum = p_abs[1:] + p_abs[:-1]
+        node = ((np.abs(aux["u_hat"]) + np.abs(lo.u)) / self.tau
+                + (p_sum if big_r is None else big_r * p_sum) * self.w)
+        cell = (np.abs(aux["eps_hat"]) + np.abs(lo.eps) + np.abs(p_eff * delta)
+                + np.abs(aux["q"]) * (self.inv_rho + np.abs(delta)) / abs(self.gm1))
+        ulps = _FLOOR_ULPS * np.finfo(float).eps
+        return ulps * node, ulps * cell
 
     def check(self, hi: GridLayer) -> dict[str, np.ndarray]:
         """step_residuals of the pair (lo, hi), for a hi reached in tau."""
@@ -577,22 +598,20 @@ class _StepSystem:
                 "energy": (hi.eps - lo.eps) / tau + p_eff * d_rv,
                 "trajectory": (hi.r - lo.r) / tau - v, "eos": eos}
 
-    def scales(self, aux: dict) -> np.ndarray:
+    def scales(self, aux: dict) -> tuple[np.ndarray, np.ndarray]:
         """Row scaling for the convergence test: velocity rows by max(1, |u|),
         energy rows by max(1, |eps|)."""
-        s = np.empty(self.n_unknowns)
-        s[0::2] = np.maximum(1.0, np.abs(aux["u_hat"]))
         eps_scale = aux["eps_hat"]
         if self.params.is_conservative:
             eps_scale = 0.5 * (eps_scale + self.lo.eps)
-        s[1::2] = np.maximum(1.0, np.abs(eps_scale))
-        return s
+        return np.maximum(1.0, np.abs(aux["u_hat"])), np.maximum(1.0, np.abs(eps_scale))
 
 
-def _scaled_norm(f: np.ndarray, scales: np.ndarray) -> float:
-    """max |f| / scales, or inf if a row holds a NaN or an inf."""
-    norm = float((np.abs(f) / scales).max())  # a NaN row makes the max NaN
-    return norm if math.isfinite(norm) else math.inf
+def _scaled_norm(f: tuple[np.ndarray, np.ndarray], scales: tuple[np.ndarray, np.ndarray]) -> float:
+    """max |f| / scales over both blocks, or inf if a row holds a NaN or an inf."""
+    node, cell = (float((np.abs(f_b) / s_b).max()) for f_b, s_b in zip(f, scales))
+    # a NaN row makes its block's max NaN, which max(node, cell) could drop
+    return max(node, cell) if math.isfinite(node) and math.isfinite(cell) else math.inf
 
 
 @np.errstate(all="ignore")  # a non-finite outcome is a named rejection, not a warning
@@ -623,7 +642,7 @@ def step(lo: GridLayer, tau: float, params: SchemeParams,
                             history=list(history), reason=reason)
         return StepRejected(reason, report)
 
-    def evaluate(x: np.ndarray) -> tuple:
+    def evaluate(x: tuple[np.ndarray, np.ndarray]) -> tuple:
         f, aux = system.residual(x)
         scales = system.scales(aux)
         return _scaled_norm(f, scales), x, f, aux, scales
@@ -633,10 +652,11 @@ def step(lo: GridLayer, tau: float, params: SchemeParams,
         point_norm, _, f, aux, scales = point
         if floor is None:
             floor = system.row_floor(aux)
-            floor_max = max(float(floor.max()), 2.0 * params.newton_tol)
+            floor_max = max(float(floor[0].max()), float(floor[1].max()), 2.0 * params.newton_tol)
         # scales >= 1: the norm's row has |f| >= norm, so above both bounds it fails
-        return point_norm <= floor_max and bool(
-            (np.abs(f) <= np.maximum(params.newton_tol * scales, floor)).all())
+        return point_norm <= floor_max and all(
+            (np.abs(f_b) <= np.maximum(params.newton_tol * s_b, floor_b)).all()
+            for f_b, s_b, floor_b in zip(f, scales, floor))
 
     norm, x, f, aux, _ = point = evaluate(system.initial_guess(earlier))
     if earlier and not (math.isfinite(norm) and (aux["rho_hat"] > 0.0).all()):
@@ -662,13 +682,13 @@ def step(lo: GridLayer, tau: float, params: SchemeParams,
         # f is finite, so a NaN or infinity in jac shows in dx (or is divided
         # away, leaving a usable dx); jac's arrays are tested in place only to
         # name the cause of a non-finite dx
-        if not np.isfinite(dx).all() and not all(np.isfinite(a).all() for a in jac):
+        if not all(np.isfinite(b).all() for b in dx) and not all(np.isfinite(a).all() for a in jac):
             raise reject("non-finite Jacobian")
         # damped update: halve until the scaled norm stops growing
         best = None
         lam = 1.0
         for _ in range(9):
-            trial = evaluate(x + lam * dx)
+            trial = evaluate((x[0] + lam * dx[0], x[1] + lam * dx[1]))
             if best is None or trial[0] < best[0]:
                 best = trial
             if trial[0] <= params.newton_tol or trial[0] < norm:

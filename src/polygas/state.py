@@ -82,8 +82,11 @@ class GridLayer:
         the scheme preserves it.
         """
         h = self.mesh.h
-        r_pow = self.r ** (n + 1)
-        vol = (r_pow[1:] - r_pow[:-1]) / (n + 1)
+        if n == 0:
+            vol = self.r[1:] - self.r[:-1]
+        else:
+            r_pow = self.r ** (n + 1)
+            vol = (r_pow[1:] - r_pow[:-1]) / (n + 1)
         return float((np.abs(self.rho * vol - h) / h).max())
 
 

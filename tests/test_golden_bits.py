@@ -1,4 +1,4 @@
-"""Golden bits: four short runs whose final layer, ledger lines and step
+"""Golden bits: five short runs whose final layer, ledger lines and step
 reports are pinned by sha256, and every file one of them writes.
 
 A change that claims to leave the arithmetic unchanged (a reordering of work,
@@ -50,13 +50,25 @@ RUNS = {
         "time": {"t_end": 0.0245, "tau": 1e-3},
         "audit": "all",
     },
+    # curved geometry with viscosity on the cells that compress, and a moving
+    # pressure boundary: 8 steps of 3 Newton iterations each
+    "cylinder-pointwise-viscous-pressure": {
+        "problem": {"name": "smooth_pulse", "cells": 80, "center": 0.5, "amplitude": 0.05},
+        "params": {"n": 1, "gamma": 1.4, "alpha": 0.5, "eos_mode": "pointwise",
+                   "visc_nu": 2.0, "bc_left": {"kind": "wall"},
+                   "bc_right": {"kind": "pressure",
+                                "trace": {"kind": "linear", "p0": 1.0, "rate": 0.5}}},
+        "time": {"t_end": 0.008, "tau": 1e-3},
+        "audit": "all",
+    },
 }
 
 #: run -> (final layer, ledger lines, step reports); the layer and ledger
 #: digests were recorded on the code before Newton and the post-accept check
 #: shared one step system (the batches run: before the audit took more than
 #: one step per call), the report digests, over Newton's outcome alone, on
-#: the code before step dropped that check
+#: the code before step dropped that check; the cylinder run's three, on the
+#: code before the plane and an inviscid run skipped their zero terms
 GOLDEN = {
     "plane-pointwise-pulse": (
         "cb4834963d741cc89667156582ada504f0d64a4861b856eafa9835a00c365782",
@@ -77,6 +89,11 @@ GOLDEN = {
         "2a7dd3ae94c65d1cb9fdcc09993a6cfdbc3d2f9ca3afd804cc45f47820a35b33",
         "9bc8184740d95029d3f0040a934f617ab200771d95224eee6fda2621378bb984",
         "29ff288d55ca2ceb941d634a782924cc3a3d28a3fdffd1105d9f48eb89b0a04d",
+    ),
+    "cylinder-pointwise-viscous-pressure": (
+        "43423dc2cd4e56a192f5c718911a796760a68fde3333529e5138ce2ce015a32e",
+        "f92f9f0754c522a7d41d1d82512fa492f168a72854d1f87430447eaa1879c5fe",
+        "00e6e8126a55b3f1f7671a3866612440e0dba1c2bc4457af38a8a426544c5e4c",
     ),
 }
 
@@ -109,6 +126,9 @@ def test_short_runs_keep_their_golden_bits(monkeypatch, name):
         # three batches or more, the last one partial and ending on a short step
         assert len(batches) >= 3 and batches[-1] < batches[0]
         assert result.records[-1]["tau"] < 1e-3
+    if name.startswith("cylinder"):
+        assert all(report.iterations == 3 for report in result.reports)
+        assert result.final_layer.u[-1] != 0.0  # the pressure boundary moves
     assert _digests(result) == GOLDEN[name]
 
 

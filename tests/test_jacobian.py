@@ -34,8 +34,20 @@ from conftest import zero_cell_pivot
 _SQRT_EPS = math.sqrt(np.finfo(float).eps)
 
 
-def _fd_banded_jacobian(residual, x: np.ndarray, f0: np.ndarray) -> np.ndarray:
-    """Finite-difference Jacobian in solve_banded layout, bandwidths (2, 2).
+def _interleave(pair) -> np.ndarray:
+    """A (node, cell) pair of the step system as one vector in the oracles'
+    interleaved ordering [u_0, q_0, u_1, ..., q_{N-1}, u_N]; x[0::2] and
+    x[1::2] are its two blocks again."""
+    node, cell = pair
+    x = np.empty(node.size + cell.size)
+    x[0::2] = node
+    x[1::2] = cell
+    return x
+
+
+def _fd_banded_jacobian(system: _StepSystem, x: np.ndarray, f0: np.ndarray) -> np.ndarray:
+    """Finite-difference Jacobian of system.residual in solve_banded layout,
+    bandwidths (2, 2), with x and f0 interleaved.
 
     Every equation touches unknowns at most two slots away in the interleaved
     ordering, so columns j, j+5, j+10, ... have disjoint row footprints and
@@ -49,7 +61,8 @@ def _fd_banded_jacobian(residual, x: np.ndarray, f0: np.ndarray) -> np.ndarray:
         steps = _SQRT_EPS * np.maximum(np.abs(x[cols]), 1.0)
         dx = np.zeros(m)
         dx[cols] = steps
-        f1, _ = residual(x + dx)
+        x1 = x + dx
+        f1 = _interleave(system.residual((x1[0::2], x1[1::2]))[0])
         df = (f1 - f0)
         for c, st in zip(cols, steps):
             lo_r = max(0, c - 2)
@@ -75,11 +88,9 @@ def _band(jac: _Jacobian) -> np.ndarray:
 
 def _fd_jacobian(system: _StepSystem, aux: dict) -> _Jacobian:
     """Drop-in replacement for _StepSystem.jacobian built on the oracle."""
-    x = np.empty(system.n_unknowns)
-    x[0::2] = aux["u_hat"]
-    x[1::2] = aux["q"]
-    f0, _ = system.residual(x)
-    return _entries(_fd_banded_jacobian(system.residual, x, f0))
+    x = _interleave((aux["u_hat"], aux["q"]))
+    f0 = _interleave(system.residual((x[0::2], x[1::2]))[0])
+    return _entries(_fd_banded_jacobian(system, x, f0))
 
 
 _TRACES = {
@@ -103,7 +114,8 @@ COMBOS = list(itertools.product((0, 1, 2), ("pointwise", "conservative"), (0.0, 
 
 
 def _random_point(n, eos_mode, visc_nu, boundary, seed, tau, alpha, wiggle):
-    """A 12-cell step system and a random Newton iterate (x, f, aux) near its start."""
+    """A 12-cell step system and a random Newton iterate (x, f, aux) near its
+    start, x and f interleaved."""
     rng = np.random.default_rng(seed)
     profile, params = problem_library("smooth_pulse", cells=12, gamma=1.4)
     params = dataclasses.replace(params, n=n, eos_mode=eos_mode, visc_nu=visc_nu,
@@ -114,12 +126,12 @@ def _random_point(n, eos_mode, visc_nu, boundary, seed, tau, alpha, wiggle):
     lo = dataclasses.replace(lo, t=0.3, u=lo.u + wiggle * np.sin(3.0 * np.pi * s),
                              p=lo.p * rng.uniform(0.8, 1.2, lo.p.size))
     system = _StepSystem(lo, tau, params)
-    x = system.initial_guess()
+    x = _interleave(system.initial_guess())
     x = x + 0.02 * wiggle * rng.standard_normal(x.size) * np.maximum(1.0, np.abs(x))
     if n >= 1:
         x[0] = 0.0  # the origin node is a resting wall
-    f, aux = system.residual(x)
-    return system, x, f, aux
+    f, aux = system.residual((x[0::2], x[1::2]))
+    return system, x, _interleave(f), aux
 
 
 _STATES = dict(seed=st.integers(0, 2**32 - 1), tau=st.floats(1e-3, 2e-2),
@@ -133,7 +145,7 @@ def test_analytic_jacobian_matches_finite_differences(n, eos_mode, visc_nu, boun
                                                       seed, tau, alpha, wiggle):
     system, x, f, aux = _random_point(n, eos_mode, visc_nu, boundary, seed, tau, alpha, wiggle)
     jac = system.jacobian(aux)
-    band = _fd_banded_jacobian(system.residual, x, f)
+    band = _fd_banded_jacobian(system, x, f)
     oracle = _entries(band)
     scale = np.max(np.abs(band))
     for name, analytic, fd in zip(_Jacobian._fields, jac, oracle):
@@ -154,7 +166,7 @@ def test_elimination_matches_the_banded_solve(n, eos_mode, visc_nu, boundary,
     system, x, f, aux = _random_point(n, eos_mode, visc_nu, boundary, seed, tau, alpha, wiggle)
     jac = system.jacobian(aux)
     oracle = solve_banded((2, 2), _band(jac), -f)
-    dx = system.newton_update(x, f, jac)
+    dx = _interleave(system.newton_update((x[0::2], x[1::2]), (f[0::2], f[1::2]), jac))
     assert np.max(np.abs(dx - oracle)) <= 1e-12 * np.max(np.abs(oracle))
 
 

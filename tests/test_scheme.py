@@ -238,6 +238,15 @@ def test_a_mirrored_plane_run_is_the_original_reversed(problem):
 
 # --- Newton's starting point ---------------------------------------------------------
 
+def _interleave(pair) -> np.ndarray:
+    """Newton's (u_hat, q) blocks as one vector [u_0, q_0, u_1, ..., q_{N-1}, u_N]."""
+    node, cell = pair
+    x = np.empty(node.size + cell.size)
+    x[0::2] = node
+    x[1::2] = cell
+    return x
+
+
 @pytest.mark.parametrize("mode", ("pointwise", "conservative"))
 def test_a_constant_history_starts_newton_at_lo_bitwise(mode):
     layer, params = pulse_start(n=0, eos_mode=mode)
@@ -245,7 +254,8 @@ def test_a_constant_history_starts_newton_at_lo_bitwise(mode):
     earlier = (dataclasses.replace(lo, t=0.025), dataclasses.replace(lo, t=0.005))
     system = _StepSystem(lo, 0.01, params)
     assert np.signbit(lo.u).any()  # a -0.0 must survive too
-    assert system.initial_guess(earlier).tobytes() == system.initial_guess().tobytes()
+    assert (_interleave(system.initial_guess(earlier)).tobytes()
+            == _interleave(system.initial_guess()).tobytes())
 
 
 @pytest.mark.parametrize("mode", ("pointwise", "conservative"))
@@ -262,13 +272,13 @@ def test_the_guess_reproduces_fields_quadratic_in_time(rng, mode):
     lo, e1, e2 = (dataclasses.replace(layer, t=t, u=field("u", t), p=field("p", t))
                   for t in (0.3, 0.2, 0.0))
     system = _StepSystem(lo, 0.1, params)
-    x = system.initial_guess((e1, e2))
+    x = _interleave(system.initial_guess((e1, e2)))
     p_hi = field("p", 0.4)
     q = 0.5 * (lo.p + p_hi) if mode == "conservative" else p_hi
     np.testing.assert_allclose(x[0::2], field("u", 0.4), rtol=1e-14, atol=0.0)
     np.testing.assert_allclose(x[1::2], q, rtol=1e-14, atol=0.0)
     # with one earlier layer the extrapolation is linear and misses the curvature
-    linear = system.initial_guess((e1,))
+    linear = _interleave(system.initial_guess((e1,)))
     assert np.max(np.abs(linear[0::2] - field("u", 0.4))) > 1e-3
 
 
@@ -337,13 +347,23 @@ def test_warm_started_steps_meet_their_own_tolerances(n, eos_mode, visc_nu, boun
 
 
 @pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf))
-@pytest.mark.parametrize("row", (0, 2, 4))
+@pytest.mark.parametrize("row", (0, 1, 2, 3, 4))  # node rows 0, 2, 4; cell rows 1, 3
 def test_scaled_norm_is_inf_for_a_row_holding_nan_or_inf(bad, row):
     f = np.array([1e-3, -4.0, 2e-3, 0.0, -1e-9])
     scales = np.array([1.0, 2.0, 1.0, 3.0, 1.0])
-    assert _scaled_norm(f, scales) == 2.0
+    assert _scaled_norm((f[0::2], f[1::2]), (scales[0::2], scales[1::2])) == 2.0
     f[row] = bad
-    assert _scaled_norm(f, scales) == math.inf
+    assert _scaled_norm((f[0::2], f[1::2]), (scales[0::2], scales[1::2])) == math.inf
+
+
+@pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf))
+def test_scaled_norm_is_inf_for_a_bad_cell_row_below_a_larger_node_row(bad):
+    # max(node, cell) returns node when only cell is NaN
+    node, cell = np.array([1e-3, 9.0, -1e-9]), np.array([-4.0, 0.0])
+    scales = np.ones(3), np.array([2.0, 3.0])
+    assert _scaled_norm((node, cell), scales) == 9.0
+    cell[1] = bad
+    assert _scaled_norm((node, cell), scales) == math.inf
 
 
 def test_step_rejects_on_iteration_cap():
