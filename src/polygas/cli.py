@@ -47,7 +47,7 @@ class RunConfig:
     """A fully resolved run: profile + scheme parameters + schedule.
 
     max_halvings is how often a rejected step is retried at half its tau
-    (0: never); the config sets it under "time" when allow_tau_halving is true.
+    (0: never), the config's time.max_halvings.
     """
 
     profile: EulerProfile
@@ -60,7 +60,6 @@ class RunConfig:
     budget_tol: float = 1e-10
     max_halvings: int = 0
     problem_name: str = ""
-    mesh_spec: dict = dataclasses.field(default_factory=dict)
 
 
 def _integer(value, context: str) -> int:
@@ -105,7 +104,7 @@ def _typed(what: str, *types):
     return check
 
 
-_flag, _text = _typed("a boolean", bool), _typed("a string", str)
+_text = _typed("a string", str)
 
 
 def _block(raw, table: dict, context: str, required=()) -> dict:
@@ -137,14 +136,14 @@ def _boundary(raw, context: str) -> BoundaryCondition:
     kind = bc.pop("kind", None)
     if kind not in ("wall", "pressure"):
         raise ConfigError(f"{context}: boundary kind must be 'wall' or 'pressure', got {kind!r}")
-    extra = set(bc) - ({"u_wall"} if kind == "wall" else {"p0", "trace"})
+    extra = set(bc) - ({"u_wall"} if kind == "wall" else {"trace"})
     if extra:
         raise ConfigError(f"{context}: {kind} boundary takes no {sorted(extra)}")
     if kind == "wall":
         return BoundaryCondition.wall(bc.get("u_wall", 0.0))
-    if len(bc) != 1:
-        raise ConfigError(f"{context}: pressure boundary takes 'trace' or 'p0', got {sorted(bc)}")
-    return BoundaryCondition.pressure(bc.get("trace", bc.get("p0")))
+    if "trace" not in bc:
+        raise ConfigError(f"{context}: pressure boundary needs a 'trace'")
+    return BoundaryCondition.pressure(bc["trace"])
 
 
 def _laws(raw, context: str) -> tuple[LawId, ...]:
@@ -173,15 +172,14 @@ def _problem(raw, context: str) -> tuple[str, dict]:
 
 
 _TRACE = {"kind": _text, "p0": _number, "rate": _number}
-_BOUNDARY = {"kind": _text, "u_wall": _number, "p0": _number, "trace": _trace}
+_BOUNDARY = {"kind": _text, "u_wall": _number, "trace": _trace}
 _PARAMS = {"n": _integer, "gamma": _number, "alpha": _number, "eos_mode": _text,
            "visc_nu": _number, "newton_tol": _number, "newton_max_iter": _integer,
            "bc_left": _boundary, "bc_right": _boundary}
-_TIME = {"t_end": _positive, "tau": _positive, "allow_tau_halving": _flag,
-         "max_halvings": _count}
+_TIME = {"t_end": _positive, "tau": _positive, "max_halvings": _count}
 _MESH = {"cells": _integer, "r_nodes": _number_list, "s_min": _number, "s_max": _number,
          "s_nodes": _number_list}
-_MESH_FORMS = ({"cells"}, {"r_nodes"}, {"s_min", "s_max", "cells"}, {"s_nodes"})
+_MESH_FORMS = ({"r_nodes"}, {"s_min", "s_max", "cells"}, {"s_nodes"})
 _TOP = {"problem": _problem, "audit": _laws, "budget_tol": _positive, "snapshot_every": _count,
         "output_dir": _typed("a path string or null", str, type(None)),
         "mesh": lambda raw, context: _block(raw, _MESH, context),
@@ -195,16 +193,13 @@ def _resolve_mesh(spec: dict, profile: EulerProfile, n: int) -> EulerProfile:
         return profile
     if set(spec) not in _MESH_FORMS:
         raise ConfigError(f"mesh spec must be one of {[sorted(f) for f in _MESH_FORMS]}, "
-                          f"got keys {sorted(spec)}")
+                          f"got keys {sorted(spec)}; a mesh uniform in r is problem.cells")
     if "r_nodes" in spec:
         return dataclasses.replace(profile, r_nodes=spec["r_nodes"])
     if "s_nodes" in spec:
         s = np.asarray(spec["s_nodes"], dtype=float)
-    elif "s_min" in spec:
+    else:
         s = _uniform_nodes(spec["s_min"], spec["s_max"], spec["cells"])
-    else:  # uniform in r over the problem's interval
-        r = profile.r_nodes
-        return dataclasses.replace(profile, r_nodes=_uniform_nodes(r[0], r[-1], spec["cells"]))
     profile = dataclasses.replace(profile, r_nodes=invert_mass_coordinate(profile, n, s))
     # the run rebuilds s from midpoint densities, starting at 0; a cell across a
     # density jump gets one side's density and so a different mass.  Round-off
@@ -223,12 +218,15 @@ def resolve_config(raw: dict) -> RunConfig:
     """Check a raw config mapping against the tables and build the RunConfig."""
     config = _block(raw, _TOP, "config", required=("time",))
     name, options = config.get("problem", ("uniform", {}))
+    given = config.get("params", {})
     profile, params = problem_library(name, **options)
-    params = dataclasses.replace(params, **config.get("params", {}))
+    if "gamma" in options and "gamma" in given and options["gamma"] != given["gamma"]:
+        raise ConfigError(f"config.problem.gamma {options['gamma']!r} and config.params.gamma "
+                          f"{given['gamma']!r} differ: a run has one gamma")
+    params = dataclasses.replace(params, **given)
     # the profile's gamma must match the scheme's so eps = p/((gamma-1) rho)
     profile = dataclasses.replace(profile, gamma=params.gamma)
-    mesh_spec = config.get("mesh", {})
-    profile = _resolve_mesh(mesh_spec, profile, params.n)
+    profile = _resolve_mesh(config.get("mesh", {}), profile, params.n)
     time = config["time"]
     return RunConfig(
         profile=profile, params=params, t_end=time["t_end"], tau=time["tau"],
@@ -236,8 +234,7 @@ def resolve_config(raw: dict) -> RunConfig:
         output_dir=config.get("output_dir"),
         laws=config.get("audit", ALL_LAWS),
         budget_tol=config.get("budget_tol", 1e-10),
-        max_halvings=time.get("max_halvings", 10) if time.get("allow_tau_halving") else 0,
-        problem_name=name, mesh_spec=mesh_spec)
+        max_halvings=time.get("max_halvings", 0), problem_name=name)
 
 
 def load_config(path) -> RunConfig:
@@ -248,13 +245,13 @@ def load_config(path) -> RunConfig:
 
 
 def with_resolution(cfg: RunConfig, cells: int, tau: float) -> RunConfig:
-    """Same run at a different resolution; needs a 'cells'-style mesh."""
-    if cfg.mesh_spec and set(cfg.mesh_spec) != {"cells"}:
-        raise ConfigError("convergence studies need a mesh given as {'cells': ...}")
-    mesh_spec = {"cells": cells}
-    profile = _resolve_mesh(mesh_spec, cfg.profile, cfg.params.n)
-    return dataclasses.replace(cfg, profile=profile, tau=tau, output_dir=None,
-                               snapshot_every=0, mesh_spec=mesh_spec)
+    """Same run on `cells` cells uniform in r; needs a mesh uniform in r, its
+    nodes equal to np.linspace's, as problem.cells builds them."""
+    r = cfg.profile.r_nodes
+    if not np.array_equal(r, np.linspace(r[0], r[-1], r.size)):
+        raise ConfigError("convergence studies need a mesh uniform in r, as problem.cells gives")
+    profile = dataclasses.replace(cfg.profile, r_nodes=_uniform_nodes(r[0], r[-1], cells))
+    return dataclasses.replace(cfg, profile=profile, tau=tau, output_dir=None, snapshot_every=0)
 
 
 # --- run driver -------------------------------------------------------------------

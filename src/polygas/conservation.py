@@ -39,7 +39,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .state import LayerError, TwoLayerView, cell_average, exact_sums, interp_nodal_pressure
-from .scheme import SchemeParams, boundary_pressure, effective_boundaries, r_factor
+from .scheme import SchemeParams, boundary_pressure, check_origin_rule, r_factor
 
 
 class LawId(enum.Enum):
@@ -80,26 +80,13 @@ class ConservationBudget:
 
     def to_record(self, step: int | None = None, t: float | None = None,
                   tau: float | None = None) -> dict:
-        """Flat JSON-ready record; key order is fixed for reproducible ledgers."""
-        record: dict = {}
-        if step is not None:
-            record["step"] = step
-        if t is not None:
-            record["t"] = t
-        if tau is not None:
-            record["tau"] = tau
-        record.update({
-            "law": self.law.value,
-            "applicable": self.applicable,
-            "expected_zero": self.expected_zero,
-            "per_cell_residual_max": self.per_cell_residual_max,
-            "density_sum_lo": self.density_sum_lo,
-            "density_sum_hi": self.density_sum_hi,
-            "boundary_flux_net": self.boundary_flux_net,
-            "identity_defect": self.identity_defect,
-            "relative_defect": self.relative_defect,
-            "note": self.note,
-        })
+        """Flat JSON-ready record: step, t and tau where given, then the fields
+        in declaration order (the order __init__ sets them in), law as its
+        value; the fixed key order keeps ledgers reproducible."""
+        record = {key: value for key, value in (("step", step), ("t", t), ("tau", tau))
+                  if value is not None}
+        record.update(vars(self))
+        record["law"] = self.law.value
         return record
 
 
@@ -138,7 +125,7 @@ class _Recomputed:
         self.params = params
         mesh = views[0].mesh
         self.h, self.nodal_masses, self.spacings = (
-            w[None] for w in (mesh.h, mesh.nodal_masses, mesh.interior_spacings()))
+            w[None] for w in (mesh.h, mesh.nodal_masses, mesh.hbar))
         self.layers = layers = [views[0].lo, *(view.hi for view in views)]
         self.r, self.u, p, e_tot = (self.stack(name) for name in ("r", "u", "p", "eps"))
         # each scalar is the Python float a lone view forms (t ** 2 is pow, not
@@ -162,9 +149,9 @@ class _Recomputed:
         self.star = star = np.empty(v.shape)
         star[:, 1:-1] = interp_nodal_pressure(p_eff, mesh)
         star[:, 0], star[:, -1] = p_eff[:, 0], p_eff[:, -1]  # walls; pressure ends below
-        for r_left in set(self.r[:-1, 0].tolist()):  # the origin rule, once per left end
-            bcs = effective_boundaries(params, r_left)
-        for col, bc in zip((0, -1), bcs):
+        for r_left in set(self.r[:-1, 0].tolist()):  # once per left end
+            check_origin_rule(params, r_left)
+        for col, bc in ((0, params.bc_left), (-1, params.bc_right)):
             if bc.kind != "wall":
                 star[:, col] = [boundary_pressure(bc, view.lo.t, view.hi.t, a) for view in views]
         self.big_r_star = star if big_r is None else big_r * star

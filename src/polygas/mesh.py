@@ -68,19 +68,16 @@ class MassMesh:
     def nodal_masses(self) -> np.ndarray:
         """Mass lumped onto each node: half of each adjacent cell, shape (N+1,)."""
         h = self.h
-        return _read_only(np.concatenate(([0.5 * h[0]], self._hbar, [0.5 * h[-1]])))
+        return _read_only(np.concatenate(([0.5 * h[0]], self.hbar, [0.5 * h[-1]])))
 
     @cached_property
     def w(self) -> np.ndarray:
         """Node weight of the pressure jump: 1/hbar inside, 2/h at an end, shape (N+1,)."""
         return _read_only(1.0 / self.nodal_masses)
 
-    def interior_spacings(self) -> np.ndarray:
-        """Staggered spacings (h_{i-1} + h_i)/2 at interior nodes 1..N-1."""
-        return self._hbar
-
     @cached_property
-    def _hbar(self) -> np.ndarray:
+    def hbar(self) -> np.ndarray:
+        """Staggered spacings (h_{i-1} + h_i)/2 at interior nodes 1..N-1, shape (N-1,)."""
         h = self.h
         return _read_only(0.5 * (h[:-1] + h[1:]))
 

@@ -193,7 +193,7 @@ def _sod(opt: dict) -> tuple[dict, dict]:
     return (dict(rho=lambda r: np.where(r < split, rho_l, rho_r), u=0.0,
                  p=lambda r: np.where(r < split, p_l, p_r),
                  density_segments=((opt["r_min"], rho_l), (split, rho_r))),
-            dict(visc_nu=opt["visc_nu"]))
+            dict(visc_nu=2.0))
 
 
 def _expansion(opt: dict) -> tuple[dict, dict]:
@@ -209,8 +209,7 @@ _PROBLEMS = {
     "uniform": (dict(rho0=1.0, p0=1.0, u0=0.0),
                 lambda opt: (dict(rho=opt["rho0"], u=opt["u0"], p=opt["p0"]), {})),
     "smooth_pulse": (dict(amplitude=0.05, center=0.5, width=0.2, rho0=1.0, p0=1.0), _smooth_pulse),
-    "sod": (dict(rho_left=1.0, p_left=1.0, rho_right=0.125, p_right=0.1, split=0.5,
-                 visc_nu=2.0), _sod),
+    "sod": (dict(rho_left=1.0, p_left=1.0, rho_right=0.125, p_right=0.1, split=0.5), _sod),
     "expansion": (dict(rho0=1.0, p0=1.0, rate=1.0), _expansion),
 }
 
@@ -222,7 +221,8 @@ def problem_library(name: str, **options) -> tuple[EulerProfile, SchemeParams]:
     smooth_pulse : constant background with a compact C^2 velocity bump
                    (options: amplitude, center, width); the convergence and
                    audit workhorse
-    sod          : two-state Riemann initial data (needs viscosity)
+    sod          : two-state Riemann initial data (needs viscosity: its
+                   params.visc_nu defaults to 2.0)
     expansion    : resting gas with an exponentially decaying pressure trace
                    pulling on the right boundary
 

@@ -247,17 +247,14 @@ def _eos_bracket_slope(r_lo, r_hi, n: int):
     return -(d * d + 2.0 * (r_hi + r_lo) * d) / 3.0
 
 
-def effective_boundaries(params: SchemeParams, r_left: float) -> tuple[BoundaryCondition, BoundaryCondition]:
-    """Resolve the boundary pair, enforcing the coordinate-origin rule.
-
-    With curved geometry (n >= 1) a boundary node sitting exactly at r = 0
-    must stay there: only a resting wall is meaningful.
-    """
+def check_origin_rule(params: SchemeParams, r_left: float) -> None:
+    """Enforce the coordinate-origin rule: with curved geometry (n >= 1) a left
+    node sitting exactly at r = 0 must stay there, so only a resting wall is
+    meaningful; ConfigError otherwise."""
     bc_left = params.bc_left
     if params.n >= 1 and r_left == 0.0:
         if bc_left.kind != "wall" or bc_left.u_wall != 0.0:
             raise ConfigError("the node at r = 0 must be a resting wall for n >= 1")
-    return bc_left, params.bc_right
 
 
 def boundary_pressure(bc: BoundaryCondition, t_lo: float, t_hi: float, alpha_eff: float) -> float:
@@ -337,7 +334,8 @@ class _StepSystem:
         self.inv_rho = 1.0 / lo.rho
         self.gm1 = params.gamma - 1.0
         self.alpha_eff = params.alpha_effective
-        self.bc_left, self.bc_right = effective_boundaries(params, float(lo.r[0]))
+        check_origin_rule(params, float(lo.r[0]))
+        self.bc_left, self.bc_right = params.bc_left, params.bc_right
         self._pad = np.zeros(mesh.n_cells + 2)  # padded_pressure fills the middle
         for i, bc in ((0, self.bc_left), (-1, self.bc_right)):
             if bc.kind == "pressure":  # a -0.0 trace pads +0.0, as a wall does

@@ -1,5 +1,8 @@
-"""Shared helpers: random meshes/layers, small canned runs, a zeroed cell pivot,
-a counted, emptied snapshot table cache and an emptied column spelling cache."""
+"""Shared helpers: random meshes/layers, small canned runs, the ungated
+quadratic residuals, a zeroed cell pivot, a counted, emptied snapshot table
+cache and an emptied column spelling cache."""
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -13,7 +16,7 @@ from polygas import (
     problem_library,
     step,
 )
-from polygas import snapshots
+from polygas import conservation, snapshots
 from polygas.scheme import _StepSystem
 
 
@@ -48,13 +51,7 @@ def random_view(rng, n_cells=8, t=0.3, tau=0.05):
 def pulse_start(n=0, gamma=1.4, cells=30, **params_over):
     """Initial smooth-pulse layer plus matching scheme parameters."""
     profile, params = problem_library("smooth_pulse", cells=cells, gamma=gamma)
-    params = SchemeParams(**{**_as_dict(params), "n": n, **params_over})
-    return make_initial_layer(profile, n), params
-
-
-def _as_dict(params: SchemeParams) -> dict:
-    import dataclasses
-    return {f.name: getattr(params, f.name) for f in dataclasses.fields(params)}
+    return make_initial_layer(profile, n), dataclasses.replace(params, n=n, **params_over)
 
 
 def advance(layer, params, tau, steps):
@@ -65,6 +62,14 @@ def advance(layer, params, tau, steps):
         views.append(TwoLayerView(lo=layer, hi=hi, tau=tau))
         layer = hi
     return views
+
+
+def worst_ungated(law, views, params: SchemeParams, include_correction=True) -> float:
+    """Largest per-cell residual of a quadratic balance over the views, with no
+    applicability gate, so off-design runs serve as controls."""
+    return max(float(np.max(np.abs(conservation._quadratic(
+        law, conservation._Recomputed(v, params), include_correction).residuals)))
+        for v in views)
 
 
 def zero_cell_pivot(monkeypatch, when=lambda system: True, cell=3):

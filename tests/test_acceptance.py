@@ -15,6 +15,8 @@ from polygas import LawId, TwoLayerView, conservation, step
 from polygas.cli import convergence_study, resolve_config, run_simulation
 from polygas.state import cell_average, exact_sums
 
+from conftest import worst_ungated
+
 # pinned tolerances ------------------------------------------------------------------
 TOL_STATIC_DEFECT = 1e-13      # budgets on a resting uniform state
 TOL_SMOOTH_PER_CELL = 1e-10    # per-cell mass/energy residual, smooth flow
@@ -175,15 +177,6 @@ KEY_PW = ("smooth_pulse", 0, 3.0, "pointwise", 50, 0.02, 0.5)
 KEY_G = ("smooth_pulse", 0, 1.4, "conservative", 50, 0.02, 0.5)
 
 
-def _worst_ungated(law, key, include_correction=True):
-    """Largest per-cell residual of a quadratic balance over a run's steps,
-    with no applicability gate, so off-design runs serve as controls."""
-    cfg, _ = _run(*key)
-    return max(float(np.max(np.abs(conservation._quadratic(
-        law, conservation._Recomputed(v, cfg.params), include_correction).residuals)))
-        for v in _views(*key))
-
-
 def test_c5_quadratic_balances_at_design_gamma(capsys):
     on_design = 0.0
     for n in (0, 1, 2):
@@ -195,11 +188,13 @@ def test_c5_quadratic_balances_at_design_gamma(capsys):
         assert all(rec["applicable"] and rec["expected_zero"] for rec in records)
         on_design = max(on_design, max(rec["relative_defect"] for rec in records),
                         max(rec["per_cell_residual_max"] for rec in records))
-    raw_on = _worst_ungated(LawId.ADDITIONAL_1, KEY_A)
-    raw_pw = _worst_ungated(LawId.ADDITIONAL_1, KEY_PW)
-    raw_gamma = _worst_ungated(LawId.ADDITIONAL_1, KEY_G)
-    with_corr = _worst_ungated(LawId.ADDITIONAL_2, KEY_A)
-    ablated = _worst_ungated(LawId.ADDITIONAL_2, KEY_A, include_correction=False)
+    # each control run's steps and scheme parameters
+    runs = {key: (_views(*key), _run(*key)[0].params) for key in (KEY_A, KEY_PW, KEY_G)}
+    raw_on = worst_ungated(LawId.ADDITIONAL_1, *runs[KEY_A])
+    raw_pw = worst_ungated(LawId.ADDITIONAL_1, *runs[KEY_PW])
+    raw_gamma = worst_ungated(LawId.ADDITIONAL_1, *runs[KEY_G])
+    with_corr = worst_ungated(LawId.ADDITIONAL_2, *runs[KEY_A])
+    ablated = worst_ungated(LawId.ADDITIONAL_2, *runs[KEY_A], include_correction=False)
 
     controls_ok = (raw_pw >= CONTROL_FACTOR * raw_on
                    and raw_gamma >= CONTROL_FACTOR * raw_on

@@ -40,7 +40,7 @@ def _halving_sod():
     return {"problem": {"name": "sod", "cells": 40},
             "params": {"n": 0, "gamma": 1.4, "eos_mode": "conservative", "visc_nu": 2.0,
                        "newton_max_iter": 3},
-            "time": {"t_end": 0.12, "tau": 0.04, "allow_tau_halving": True}}
+            "time": {"t_end": 0.12, "tau": 0.04, "max_halvings": 10}}
 
 
 _RUNS = {
@@ -165,7 +165,7 @@ def test_calls_that_switch_mesh_batch_and_laws_match_fresh_lone_view_audits():
     alone = [json.dumps([budget.to_record() for view in views
                          for budget in audit_all(view, params, laws)])
              for views, params, laws in calls]
-    # the sphere's node at r = 0 may not move: effective_boundaries raises
+    # the sphere's node at r = 0 may not move: check_origin_rule raises
     # after the stacks, v, p_eff and p* are built
     moving = dataclasses.replace(sphere_params, bc_left=BoundaryCondition.wall(0.2))
     failing = itertools.cycle([(sphere_views, moving, ConfigError),

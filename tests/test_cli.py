@@ -77,6 +77,23 @@ def test_resolve_config_param_overrides_propagate_to_profile():
     assert cfg.params.visc_nu == 0.5
 
 
+def test_problem_and_params_gamma_must_agree():
+    raw = _pulse_raw()
+    raw["problem"]["gamma"], raw["params"]["gamma"] = 1.4, 3.0
+    with pytest.raises(ConfigError, match="problem.gamma 1.4 and config.params.gamma 3.0"):
+        resolve_config(raw)
+    # equal values, or either key alone, give one run
+    raw["problem"]["gamma"] = 3
+    both = resolve_config(raw)
+    del raw["problem"]["gamma"]
+    only_params = resolve_config(raw)
+    raw["problem"]["gamma"] = 3.0
+    del raw["params"]["gamma"]
+    only_problem = resolve_config(raw)
+    for cfg in (both, only_params, only_problem):
+        assert cfg.params == only_params.params and cfg.profile.gamma == 3.0
+
+
 def test_resolve_config_rejects_unknown_keys_everywhere():
     with pytest.raises(ConfigError, match="unknown key"):
         resolve_config(_pulse_raw(typo_key=1))
@@ -137,9 +154,6 @@ def test_bc_config_forms():
 
 
 def test_mesh_forms():
-    cfg = resolve_config(_pulse_raw(mesh={"cells": 8}))
-    assert cfg.profile.n_cells == 8
-
     nodes = [0.0, 0.1, 0.3, 0.6, 1.0]
     cfg = resolve_config(_pulse_raw(mesh={"r_nodes": nodes}))
     assert cfg.profile.r_nodes == pytest.approx(nodes)
@@ -193,14 +207,21 @@ def test_a_mass_mesh_that_starts_past_zero_resolves(n, start):
     assert s == pytest.approx(np.linspace(s_min, s_max, 7) - s_min, abs=1e-15)
 
 
-def test_with_resolution_requires_cells_mesh():
+def test_with_resolution_needs_a_mesh_uniform_in_r():
     cfg = resolve_config(_pulse_raw(mesh={"r_nodes": [0.0, 0.3, 0.7, 1.0]}))
-    with pytest.raises(ConfigError, match="cells"):
+    with pytest.raises(ConfigError, match="uniform in r"):
         with_resolution(cfg, 8, 0.01)
-    cfg = resolve_config(_pulse_raw())
-    finer = with_resolution(cfg, 40, 0.005)
-    assert finer.profile.n_cells == 40
-    assert finer.tau == 0.005
+    # sod's mass-uniform mesh is finer on the dense side
+    sod = resolve_config({"problem": "sod", "time": {"t_end": 0.01, "tau": 0.01},
+                          "mesh": {"s_min": 0.0, "s_max": 0.5625, "cells": 9}})
+    with pytest.raises(ConfigError, match="uniform in r"):
+        with_resolution(sod, 18, 0.01)
+    # nodes equal to np.linspace's refine however the config gave them
+    listed = resolve_config(_pulse_raw(mesh={"r_nodes": np.linspace(0.0, 1.0, 5).tolist()}))
+    for cfg in (resolve_config(_pulse_raw()), listed):
+        finer = with_resolution(cfg, 40, 0.005)
+        assert finer.profile.r_nodes.tobytes() == np.linspace(0.0, 1.0, 41).tobytes()
+        assert finer.tau == 0.005
 
 
 # --- run driver --------------------------------------------------------------------
@@ -280,7 +301,7 @@ def test_run_simulation_tau_halving_retries():
     raw = _pulse_raw()
     raw["problem"]["amplitude"] = 0.3
     raw["params"]["newton_max_iter"] = 2
-    raw["time"] = {"t_end": 0.02, "tau": 0.02, "allow_tau_halving": True}
+    raw["time"] = {"t_end": 0.02, "tau": 0.02, "max_halvings": 10}
     cfg = resolve_config(raw)
     result = run_simulation(cfg)
     assert result.exit_code == 0
@@ -303,7 +324,7 @@ def _counted_steps(monkeypatch) -> list[float]:
 def test_run_simulation_exhausts_halvings_then_fails(monkeypatch):
     raw = _pulse_raw()
     raw["params"]["newton_max_iter"] = 1
-    raw["time"] = {"t_end": 0.02, "tau": 0.01, "allow_tau_halving": True, "max_halvings": 3}
+    raw["time"] = {"t_end": 0.02, "tau": 0.01, "max_halvings": 3}
     taus = _counted_steps(monkeypatch)
     result = run_simulation(resolve_config(raw))
     assert result.exit_code == 1 and result.steps == 0
@@ -315,7 +336,7 @@ def test_run_simulation_exhausts_halvings_then_fails(monkeypatch):
 
 def test_run_simulation_keeps_base_tau_when_easy(monkeypatch):
     raw = _pulse_raw()
-    raw["time"] = {"t_end": 0.02, "tau": 0.01, "allow_tau_halving": True}
+    raw["time"] = {"t_end": 0.02, "tau": 0.01, "max_halvings": 10}
     taus = _counted_steps(monkeypatch)
     result = run_simulation(resolve_config(raw))
     assert result.exit_code == 0 and result.steps == 2
@@ -326,7 +347,7 @@ def test_run_simulation_keeps_base_tau_when_easy(monkeypatch):
 def test_run_simulation_retries_a_vanishing_cell_pivot_at_half_tau(monkeypatch):
     zero_cell_pivot(monkeypatch, when=lambda system: system.tau == 0.01)
     raw = _pulse_raw()
-    raw["time"] = {"t_end": 0.01, "tau": 0.01, "allow_tau_halving": True, "max_halvings": 2}
+    raw["time"] = {"t_end": 0.01, "tau": 0.01, "max_halvings": 2}
     taus = _counted_steps(monkeypatch)
     result = run_simulation(resolve_config(raw))
     assert result.exit_code == 0 and result.failure is None
@@ -337,7 +358,7 @@ def test_run_simulation_retries_a_vanishing_cell_pivot_at_half_tau(monkeypatch):
 
 def test_negative_max_halvings_is_a_config_error(tmp_path, capsys):
     raw = _pulse_raw()
-    raw["time"] = {"t_end": 0.02, "tau": 0.01, "allow_tau_halving": True, "max_halvings": -1}
+    raw["time"] = {"t_end": 0.02, "tau": 0.01, "max_halvings": -1}
     with pytest.raises(ConfigError, match="max_halvings"):
         resolve_config(raw)
     path = _write_config(tmp_path, raw)
@@ -349,9 +370,6 @@ def test_negative_max_halvings_is_a_config_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("where, key, value", [
-    ("time", "allow_tau_halving", "false"),
-    ("time", "allow_tau_halving", 0),
-    ("time", "allow_tau_halving", None),
     ("time", "max_halvings", 2.7),
     ("time", "max_halvings", True),
     ("time", "max_halvings", "3"),
@@ -375,20 +393,17 @@ def test_config_types_are_strict(tmp_path, capsys, where, key, value):
     assert key in capsys.readouterr().err
 
 
-def test_integral_numbers_and_booleans_are_accepted():
-    raw = _pulse_raw(snapshot_every=2.0, mesh={"cells": 24.0})
-    raw["time"].update(allow_tau_halving=True, max_halvings=3.0)
+def test_integral_numbers_are_accepted():
+    raw = _pulse_raw(snapshot_every=2.0)
+    raw["problem"]["cells"] = 24.0
+    raw["time"].update(max_halvings=3.0)
     raw["params"].update(n=1.0, newton_max_iter=40)
     cfg = resolve_config(raw)
     assert (cfg.snapshot_every, cfg.max_halvings, cfg.params.n, cfg.params.newton_max_iter) == (2, 3, 1, 40)
     assert all(type(x) is int for x in (cfg.snapshot_every, cfg.max_halvings, cfg.params.n))
     assert cfg.profile.n_cells == 24
-    # halving is off unless allow_tau_halving is true, whatever max_halvings says
-    raw["time"]["allow_tau_halving"] = False
-    assert resolve_config(raw).max_halvings == 0
+    # without max_halvings a rejected step is not retried
     assert resolve_config(_pulse_raw()).max_halvings == 0
-    raw["time"] = {"t_end": 0.05, "tau": 0.01, "allow_tau_halving": True}
-    assert resolve_config(raw).max_halvings == 10
 
 
 # (field named in the error, where in the config, bad value)
@@ -403,7 +418,7 @@ _BAD_NUMBERS = [
     ("visc_nu", ("params", "visc_nu"), "2"),
     ("newton_tol", ("params", "newton_tol"), "1e-12"),
     ("u_wall", ("params", "bc_right"), {"kind": "wall", "u_wall": "x"}),
-    ("p0", ("params", "bc_left"), {"kind": "pressure", "p0": "1"}),
+    ("p0", ("params", "bc_left"), {"kind": "pressure", "trace": {"p0": "1"}}),
     ("rate", ("params", "bc_right"), {"kind": "pressure", "trace": {"kind": "linear",
                                                                     "rate": math.nan}}),
     ("cells", ("problem", "cells"), 2.5),
@@ -411,7 +426,7 @@ _BAD_NUMBERS = [
     ("r_nodes", ("mesh",), {"r_nodes": [0.0, "0.5", 1.0]}),
     ("s_min", ("mesh",), {"s_min": False, "s_max": 1.0, "cells": 4}),
     ("alpha", ("params", "alpha"), 10 ** 400),  # no float holds it
-    ("trace", ("params", "bc_right"), {"kind": "pressure", "p0": 5.0, "trace": 2.0}),
+    ("trace", ("params", "bc_right"), {"kind": "pressure", "trace": "2.0"}),
 ]
 
 
@@ -441,11 +456,13 @@ def test_output_dir_must_be_a_string(tmp_path, capsys, value):
     assert resolve_config(raw).output_dir == str(tmp_path / "out")
 
 
-@pytest.mark.parametrize("mesh", [{"cells": -5}, {"cells": 1},
-                                  {"s_min": 0, "s_max": 0.5, "cells": -3},
-                                  {"s_min": 0, "s_max": 0.5, "cells": 0}])
-def test_both_uniform_mesh_forms_need_two_cells(tmp_path, capsys, mesh):
-    raw = _pulse_raw(mesh=mesh)
+@pytest.mark.parametrize("where, value", [
+    ("problem", {"name": "smooth_pulse", "cells": -5}),
+    ("problem", {"name": "smooth_pulse", "cells": 1}),
+    ("mesh", {"s_min": 0, "s_max": 0.5, "cells": -3}),
+    ("mesh", {"s_min": 0, "s_max": 0.5, "cells": 0})])
+def test_both_uniform_mesh_forms_need_two_cells(tmp_path, capsys, where, value):
+    raw = _pulse_raw(**{where: value})
     with pytest.raises(ProblemError, match="at least 2 cells"):
         resolve_config(raw)
     assert main(["run", "--config", str(_write_config(tmp_path, raw)),
@@ -456,27 +473,28 @@ def test_both_uniform_mesh_forms_need_two_cells(tmp_path, capsys, mesh):
 # JSON integers past 2^63, which numpy cannot cast to a float array
 @pytest.mark.parametrize("where, value, code", [
     (("params", "gamma"), 10 ** 20, 1),
-    (("problem", "gamma"), 10 ** 20, 0),
+    (("problem", "gamma"), 10 ** 20, 1),
     (("params", "bc_left"), {"kind": "wall", "u_wall": 10 ** 20}, 1),
 ], ids=["params.gamma", "problem.gamma", "u_wall"])
 def test_oversized_json_integers_run_without_a_traceback(tmp_path, capsys, where, value, code):
     raw = _pulse_raw()
+    if where == ("problem", "gamma"):  # the run's one gamma
+        del raw["params"]["gamma"]
     raw[where[0]][where[1]] = value
     config = _write_config(tmp_path, raw)
     assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == code
     assert "Traceback" not in capsys.readouterr().err
     summary = (tmp_path / "out" / "summary.json").read_text()
     assert (json.loads(summary)["failure"] is None) is (code == 0)
-    if where == ("params", "gamma"):  # printed as written
+    if where[1] == "gamma":  # printed as written
         assert '"gamma": 100000000000000000000' in summary
 
 
 # cell counts numpy refuses before it allocates anything
 @pytest.mark.parametrize("where, value", [
-    ("mesh", {"cells": 10 ** 20}),
     ("mesh", {"s_min": 0.0, "s_max": 0.5, "cells": 10 ** 20}),
     ("problem", {"name": "smooth_pulse", "cells": 10 ** 20}),
-], ids=["mesh.cells", "mesh.s_cells", "problem.cells"])
+], ids=["mesh.s_cells", "problem.cells"])
 def test_an_unbuildable_cell_count_is_a_problem_error(tmp_path, capsys, where, value):
     raw = _pulse_raw(**{where: value})
     with pytest.raises(ProblemError, match="cannot build a mesh of 100000000000000000000 cells"):
@@ -499,24 +517,23 @@ def test_a_config_file_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
 
 # valid configs that together use every block and form of the config
 _MUTATION_BASES = [
-    {"problem": {"name": "sod", "cells": 8, "split": 0.5},
+    {"problem": {"name": "sod", "cells": 8, "split": 0.5, "gamma": 1.4},
      "params": {"n": 0, "gamma": 1.4, "eos_mode": "conservative", "visc_nu": 1.0,
                 "bc_left": {"kind": "wall", "u_wall": 0.0},
                 "bc_right": {"kind": "pressure",
                              "trace": {"kind": "linear", "p0": 0.1, "rate": 0.5}}},
-     "time": {"t_end": 0.02, "tau": 0.01, "allow_tau_halving": True, "max_halvings": 3},
+     "time": {"t_end": 0.02, "tau": 0.01, "max_halvings": 3},
      "mesh": {"s_min": 0.0, "s_max": 0.5625, "cells": 9},
      "snapshot_every": 1, "output_dir": "out", "audit": ["mass", "energy"],
      "budget_tol": 1e-9},
     {"problem": {"name": "smooth_pulse", "cells": 10, "amplitude": 0.05},
      "params": {"n": 1, "alpha": 0.7, "newton_tol": 1e-11, "newton_max_iter": 20,
-                "bc_right": {"kind": "pressure", "p0": 1.0}},
+                "bc_right": {"kind": "pressure", "trace": {"p0": 1.0}}},
      "time": {"t_end": 0.1, "tau": 0.05},
      "mesh": {"r_nodes": [0.0, 0.4, 0.7, 1.0]}, "audit": "all"},
     {"problem": {"name": "expansion", "cells": 6, "rate": 2.0},
      "params": {"bc_left": {"kind": "pressure", "trace": 1.0}},
-     "time": {"t_end": 0.1, "tau": 0.05, "allow_tau_halving": False},
-     "mesh": {"cells": 5}, "audit": "none", "output_dir": None},
+     "time": {"t_end": 0.1, "tau": 0.05}, "audit": "none", "output_dir": None},
     {"problem": "uniform", "time": {"t_end": 0.1, "tau": 0.05},
      "mesh": {"s_nodes": [0.0, 0.25, 1.0]}},
 ]
@@ -716,7 +733,7 @@ _REPLAY_CASES = {f"n{n}-{mode}": (n, mode, {"t_end": 0.03, "tau": 0.01})
 # tau halves on the first step and again on the second (a falling outer
 # pressure keeps the warm-started second step hard); a last step cut short
 _REPLAY_CASES["halving"] = (0, "conservative",
-                            {"t_end": 0.045, "tau": 0.02, "allow_tau_halving": True})
+                            {"t_end": 0.045, "tau": 0.02, "max_halvings": 10})
 _REPLAY_CASES["short-last-step"] = (2, "conservative", {"t_end": 0.025, "tau": 0.01})
 
 
@@ -1012,8 +1029,8 @@ _OVERFLOWING_INTERVAL = {"name": "smooth_pulse", "cells": 20,
 
 # config errors, an unwritable --out and a failed convergence level, through main
 _EXIT_3 = {
-    "wall-p0": (("params", "bc_left"), {"kind": "wall", "p0": 1},
-                "config.params.bc_left: wall boundary takes no ['p0']"),
+    "wall-trace": (("params", "bc_left"), {"kind": "wall", "trace": 1},
+                   "config.params.bc_left: wall boundary takes no ['trace']"),
     "empty-interval": (("problem",), {"name": "smooth_pulse", "cells": 20, "r_min": 1, "r_max": 0.5},
                        "empty radial interval [1, 0.5]"),
     "disordered-r-nodes": (("mesh",), {"r_nodes": [0, 0.5, 0.4, 1]},
@@ -1030,6 +1047,18 @@ _EXIT_3 = {
     "overflowing-interval": (("problem",), _OVERFLOWING_INTERVAL,
                              "radial interval [-1.7e+308, 1.7e+308] needs finite ends "
                              "a finite width apart"),
+    "two-gammas": (("problem", "gamma"), 3.0, "config.problem.gamma 3.0 and "
+                   "config.params.gamma 1.4 differ: a run has one gamma"),
+    # each setting has one key: a retired second spelling is named
+    "allow-tau-halving": (("time", "allow_tau_halving"), True,
+                          "unknown key(s) in config.time: ['allow_tau_halving']"),
+    "mesh-cells": (("mesh",), {"cells": 8},
+                   "mesh spec must be one of [['r_nodes'], ['cells', 's_max', 's_min'], "
+                   "['s_nodes']], got keys ['cells']; a mesh uniform in r is problem.cells"),
+    "pressure-p0": (("params", "bc_right"), {"kind": "pressure", "p0": 1.0},
+                    "unknown key(s) in config.params.bc_right: ['p0']"),
+    "sod-visc-nu": (("problem",), {"name": "sod", "visc_nu": 2.0},
+                    "unknown option(s) for problem 'sod': ['visc_nu']"),
 }
 
 

@@ -20,7 +20,7 @@ from polygas import (
     write_ledger,
 )
 from polygas import conservation
-from conftest import advance, pulse_start, random_layer, random_view
+from conftest import advance, pulse_start, random_layer, random_view, worst_ungated
 
 
 def _residuals(view, params, law):
@@ -248,34 +248,28 @@ def test_pressure_star_uses_trace_at_pressure_boundaries(rng):
 
 # --- detection power --------------------------------------------------------------------
 
-def _worst_ungated(law, views, params, include_correction=True):
-    return max(float(np.max(np.abs(conservation._quadratic(
-        law, conservation._Recomputed(v, params), include_correction).residuals)))
-        for v in views)
-
-
 def test_raw_evaluators_detect_off_design_configurations():
     on_design, params_on = pulse_start(n=0, gamma=3.0, cells=24, eos_mode="conservative")
     views_on = advance(on_design, params_on, 0.02, 5)
-    base = _worst_ungated(LawId.ADDITIONAL_1, views_on, params_on)
+    base = worst_ungated(LawId.ADDITIONAL_1, views_on, params_on)
     assert base < 1e-10
 
     off_gamma, params_off = pulse_start(n=0, gamma=1.4, cells=24, eos_mode="conservative")
     views_off = advance(off_gamma, params_off, 0.02, 5)
-    off = _worst_ungated(LawId.ADDITIONAL_1, views_off, params_off)
+    off = worst_ungated(LawId.ADDITIONAL_1, views_off, params_off)
     assert off > 1e-4
 
     pointwise, params_pw = pulse_start(n=0, gamma=3.0, cells=24, eos_mode="pointwise")
     views_pw = advance(pointwise, params_pw, 0.02, 5)
-    pw = _worst_ungated(LawId.ADDITIONAL_1, views_pw, params_pw)
+    pw = worst_ungated(LawId.ADDITIONAL_1, views_pw, params_pw)
     assert pw > 1e-7
 
 
 def test_second_balance_needs_its_step_correction():
     layer, params = pulse_start(n=0, gamma=3.0, cells=24, eos_mode="conservative")
     views = advance(layer, params, 0.02, 5)
-    with_corr = _worst_ungated(LawId.ADDITIONAL_2, views, params)
-    without = _worst_ungated(LawId.ADDITIONAL_2, views, params, include_correction=False)
+    with_corr = worst_ungated(LawId.ADDITIONAL_2, views, params)
+    without = worst_ungated(LawId.ADDITIONAL_2, views, params, include_correction=False)
     assert with_corr < 1e-10
     assert without > 1e3 * with_corr
 

@@ -171,7 +171,7 @@ def test_elimination_matches_the_banded_solve(n, eos_mode, visc_nu, boundary,
 
 
 def _sod_plane_viscous(cells):
-    profile, params = problem_library("sod", cells=cells, visc_nu=2.0)
+    profile, params = problem_library("sod", cells=cells)
     return profile, dataclasses.replace(params, eos_mode="conservative")
 
 

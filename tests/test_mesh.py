@@ -20,10 +20,10 @@ def test_hand_mesh_geometry():
     assert np.array_equal(mesh.h, [1.0, 2.0, 3.0])
     assert np.array_equal(mesh.midpoints, [0.5, 2.0, 4.5])
     assert np.array_equal(mesh.nodal_masses, [0.5, 1.5, 2.5, 1.5])
-    assert np.array_equal(mesh.interior_spacings(), [1.5, 2.5])
+    assert np.array_equal(mesh.hbar, [1.5, 2.5])
     # derived once per mesh and handed out read-only
-    assert mesh.h is mesh.h and mesh.interior_spacings() is mesh.interior_spacings()
-    for derived in (mesh.h, mesh.nodal_masses, mesh.interior_spacings()):
+    assert mesh.h is mesh.h and mesh.hbar is mesh.hbar
+    for derived in (mesh.h, mesh.nodal_masses, mesh.hbar):
         with pytest.raises(ValueError):
             derived[0] = 0.0
 
@@ -33,7 +33,7 @@ def test_node_weights_are_read_only_and_match_the_spacing_formula(rng):
     assert np.array_equal(hand.w, [2.0, 1.0 / 1.5, 1.0 / 2.5, 2.0 / 3.0])
     widths = rng.uniform(0.1, 2.0, 17)
     mesh = MassMesh(np.concatenate(([0.3], 0.3 + np.cumsum(widths))))
-    h, hbar = mesh.h, mesh.interior_spacings()
+    h, hbar = mesh.h, mesh.hbar
     expected = np.concatenate(([2.0 / h[0]], 1.0 / hbar, [2.0 / h[-1]]))
     assert mesh.w.tobytes() == expected.tobytes()
     assert mesh.w is mesh.w  # built once per mesh

@@ -186,7 +186,7 @@ def test_scaling_density_and_pressure_by_a_power_of_two_is_exact(problem, n, mod
         if bcs:
             bc_left, bc_right = _SCALED_BOUNDARIES[bcs](scale)
             params.update(visc_nu=visc_nu, bc_left=bc_left, bc_right=bc_right)
-        time = {"t_end": 0.03, "tau": 0.01, "allow_tau_halving": problem == "sod" or bool(bcs)}
+        time = {"t_end": 0.03, "tau": 0.01, "max_halvings": 10 if problem == "sod" or bcs else 0}
         return run_simulation(resolve_config({"problem": {"name": problem, "cells": 40, **options},
                                               "params": params, "time": time}))
 
