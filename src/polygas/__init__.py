@@ -42,6 +42,7 @@ from .cli import (
     SimulationResult,
     audit_snapshots,
     convergence_study,
+    iter_steps,
     load_config,
     resolve_config,
     run_simulation,
@@ -76,6 +77,7 @@ __all__ = [
     "convergence_study",
     "interp_nodal_pressure",
     "invert_mass_coordinate",
+    "iter_steps",
     "load_config",
     "make_initial_layer",
     "mass_coordinate",

@@ -226,7 +226,16 @@ def resolve_config(raw: dict) -> RunConfig:
     params = dataclasses.replace(params, **given)
     # the profile's gamma must match the scheme's so eps = p/((gamma-1) rho)
     profile = dataclasses.replace(profile, gamma=params.gamma)
-    profile = _resolve_mesh(config.get("mesh", {}), profile, params.n)
+    mesh = config.get("mesh", {})
+    profile = _resolve_mesh(mesh, profile, params.n)
+    # a mesh block sets the cells and r_nodes the interval too; the
+    # mass-coordinate forms invert on the problem's [r_min, r_max]
+    if mesh:
+        for key in ("cells", "r_min", "r_max") if "r_nodes" in mesh else ("cells",):
+            if key in options:
+                mesh_key = "cells" if "cells" in mesh else next(iter(mesh))
+                raise ConfigError(f"config.problem.{key} and config.mesh.{mesh_key} both "
+                                  f"set the mesh: give one")
     time = config["time"]
     return RunConfig(
         profile=profile, params=params, t_end=time["t_end"], tau=time["tau"],
@@ -285,46 +294,83 @@ def _totals(layer: GridLayer, n: int) -> dict:
 AUDIT_BATCH_ELEMENTS = 4096
 
 
-def _audit_steps(views: list, first_step: int, cfg: RunConfig, lo_totals: dict,
-                 records: list, violations: list) -> None:
-    """Audit consecutive accepted steps, the first numbered first_step, in one
-    call; append their records and violations and leave the last step's hi
-    totals in lo_totals for the next call."""
-    budgets = audit_all(views, cfg.params, cfg.laws, lo_totals=lo_totals)
-    per_step = len(budgets) // len(views)
-    for i, budget in enumerate(budgets):
-        view = views[i // per_step]
-        lo_totals[budget.law] = budget.density_sum_hi
-        record = budget.to_record(step=first_step + i // per_step, t=view.lo.t, tau=view.tau)
-        records.append(record)
-        if budget.applicable and budget.expected_zero and budget.relative_defect > cfg.budget_tol:
-            violations.append(record)
-
-
-def run_simulation(cfg: RunConfig, out_dir=None) -> SimulationResult:
-    """Advance the configured run to t_end, auditing every step.
-
-    Writes snapshots/ledger/summary when out_dir is given.  A rejected step
-    is retried at half its tau up to cfg.max_halvings times; one still
-    rejected stops the run with exit code 1; a violated expected-zero budget
-    marks exit code 2; otherwise 0.  Wall nodes start at their wall velocity.
-    Each step's Newton iteration starts from the last accepted layers.
-    Accepted steps are audited in batches of max(1, AUDIT_BATCH_ELEMENTS //
-    (N+1)), and at the end of the loop.
-    """
-    if cfg.max_halvings < 0:
-        raise ConfigError(f"max_halvings must be >= 0, got {cfg.max_halvings}")
-    out_path = Path(out_dir) if out_dir is not None else None
-    initial = make_initial_layer(cfg.profile, cfg.params.n)
-    # no step may jump a wall node to u_wall: that impulse has no boundary
-    # flux in any budget.  array_equal leaves a resting node's -0.0 as it is.
-    u = initial.u.copy()
+def _start_layer(cfg: RunConfig) -> GridLayer:
+    """The run's initial layer, each wall node at its wall velocity: no step
+    may jump it there, as that impulse has no boundary flux in any budget."""
+    layer = make_initial_layer(cfg.profile, cfg.params.n)
+    u = layer.u.copy()
     for i, bc in ((0, cfg.params.bc_left), (-1, cfg.params.bc_right)):
         if bc.kind == "wall":
             u[i] = bc.u_wall
-    if not np.array_equal(u, initial.u):
-        initial = dataclasses.replace(initial, u=u)
-    layer = initial
+    # array_equal leaves a resting node's -0.0 as it is
+    return layer if np.array_equal(u, layer.u) else dataclasses.replace(layer, u=u)
+
+
+def _halving_step(layer: GridLayer, tau: float, cfg: RunConfig, earlier: tuple) -> tuple:
+    """(hi, report, tau taken), retried at half tau up to cfg.max_halvings times."""
+    for _ in range(cfg.max_halvings):
+        try:
+            return (*step(layer, tau, cfg.params, earlier=earlier), tau)
+        except StepRejected:
+            tau *= 0.5
+    return (*step(layer, tau, cfg.params, earlier=earlier), tau)
+
+
+def _audited(batch: list, cfg: RunConfig, lo_totals: dict):
+    """Audit consecutive accepted steps, (view, report) pairs, in one call and
+    yield each with its budgets; lo_totals carries hi totals between calls."""
+    if not batch:
+        return
+    budgets = audit_all([view for view, _ in batch], cfg.params, cfg.laws, lo_totals=lo_totals)
+    lo_totals.update((budget.law, budget.density_sum_hi) for budget in budgets)
+    per_step = len(budgets) // len(batch)
+    for k, (view, report) in enumerate(batch):
+        yield view, report, budgets[k * per_step:(k + 1) * per_step]
+
+
+def iter_steps(cfg: RunConfig, layer: GridLayer | None = None):
+    """Advance from `layer` (default: the run's start layer) to cfg.t_end,
+    yielding (view, report, budgets) for each accepted step once it is audited.
+
+    A step still rejected after cfg.max_halvings halvings of its tau raises its
+    StepRejected, which carries the report, after the steps before it.  Newton
+    starts from the last accepted layers.  Audits take batches of max(1,
+    AUDIT_BATCH_ELEMENTS // (N+1)) steps.  A negative max_halvings raises here.
+    """
+    if cfg.max_halvings < 0:
+        raise ConfigError(f"max_halvings must be >= 0, got {cfg.max_halvings}")
+    return _steps(cfg, _start_layer(cfg) if layer is None else layer)
+
+
+def _steps(cfg: RunConfig, layer: GridLayer):
+    batch: list = []  # (view, report) of accepted steps not yet audited
+    batch_steps = max(1, AUDIT_BATCH_ELEMENTS // layer.mesh.n_nodes)
+    lo_totals: dict = {}  # hi totals of the last audit: the next batch's lo totals
+    earlier: tuple = ()  # the accepted layers before `layer`, newest first
+    while (remaining := cfg.t_end - layer.t) > 1e-9 * cfg.tau:
+        try:
+            hi, report, tau = _halving_step(layer, min(cfg.tau, remaining), cfg, earlier)
+        except StepRejected:
+            yield from _audited(batch, cfg, lo_totals)
+            raise
+        batch.append((TwoLayerView(lo=layer, hi=hi, tau=tau), report))
+        earlier, layer = (layer, *earlier[:1]), hi
+        if len(batch) == batch_steps:
+            yield from _audited(batch, cfg, lo_totals)
+            batch = []
+    yield from _audited(batch, cfg, lo_totals)
+
+
+def run_simulation(cfg: RunConfig, out_dir=None) -> SimulationResult:
+    """Run iter_steps from the start layer to t_end and collect its records.
+
+    Writes snapshots/ledger/summary when out_dir is given.  A step still
+    rejected after cfg.max_halvings halvings stops the run with exit code 1;
+    a violated expected-zero budget marks exit code 2; otherwise 0.
+    """
+    out_path = Path(out_dir) if out_dir is not None else None
+    initial = layer = _start_layer(cfg)
+    steps = iter_steps(cfg, initial)
     if out_path is not None:
         write_snapshot(layer, out_path, step=0)
 
@@ -334,42 +380,25 @@ def run_simulation(cfg: RunConfig, out_dir=None) -> SimulationResult:
     failure = None
     step_index = 0
     last_written = 0
-    lo_totals: dict = {}  # hi totals of the last audit: the next batch's lo totals
-    batch: list[TwoLayerView] = []  # accepted steps not yet audited
-    batch_steps = max(1, AUDIT_BATCH_ELEMENTS // initial.mesh.n_nodes)
-    earlier: tuple = ()  # the accepted layers before `layer`, newest first
-
-    while True:
-        remaining = cfg.t_end - layer.t
-        if remaining <= 1e-9 * cfg.tau:
-            break
-        tau_j = min(cfg.tau, remaining)
-        for _ in range(cfg.max_halvings + 1):
-            try:
-                hi, report = step(layer, tau_j, cfg.params, earlier=earlier)
-                break
-            except StepRejected as exc:
-                rejected = exc
-                tau_j *= 0.5
-        else:
-            failure = str(rejected)
-            reports.append(rejected.report)
-            break
-        batch.append(TwoLayerView(lo=layer, hi=hi, tau=tau_j))
-        if len(batch) == batch_steps:
-            _audit_steps(batch, step_index + 1 - len(batch), cfg, lo_totals, records, violations)
-            batch = []
-        reports.append(report)
-        earlier = (layer, *earlier[:1])
-        layer = hi
-        step_index += 1
-        log.debug("step %d: t=%g, %d Newton iterations, residual %.3e",
-                  step_index, layer.t, report.iterations, report.final_residual_norm)
-        if out_path is not None and cfg.snapshot_every and step_index % cfg.snapshot_every == 0:
-            write_snapshot(layer, out_path, step=step_index, tau=tau_j)
-            last_written = step_index
-    if batch:
-        _audit_steps(batch, step_index - len(batch), cfg, lo_totals, records, violations)
+    try:
+        for view, report, budgets in steps:
+            for budget in budgets:
+                record = budget.to_record(step=step_index, t=view.lo.t, tau=view.tau)
+                records.append(record)
+                if budget.applicable and budget.expected_zero \
+                        and budget.relative_defect > cfg.budget_tol:
+                    violations.append(record)
+            reports.append(report)
+            layer = view.hi
+            step_index += 1
+            log.debug("step %d: t=%g, %d Newton iterations, residual %.3e",
+                      step_index, layer.t, report.iterations, report.final_residual_norm)
+            if out_path is not None and cfg.snapshot_every and step_index % cfg.snapshot_every == 0:
+                write_snapshot(layer, out_path, step=step_index, tau=view.tau)
+                last_written = step_index
+    except StepRejected as exc:
+        failure = str(exc)
+        reports.append(exc.report)
 
     exit_code = 1 if failure else (2 if violations else 0)
     if out_path is not None:

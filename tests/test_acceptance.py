@@ -11,8 +11,8 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from polygas import LawId, TwoLayerView, conservation, step
-from polygas.cli import convergence_study, resolve_config, run_simulation
+from polygas import LawId, conservation
+from polygas.cli import convergence_study, iter_steps, resolve_config, run_simulation
 from polygas.state import cell_average, exact_sums
 
 from conftest import worst_ungated
@@ -55,17 +55,12 @@ def _run(name: str, n: int, gamma: float, eos_mode: str, cells: int,
 
 @lru_cache(maxsize=None)
 def _views(*key):
-    """The layer pairs of the _run(*key) run, stepped again as the run steps:
-    with its config, the step lengths its ledger records (the last step may be
-    shortened) and Newton warm-started from the last accepted layers."""
+    """The layer pairs of the _run(*key) run, stepped again by the loop it ran."""
     cfg, result = _run(*key)
-    layer, earlier, views = result.initial_layer, (), []
-    for rec in _law_records(result, LawId.MASS):
-        hi, _ = step(layer, rec["tau"], cfg.params, earlier=earlier)
-        views.append(TwoLayerView(lo=layer, hi=hi, tau=rec["tau"]))
-        earlier, layer = (layer, *earlier[:1]), hi
-    assert layer.t == result.final_layer.t  # the run's own layers, bit for bit
-    for name in ("r", "u", "rho", "p", "eps"):
+    views = [view for view, _, _ in iter_steps(cfg)]
+    layer = views[-1].hi
+    assert len(views) == result.steps and layer.t == result.final_layer.t
+    for name in ("r", "u", "rho", "p", "eps"):  # the run's own layers, bit for bit
         assert getattr(layer, name).tobytes() == getattr(result.final_layer, name).tobytes()
     return views
 

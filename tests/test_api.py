@@ -36,6 +36,7 @@ PUBLIC = [
     "convergence_study",
     "interp_nodal_pressure",
     "invert_mass_coordinate",
+    "iter_steps",
     "load_config",
     "make_initial_layer",
     "mass_coordinate",

@@ -10,8 +10,8 @@ import tracemalloc
 
 import pytest
 
-from polygas import (ALL_LAWS, BoundaryCondition, ConfigError, LawId, LayerError, audit_all,
-                     cli, step)
+from polygas import (ALL_LAWS, BoundaryCondition, ConfigError, LawId, LayerError, StepRejected,
+                     audit_all, cli, step)
 from polygas.cli import resolve_config, run_simulation
 from conftest import advance, pulse_start, zero_cell_pivot
 
@@ -86,6 +86,16 @@ def test_a_rejected_step_still_ledgers_every_accepted_step(monkeypatch, batches,
     lines = (tmp_path / "ledger.jsonl").read_text().splitlines()
     assert len(lines) == 2 * len(cfg.laws)
     assert lines == [json.dumps(record) for record in _lone_view_records(batches, cfg)]
+    # the loop itself: the accepted steps, chained and audited, then the rejection
+    steps = cli.iter_steps(cfg)
+    views = []
+    for view, report, budgets in itertools.islice(steps, 2):
+        assert report.accepted and len(budgets) == len(cfg.laws)
+        views.append(view)
+    assert views[0].hi is views[1].lo
+    with pytest.raises(StepRejected) as rejected:
+        next(steps)
+    assert not rejected.value.report.accepted
 
 
 def test_audit_all_rejects_views_that_are_not_consecutive():

@@ -48,6 +48,10 @@ def _pulse_raw(**extra):
     return raw
 
 
+#: _pulse_raw's problem without its cells, for a config whose mesh block sets them
+_PULSE_SHAPE = {"name": "smooth_pulse", "amplitude": 0.05}
+
+
 def _write_config(tmp_path, raw, name="run.json") -> Path:
     path = tmp_path / name
     path.write_text(json.dumps(raw))
@@ -155,12 +159,12 @@ def test_bc_config_forms():
 
 def test_mesh_forms():
     nodes = [0.0, 0.1, 0.3, 0.6, 1.0]
-    cfg = resolve_config(_pulse_raw(mesh={"r_nodes": nodes}))
+    cfg = resolve_config(_pulse_raw(problem=_PULSE_SHAPE, mesh={"r_nodes": nodes}))
     assert cfg.profile.r_nodes == pytest.approx(nodes)
 
     # mass-coordinate forms: uniform-in-s mesh over the sod two-state data
     raw = {
-        "problem": {"name": "sod", "cells": 10},
+        "problem": {"name": "sod"},
         "time": {"t_end": 0.01, "tau": 0.01},
         "mesh": {"s_min": 0.0, "s_max": 0.5625, "cells": 9},
     }
@@ -208,7 +212,7 @@ def test_a_mass_mesh_that_starts_past_zero_resolves(n, start):
 
 
 def test_with_resolution_needs_a_mesh_uniform_in_r():
-    cfg = resolve_config(_pulse_raw(mesh={"r_nodes": [0.0, 0.3, 0.7, 1.0]}))
+    cfg = resolve_config(_pulse_raw(problem=_PULSE_SHAPE, mesh={"r_nodes": [0.0, 0.3, 0.7, 1.0]}))
     with pytest.raises(ConfigError, match="uniform in r"):
         with_resolution(cfg, 8, 0.01)
     # sod's mass-uniform mesh is finer on the dense side
@@ -217,7 +221,8 @@ def test_with_resolution_needs_a_mesh_uniform_in_r():
     with pytest.raises(ConfigError, match="uniform in r"):
         with_resolution(sod, 18, 0.01)
     # nodes equal to np.linspace's refine however the config gave them
-    listed = resolve_config(_pulse_raw(mesh={"r_nodes": np.linspace(0.0, 1.0, 5).tolist()}))
+    listed = resolve_config(_pulse_raw(problem=_PULSE_SHAPE,
+                                       mesh={"r_nodes": np.linspace(0.0, 1.0, 5).tolist()}))
     for cfg in (resolve_config(_pulse_raw()), listed):
         finer = with_resolution(cfg, 40, 0.005)
         assert finer.profile.r_nodes.tobytes() == np.linspace(0.0, 1.0, 41).tobytes()
@@ -517,7 +522,7 @@ def test_a_config_file_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
 
 # valid configs that together use every block and form of the config
 _MUTATION_BASES = [
-    {"problem": {"name": "sod", "cells": 8, "split": 0.5, "gamma": 1.4},
+    {"problem": {"name": "sod", "split": 0.5, "gamma": 1.4},
      "params": {"n": 0, "gamma": 1.4, "eos_mode": "conservative", "visc_nu": 1.0,
                 "bc_left": {"kind": "wall", "u_wall": 0.0},
                 "bc_right": {"kind": "pressure",
@@ -526,7 +531,7 @@ _MUTATION_BASES = [
      "mesh": {"s_min": 0.0, "s_max": 0.5625, "cells": 9},
      "snapshot_every": 1, "output_dir": "out", "audit": ["mass", "energy"],
      "budget_tol": 1e-9},
-    {"problem": {"name": "smooth_pulse", "cells": 10, "amplitude": 0.05},
+    {"problem": {"name": "smooth_pulse", "amplitude": 0.05},
      "params": {"n": 1, "alpha": 0.7, "newton_tol": 1e-11, "newton_max_iter": 20,
                 "bc_right": {"kind": "pressure", "trace": {"p0": 1.0}}},
      "time": {"t_end": 0.1, "tau": 0.05},
@@ -1059,13 +1064,21 @@ _EXIT_3 = {
                     "unknown key(s) in config.params.bc_right: ['p0']"),
     "sod-visc-nu": (("problem",), {"name": "sod", "visc_nu": 2.0},
                     "unknown option(s) for problem 'sod': ['visc_nu']"),
+    "cells-and-mesh": (("mesh",), {"r_nodes": [0, 0.5, 1]}, "config.problem.cells and "
+                       "config.mesh.r_nodes both set the mesh: give one"),
+    "cells-and-s-mesh": (("mesh",), {"s_min": 0, "s_max": 0.5, "cells": 4}, "config.problem.cells "
+                         "and config.mesh.cells both set the mesh: give one"),
+    # a fourth entry: config blocks the case starts from
+    "r-max-and-r-nodes": (("mesh",), {"r_nodes": [0, 0.5, 1]}, "config.problem.r_max and "
+                          "config.mesh.r_nodes both set the mesh: give one",
+                          {"problem": {**_PULSE_SHAPE, "r_max": 2.0}}),
 }
 
 
 @pytest.mark.parametrize("case", list(_EXIT_3))
 def test_a_config_error_exits_3_with_its_message(tmp_path, capsys, case):
-    path, value, message = _EXIT_3[case]
-    raw = _pulse_raw()
+    path, value, message, *start = _EXIT_3[case]
+    raw = _pulse_raw(**(start[0] if start else {}))
     target = raw
     for key in path[:-1]:
         target = target[key]
