@@ -189,8 +189,6 @@ _TOP = {"problem": _problem, "audit": _laws, "budget_tol": _positive, "snapshot_
 
 def _resolve_mesh(spec: dict, profile: EulerProfile, n: int) -> EulerProfile:
     """Apply a checked mesh block: replace the profile's node radii."""
-    if not spec:
-        return profile
     if set(spec) not in _MESH_FORMS:
         raise ConfigError(f"mesh spec must be one of {[sorted(f) for f in _MESH_FORMS]}, "
                           f"got keys {sorted(spec)}; a mesh uniform in r is problem.cells")
@@ -226,11 +224,11 @@ def resolve_config(raw: dict) -> RunConfig:
     params = dataclasses.replace(params, **given)
     # the profile's gamma must match the scheme's so eps = p/((gamma-1) rho)
     profile = dataclasses.replace(profile, gamma=params.gamma)
-    mesh = config.get("mesh", {})
-    profile = _resolve_mesh(mesh, profile, params.n)
+    mesh = config.get("mesh")
     # a mesh block sets the cells and r_nodes the interval too; the
     # mass-coordinate forms invert on the problem's [r_min, r_max]
-    if mesh:
+    if mesh is not None:
+        profile = _resolve_mesh(mesh, profile, params.n)
         for key in ("cells", "r_min", "r_max") if "r_nodes" in mesh else ("cells",):
             if key in options:
                 mesh_key = "cells" if "cells" in mesh else next(iter(mesh))

@@ -7,11 +7,11 @@ pressure in conservative mode).  Radii, densities and internal energies are
 eliminated in closed form.  Each cell row of the Newton system couples only
 u_j, q_j and u_{j+1}, so every Newton iteration eliminates the cell unknowns
 too and solves one tridiagonal system in the N + 1 node velocities (LAPACK
-dgtsv, loaded from scipy's compiled extension at the first solve, without
-scipy.linalg).  The Jacobian is assembled analytically from the residual's own
-intermediates; the tests check it against a finite-difference Jacobian, and
-the elimination against a banded solve of the full system, both kept there
-as oracles.
+dgtsv, loaded from scipy's compiled extension at the first solve, which runs
+no scipy package code).  The Jacobian is assembled analytically from the
+residual's own intermediates; the tests check it against a finite-difference
+Jacobian, and the elimination against a banded solve of the full system, both
+kept there as oracles.
 
 The equations are written once, in _StepSystem.  Newton runs its kernel on
 a layer eliminated from (u_hat, q); step_residuals, the offline check, runs
@@ -283,19 +283,34 @@ def _dgtsv():
     """LAPACK dgtsv from scipy's _flapack extension, loaded under a private name.
 
     scipy.linalg.lapack would import all of scipy.linalg (about 300 modules,
-    27 MB) for this one routine; a later `import scipy.linalg` loads its own copy.
+    27 MB) for this one routine, and `import scipy` alone runs the package's
+    __init__ (23 modules), so the extension is found in scipy's directory
+    without running any scipy package code.  Only where that load fails, as
+    for a scipy whose __init__ must first register its shared-library
+    directory, is scipy imported and the load tried again.  A later
+    `import scipy.linalg` loads its own copy.
     """
     import os
     from importlib import machinery, util
-    import scipy
-    spec = machinery.PathFinder.find_spec(
-        f"{__package__}._flapack", [os.path.join(path, "linalg") for path in scipy.__path__])
-    if spec is None:  # no such file in this scipy: take the public route
-        from scipy.linalg.lapack import dgtsv
-        return dgtsv
-    module = util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.dgtsv
+
+    def load(scipy_dirs):
+        spec = machinery.PathFinder.find_spec(
+            f"{__package__}._flapack", [os.path.join(path, "linalg") for path in scipy_dirs])
+        if spec is None:  # no such file in this scipy: take the public route
+            from scipy.linalg.lapack import dgtsv
+            return dgtsv
+        module = util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module.dgtsv
+
+    found = util.find_spec("scipy")  # reads no scipy code
+    if found is not None:
+        try:
+            return load(found.submodule_search_locations)
+        except ImportError:
+            pass
+    import scipy  # ModuleNotFoundError where there is no scipy
+    return load(scipy.__path__)
 
 
 class _Jacobian(NamedTuple):

@@ -784,7 +784,7 @@ def test_python_dash_m_polygas_runs_without_a_warning(tmp_path):
 #: action, the config, an output directory and one snapshot pair.  It audits
 #: the pair, then does the action and prints what the action loaded
 _LAPACK_CHILD = textwrap.dedent("""
-    import json, os, sys
+    import importlib.util, json, os, sys
     from pathlib import Path
     import polygas
     from polygas import cli
@@ -797,26 +797,25 @@ _LAPACK_CHILD = textwrap.dedent("""
         if action == "step":
             layer, _ = polygas.step(polygas.read_snapshot(*pair[:2]), cfg.tau, cfg.params)
             return [getattr(layer, f).tobytes().hex() for f in ("r", "u", "rho", "p", "eps")]
-        if action == "run":
-            assert cli.main(["run", "--config", config, "--out", f"{out}/{tag}"]) == 0
-            return {f.name: f.read_bytes().hex() for f in sorted(Path(out, tag).iterdir())}
-        import scipy  # action "scipy": what a plain import adds
+        assert cli.main(["run", "--config", config, "--out", f"{out}/{tag}"]) == 0
+        return {f.name: f.read_bytes().hex() for f in sorted(Path(out, tag).iterdir())}
 
     before = set(sys.modules)
     first = act("first")
-    home = os.path.dirname(sys.modules["scipy"].__file__) + os.sep
+    # the modules the action added that are scipy's or loaded from its directory
+    home = os.path.dirname(importlib.util.find_spec("scipy").origin) + os.sep
     added = {name: os.path.relpath(getattr(sys.modules[name], "__file__", None) or home, home)
              for name in set(sys.modules) - before
              if name.partition(".")[0] == "scipy"
              or (getattr(sys.modules[name], "__file__", None) or "").startswith(home)}
-    found = {"linalg": "scipy.linalg" in sys.modules, "added": added, "first": first}
-    if action != "scipy":
-        import scipy.linalg.lapack
-        from scipy.linalg import _flapack
-        found["public_copy"] = (scipy.linalg.lapack._flapack is _flapack
-                                and _flapack.__name__ == "scipy.linalg._flapack"
-                                and sys.modules[_flapack.__name__] is _flapack)
-        found["same_again"] = act("again") == first
+    found = {"linalg": "scipy.linalg" in sys.modules, "scipy": "scipy" in sys.modules,
+             "added": added, "first": first}
+    import scipy.linalg.lapack
+    from scipy.linalg import _flapack
+    found["public_copy"] = (scipy.linalg.lapack._flapack is _flapack
+                            and _flapack.__name__ == "scipy.linalg._flapack"
+                            and sys.modules[_flapack.__name__] is _flapack)
+    found["same_again"] = act("again") == first
     print(json.dumps(found))
 """)
 
@@ -836,19 +835,41 @@ def _lapack_child(tmp_path, action, *, prelude=""):
 
 @pytest.mark.parametrize("action", ["step", "run"])
 def test_a_read_and_an_audit_load_no_lapack_until_the_first_solve(tmp_path, action):
-    """A solve loads scipy's LAPACK extension alone, not scipy.linalg, and a
-    later `import scipy.linalg` still binds its own copy and solves the same."""
-    plain_scipy, _ = _lapack_child(tmp_path, "scipy")
-    assert not plain_scipy["linalg"]
+    """The first solve adds one module, scipy's LAPACK extension under a private
+    name, and runs no scipy package code; a later `import scipy.linalg` still
+    binds its own copy and solves the same."""
     found, _ = _lapack_child(tmp_path, action)
-    assert "scipy" in found["added"]  # the read and the audit loaded none of it
-    assert not found["linalg"]
-    assert set(plain_scipy["added"]) <= set(found["added"])
-    [(name, path)] = [item for item in found["added"].items()
-                      if item[0] not in plain_scipy["added"]]
+    [(name, path)] = found["added"].items()
     assert not name.startswith("scipy")
     assert os.path.dirname(path) == "linalg"
     assert os.path.basename(path).startswith("_flapack.")
+    assert not found["scipy"] and not found["linalg"]
+    assert found["public_copy"] and found["same_again"]
+
+
+def test_a_failed_private_load_retries_after_importing_scipy(tmp_path):
+    """Where the extension cannot be created before scipy's __init__ has run,
+    the first solve imports scipy alone, loads the extension again and solves
+    the same bits."""
+    prelude = textwrap.dedent("""
+        from importlib import machinery
+        _create = machinery.ExtensionFileLoader.create_module
+        _failed = []
+
+        def _fail_private_copy_once(self, spec):
+            if spec.name == "polygas._flapack" and not _failed:
+                _failed.append(spec.name)
+                raise ImportError(f"cannot load {spec.name} yet")
+            return _create(self, spec)
+        machinery.ExtensionFileLoader.create_module = _fail_private_copy_once
+    """)
+    found, pair = _lapack_child(tmp_path, "step", prelude=prelude)
+    assert found["scipy"] and not found["linalg"]
+    assert [name for name in found["added"] if name.endswith("._flapack")] == ["polygas._flapack"]
+    cfg = resolve_config(_pulse_raw(snapshot_every=1, time={"t_end": 0.01, "tau": 0.01}))
+    layer, _ = step(read_snapshot(*pair[:2]), cfg.tau, cfg.params)
+    assert found["first"] == [getattr(layer, f).tobytes().hex()
+                              for f in ("r", "u", "rho", "p", "eps")]
     assert found["public_copy"] and found["same_again"]
 
 
@@ -1060,6 +1081,9 @@ _EXIT_3 = {
     "mesh-cells": (("mesh",), {"cells": 8},
                    "mesh spec must be one of [['r_nodes'], ['cells', 's_max', 's_min'], "
                    "['s_nodes']], got keys ['cells']; a mesh uniform in r is problem.cells"),
+    "empty-mesh": (("mesh",), {},
+                   "mesh spec must be one of [['r_nodes'], ['cells', 's_max', 's_min'], "
+                   "['s_nodes']], got keys []; a mesh uniform in r is problem.cells"),
     "pressure-p0": (("params", "bc_right"), {"kind": "pressure", "p0": 1.0},
                     "unknown key(s) in config.params.bc_right: ['p0']"),
     "sod-visc-nu": (("problem",), {"name": "sod", "visc_nu": 2.0},
