@@ -511,16 +511,15 @@ def _write_convergence(report: dict, out_dir) -> None:
 def audit_snapshots(cfg: RunConfig, lo_nodes, lo_cells, hi_nodes, hi_cells) -> list[dict]:
     """Rebuild two layers from snapshot files and audit the step between them.
 
-    The hi-side sidecar, read once, gives the hi time, the step index and the
-    step length (else the time difference), so the records match the inline
-    ledger of the producing run byte for byte.
+    The hi-side sidecar gives the hi time, the step index and the step length
+    (else the time difference), so the records match the inline ledger of the
+    producing run byte for byte.
     """
     lo = read_snapshot(lo_nodes, lo_cells)
-    hi = read_snapshot(hi_nodes, hi_cells, t=0.0)
+    hi = read_snapshot(hi_nodes, hi_cells)
     if lo.mesh is not hi.mesh and not np.array_equal(lo.mesh.s, hi.mesh.s):
         raise SnapshotError("snapshots live on different meshes; audit needs one mesh")
     meta = read_snapshot_meta(hi_nodes, hi.mesh.n_cells) or {}
-    hi = dataclasses.replace(hi, t=float(meta.get("time", 0.0)))
     tau = float(meta.get("tau", hi.t - lo.t))
     if not tau > 0.0:
         raise SnapshotError(f"non-positive step length {tau} between snapshots")

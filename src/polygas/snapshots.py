@@ -10,19 +10,20 @@ records the time stamp and step index.  The CSVs are directly plottable
 
 Tables are converted by numpy's C reader, which rounds as float() does; a
 row-by-row walk with float() names a bad line and reads the spellings only
-float() accepts.  The reader keeps the last few tables it parsed, keyed by
-their path and exact bytes, so a file rewritten in place is parsed afresh.
+float() accepts.  The reader keeps its last two snapshots and sidecars, keyed
+by path and exact bytes, so a file rewritten in place is read afresh.
 """
 
 import functools
 import itertools
 import json
+import os
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from .mesh import MassMesh
+from .mesh import MassMesh, MeshError
 from .state import GridLayer
 
 
@@ -101,29 +102,61 @@ def write_snapshot(layer: GridLayer, out_dir, step: int,
     return paths
 
 
-def _read_table(path, header: tuple[str, ...]) -> np.ndarray:
-    """The table's value columns, read-only."""
-    path = Path(path)
+def _read_file(path: str) -> bytes | None:
+    """The file's bytes, or None where there is no file; a directory is a SnapshotError."""
     try:
-        data = path.read_bytes()
+        with open(path, "rb") as fh:
+            return fh.read()
     except (FileNotFoundError, NotADirectoryError):
-        raise SnapshotError(f"snapshot file not found: {path}") from None
-    return _table(data, path, header)
+        return None
+    except IsADirectoryError:
+        raise SnapshotError(f"snapshot file is a directory: {path}") from None
 
 
-@functools.lru_cache(maxsize=4)
-def _table(data: bytes, path: Path, header: tuple[str, ...]) -> np.ndarray:
-    """The read-only table parsed from these bytes.  Four are the two tables of
-    each of the last two snapshots, so a series audit of consecutive pairs
-    parses the snapshot the pairs share once.  Errors name the path, so it is
-    in the key: two files of identical bytes are parsed once each.  An error
-    is not cached: it is raised on every read."""
-    table = _parse_table(data, path, header)
-    table.setflags(write=False)
-    return table
+class _Snapshot:
+    """One snapshot's checked tables and the layer last read from them."""
+    layer = None
+
+    def __init__(self, mesh: MassMesh, nodes: np.ndarray, cells: np.ndarray):
+        self.mesh, self.nodes, self.cells = mesh, nodes, cells
+
+    def at(self, t: float) -> GridLayer:
+        """The layer at time t, built afresh only for another t than the last
+        (by repr, so -0.0 is not 0.0)."""
+        layer = self.layer
+        if layer is None or repr(layer.t) != repr(t):
+            n, c = self.nodes, self.cells
+            layer = self.layer = GridLayer(mesh=self.mesh, t=t, r=n[:, 1], u=n[:, 2],
+                                           rho=c[:, 1], p=c[:, 2], eps=c[:, 3])
+        return layer
 
 
-def _parse_table(data: bytes, path: Path, header: tuple[str, ...]) -> np.ndarray:
+@functools.lru_cache(maxsize=2)
+def _snapshot(nodes_path: str, nodes_data: bytes | None,
+              cells_path: str, cells_data: bytes | None) -> _Snapshot:
+    """The snapshot parsed and checked from these table bytes.  Two are the lo
+    and hi of an audited pair, so a series audit of consecutive pairs reads
+    the snapshot the pairs share once.  Errors name the paths, so they are in
+    the key.  An error is not cached: it is raised on every read."""
+    nodes = _parse_table(nodes_data, nodes_path, NODE_HEADER)
+    cells = _parse_table(cells_data, cells_path, CELL_HEADER)
+    if cells.shape[0] != nodes.shape[0] - 1:
+        raise SnapshotError(
+            f"{cells_path}: {cells.shape[0]} cells do not match {nodes.shape[0]} nodes")
+    try:
+        mesh = _mesh(nodes[:, 0].tobytes())
+    except MeshError as exc:
+        raise SnapshotError(f"{nodes_path}: {exc}") from None
+    if not (np.abs(cells[:, 0] - mesh.midpoints) <= 1e-12 * (1 + np.abs(mesh.midpoints).max())).all():
+        raise SnapshotError(f"{cells_path}: cell midpoints disagree with the nodal mesh")
+    return _Snapshot(mesh, nodes, cells)
+
+
+def _parse_table(data: bytes | None, path: str, header: tuple[str, ...]) -> np.ndarray:
+    """The read-only columns after the index; every value but the mesh
+    column's (checked as a mesh) must be finite.  None is a missing file."""
+    if data is None:
+        raise SnapshotError(f"snapshot file not found: {path}")
     lines = data.decode(errors="replace").splitlines()  # U+FFFD parses as nothing
     if not lines:
         raise SnapshotError(f"empty snapshot file: {path}")
@@ -155,6 +188,11 @@ def _parse_table(data: bytes, path: Path, header: tuple[str, ...]) -> np.ndarray
         table = np.array(rows)
     if not np.array_equal(table[:, 0], np.arange(table.shape[0])):
         raise SnapshotError(f"{path}: index column must run 0..{table.shape[0] - 1}")
+    finite = np.isfinite(table[:, 2:])
+    if not finite.all():
+        row, col = np.argwhere(~finite)[0].tolist()
+        raise SnapshotError(f"{path}:{row + 2}: non-finite value {body[row].split(',')[col + 2]!r}")
+    table.setflags(write=False)
     return table[:, 1:]
 
 
@@ -165,18 +203,11 @@ def read_snapshot(nodes_path, cells_path, t: float | None = None) -> GridLayer:
     sidecar _meta.json next to the nodal file, else defaults to 0.  A
     sidecar read here must agree with the tables' cell count.
     """
-    nodes = _read_table(nodes_path, NODE_HEADER)
-    cells = _read_table(cells_path, CELL_HEADER)
-    if cells.shape[0] != nodes.shape[0] - 1:
-        raise SnapshotError(
-            f"{cells_path}: {cells.shape[0]} cells do not match {nodes.shape[0]} nodes")
-    mesh = _mesh(nodes[:, 0].tobytes())
-    if not (np.abs(cells[:, 0] - mesh.midpoints) <= 1e-12 * (1 + np.abs(mesh.midpoints).max())).all():
-        raise SnapshotError(f"{cells_path}: cell midpoints disagree with the nodal mesh")
+    nodes_path, cells_path = os.fspath(nodes_path), os.fspath(cells_path)
+    held = _snapshot(nodes_path, _read_file(nodes_path), cells_path, _read_file(cells_path))
     if t is None:
-        t = float((read_snapshot_meta(nodes_path, mesh.n_cells) or {}).get("time", 0.0))
-    return GridLayer(mesh=mesh, t=t, r=nodes[:, 1], u=nodes[:, 2],
-                     rho=cells[:, 1], p=cells[:, 2], eps=cells[:, 3])
+        t = float((read_snapshot_meta(nodes_path, held.mesh.n_cells) or {}).get("time", 0.0))
+    return held.at(t)
 
 
 def read_snapshot_meta(nodes_path, n_cells: int | None = None) -> dict | None:
@@ -185,15 +216,26 @@ def read_snapshot_meta(nodes_path, n_cells: int | None = None) -> dict | None:
 
     The sidecar of `<base>_nodes.csv` is `<base>_meta.json` in the same
     directory; a file whose name does not end in `_nodes.csv` has none."""
-    nodes_path = Path(nodes_path)
-    stem = nodes_path.name.removesuffix("_nodes.csv")
-    path = nodes_path.with_name(stem + "_meta.json")
-    if stem == nodes_path.name:
+    nodes_path = os.fspath(nodes_path)
+    if not nodes_path.endswith("_nodes.csv"):
         return None
+    path = nodes_path.removesuffix("_nodes.csv") + "_meta.json"
+    data = _read_file(path)
+    if data is None:
+        return None
+    meta = _sidecar(path, data)
+    if n_cells is not None and meta.get("cells", n_cells) != n_cells:
+        raise SnapshotError(f"{path}: sidecar says {meta['cells']} cells, expected {n_cells}")
+    return dict(meta)
+
+
+@functools.lru_cache(maxsize=2)
+def _sidecar(path: str, data: bytes) -> dict:
+    """The checked sidecar decoded from these bytes, kept for the two
+    snapshots of an audited pair; callers get copies.  An error is not
+    cached: it is raised on every read."""
     try:
-        meta = json.loads(path.read_text())
-    except (FileNotFoundError, NotADirectoryError):
-        return None
+        meta = json.loads(data.decode())
     except ValueError as exc:
         raise SnapshotError(f"{path}: not a JSON sidecar: {exc}") from None
     if not isinstance(meta, dict):
@@ -202,6 +244,4 @@ def read_snapshot_meta(nodes_path, n_cells: int | None = None) -> dict | None:
                        ("step", (int,)), ("cells", (int,))):
         if key in meta and not (type(meta[key]) in kinds and abs(meta[key]) <= sys.float_info.max):
             raise SnapshotError(f"{path}: '{key}' must be a finite {kinds[-1].__name__}, got {meta[key]!r}")
-    if n_cells is not None and meta.get("cells", n_cells) != n_cells:
-        raise SnapshotError(f"{path}: sidecar says {meta['cells']} cells, expected {n_cells}")
     return meta

@@ -1,8 +1,9 @@
 """Shared helpers: random meshes/layers, small canned runs, the ungated
-quadratic residuals, a zeroed cell pivot, a counted, emptied snapshot table
-cache and an emptied column spelling cache."""
+quadratic residuals, a zeroed cell pivot, counted, emptied snapshot reader
+caches and an emptied column spelling cache."""
 
 import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -85,18 +86,25 @@ def zero_cell_pivot(monkeypatch, when=lambda system: True, cell=3):
 
 
 @pytest.fixture
-def table_parses(monkeypatch):
-    """Empty the snapshot reader's table cache for one test and record the
-    path of every table it parses, so parse counts do not depend on what
-    earlier tests read."""
-    snapshots._table.cache_clear()
-    parsed = []
+def snapshot_reads(monkeypatch):
+    """Empty the snapshot reader's caches for one test and record what it does
+    afresh: the path of every table it parses (`tables`) and the time of every
+    layer it builds (`layers`), so counts do not depend on what earlier tests
+    read.  Sidecar decodes are the misses of `snapshots._sidecar`."""
+    snapshots._snapshot.cache_clear()
+    snapshots._sidecar.cache_clear()
+    reads = SimpleNamespace(tables=[], layers=[])
 
-    def counted(data, path, header, _real=snapshots._parse_table):
-        parsed.append(path)
+    def parse_table(data, path, header, _real=snapshots._parse_table):
+        reads.tables.append(path)
         return _real(data, path, header)
-    monkeypatch.setattr(snapshots, "_parse_table", counted)
-    return parsed
+
+    def grid_layer(*, t, _real=snapshots.GridLayer, **fields):
+        reads.layers.append(t)
+        return _real(t=t, **fields)
+    monkeypatch.setattr(snapshots, "_parse_table", parse_table)
+    monkeypatch.setattr(snapshots, "GridLayer", grid_layer)
+    return reads
 
 
 @pytest.fixture

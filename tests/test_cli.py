@@ -693,25 +693,46 @@ def _series_run(tmp_path, steps):
     return cfg, list(zip(nodes, cells, nodes[1:], cells[1:]))
 
 
-def test_a_series_audit_parses_each_table_once(tmp_path, table_parses):
+def test_a_series_audit_parses_each_table_once(tmp_path, snapshot_reads):
+    """Each table is parsed, each sidecar decoded and each layer built once."""
     cfg, pairs = _series_run(tmp_path, 10)
     for pair in pairs:
         audit_snapshots(cfg, *pair)
-    tables = {path for pair in pairs for path in pair}
-    assert len(pairs) == 10 and len(table_parses) == len(tables) == 22
-    assert set(table_parses) == tables
+    tables = {os.fspath(path) for pair in pairs for path in pair}
+    assert len(pairs) == 10 and len(snapshot_reads.tables) == len(tables) == 22
+    assert set(snapshot_reads.tables) == tables
+    # 11 distinct sidecars each miss the cache on their first read
+    assert snapshots._sidecar.cache_info().misses == 11
+    assert len(snapshot_reads.layers) == len(set(snapshot_reads.layers)) == 11
 
 
-def test_a_series_audit_equals_pairs_audited_with_an_empty_cache(tmp_path, table_parses):
+def test_a_series_audit_equals_pairs_audited_with_an_empty_cache(tmp_path, snapshot_reads):
     cfg, pairs = _series_run(tmp_path, 4)
     in_order = [json.dumps(record) for pair in pairs for record in audit_snapshots(cfg, *pair)]
     fresh = []
     for pair in pairs:
-        snapshots._table.cache_clear()
+        snapshots._snapshot.cache_clear()
+        snapshots._sidecar.cache_clear()
         fresh += [json.dumps(record) for record in audit_snapshots(cfg, *pair)]
-    assert len(table_parses) == 10 + 4 * len(pairs)
+    assert len(snapshot_reads.tables) == 10 + 4 * len(pairs)
+    assert len(snapshot_reads.layers) == 5 + 2 * len(pairs)
     assert in_order == fresh
     assert in_order == (tmp_path / "ledger.jsonl").read_text().splitlines()
+
+
+def test_an_audit_reads_both_snapshots_through_the_cli_name(tmp_path, monkeypatch):
+    """The benchmark's trace wraps the names polygas.cli resolves, so both
+    reads of a pair must go through cli.read_snapshot."""
+    cfg, pairs = _series_run(tmp_path, 3)
+    calls = []
+
+    def counted(*args, _real=cli.read_snapshot, **kwargs):
+        calls.append(args)
+        return _real(*args, **kwargs)
+    monkeypatch.setattr(cli, "read_snapshot", counted)
+    for pair in pairs:
+        audit_snapshots(cfg, *pair)
+    assert calls == [half for pair in pairs for half in (pair[:2], pair[2:])]
 
 
 def test_the_snapshots_of_a_run_share_one_mesh(tmp_path):
@@ -951,6 +972,16 @@ def test_audit_rejects_a_corrupt_sidecar(tmp_path, capsys, sidecar):
     capsys.readouterr()
     assert main(args) == 3
     assert str(meta) in capsys.readouterr().err
+
+
+def test_audit_rejects_a_sidecar_that_is_a_directory(tmp_path, capsys):
+    args, hi_nodes, _ = _audit_pair(tmp_path)
+    meta = Path(str(hi_nodes).replace("_nodes.csv", "_meta.json"))
+    meta.unlink()
+    meta.mkdir()
+    capsys.readouterr()
+    assert main(args) == 3
+    assert f"snapshot file is a directory: {meta}" in capsys.readouterr().err
 
 
 def test_audit_blames_the_meshes_not_a_correct_sidecar(tmp_path, capsys):

@@ -154,6 +154,27 @@ def test_missing_tables_are_not_found_and_a_missing_sidecar_is_none(tmp_path):
     assert read_snapshot(paths["nodes"], paths["cells"]).t == 0.0
 
 
+def test_a_table_path_naming_a_directory_is_a_snapshot_error(tmp_path):
+    paths = write_snapshot(_sample_layer(), tmp_path, step=7, tau=0.0125)
+    folder = tmp_path / "folder_nodes.csv"
+    folder.mkdir()
+    with pytest.raises(SnapshotError) as info:
+        read_snapshot(folder, paths["cells"])
+    assert str(info.value) == f"snapshot file is a directory: {folder}"
+
+
+def test_a_sidecar_path_naming_a_directory_is_a_snapshot_error(tmp_path):
+    paths = write_snapshot(_sample_layer(), tmp_path, step=7, tau=0.0125)
+    paths["meta"].unlink()
+    paths["meta"].mkdir()
+    for read in (lambda: read_snapshot_meta(paths["nodes"]),
+                 lambda: read_snapshot(paths["nodes"], paths["cells"])):
+        with pytest.raises(SnapshotError) as info:
+            read()
+        assert str(info.value) == f"snapshot file is a directory: {paths['meta']}"
+    # an explicit time reads no sidecar
+    assert read_snapshot(paths["nodes"], paths["cells"], t=0.5).t == 0.5
+
 
 def test_a_file_not_named_like_a_nodes_table_has_no_sidecar(tmp_path):
     paths = write_snapshot(_sample_layer(), tmp_path, step=7, tau=0.0125)
@@ -234,8 +255,15 @@ def test_reader_accepts_lf_line_ends(tmp_path):
     (GOLDEN_NODES.replace(b"0.30000000000000004", b"0.3#1"),
      "{path}:3: could not convert string to float: '0.3#1'"),
     (b"i,s,r,u\r\n\r\n\r\n", "{path}:2: expected 4 columns"),
+    (GOLDEN_NODES.replace(b"0.30000000000000004", b"nan"), "{path}:3: non-finite value 'nan'"),
+    (GOLDEN_NODES.replace(b",1e+16,", b",-inf,"), "{path}:5: non-finite value '-inf'"),
+    (GOLDEN_NODES.replace(b",1.2345678901234568e+17", b",1e999"), "{path}:5: non-finite value '1e999'"),
+    (GOLDEN_NODES.replace(b"\r\n3,1.0000000000000002,", b"\r\n3,0.0001,"),
+     "{path}: mass nodes must be strictly increasing; violated at interval 2"),
+    (GOLDEN_NODES.replace(b"\r\n0,-0.0,", b"\r\n0,nan,"), "{path}: mass nodes must be finite"),
 ], ids=["short-row", "non-numeric", "trailing-blank-line", "quoted", "not-utf8", "header-only", "empty",
-        "blank-line-mid-table", "spaces-only-line", "trailing-comma", "hash-in-field", "blank-lines-only"])
+        "blank-line-mid-table", "spaces-only-line", "trailing-comma", "hash-in-field", "blank-lines-only",
+        "nan-value", "inf-value", "overflowing-value", "nodes-not-increasing", "non-finite-node"])
 def test_reader_error_messages(tmp_path, text, message):
     nodes = tmp_path / "bad_nodes.csv"
     cells = tmp_path / "good_cells.csv"
@@ -246,17 +274,26 @@ def test_reader_error_messages(tmp_path, text, message):
     assert str(info.value) == message.format(path=nodes)
 
 
-def test_a_snapshot_rewritten_in_place_reads_back_its_new_values(tmp_path, table_parses):
+def test_a_snapshot_rewritten_in_place_reads_back_its_new_values(tmp_path, snapshot_reads):
     first = _sample_layer()
     paths = write_snapshot(first, tmp_path, step=7, tau=0.0125)
     _assert_same_layer(read_snapshot(paths["nodes"], paths["cells"]), first)
     second = dataclasses.replace(first, u=first.u * 3.0, p=first.p + 1.0)
     assert write_snapshot(second, tmp_path, step=7, tau=0.0125) == paths
     _assert_same_layer(read_snapshot(paths["nodes"], paths["cells"]), second)
-    assert table_parses == [paths["nodes"], paths["cells"]] * 2
+    tables = [str(paths["nodes"]), str(paths["cells"])]
+    assert snapshot_reads.tables == tables * 2
+    # the same sidecar bytes again: decoded once
+    assert snapshots._sidecar.cache_info().misses == 1
+    paths["meta"].write_text('{"time": 0.5, "step": 8, "cells": 12}\n')
+    _assert_same_layer(read_snapshot(paths["nodes"], paths["cells"]), dataclasses.replace(second, t=0.5))
+    assert read_snapshot_meta(paths["nodes"])["step"] == 8
+    assert snapshots._sidecar.cache_info().misses == 2
+    assert snapshot_reads.tables == tables * 2
+    assert snapshot_reads.layers == [first.t, first.t, 0.5]
 
 
-def test_a_corrupt_table_raises_on_every_read_naming_its_path(tmp_path, table_parses):
+def test_a_corrupt_table_raises_on_every_read_naming_its_path(tmp_path, snapshot_reads):
     bad = GOLDEN_NODES.replace(b"0.30000000000000004", b"abc")
     cells = tmp_path / "good_cells.csv"
     cells.write_bytes(GOLDEN_CELLS)
@@ -266,32 +303,47 @@ def test_a_corrupt_table_raises_on_every_read_naming_its_path(tmp_path, table_pa
         with pytest.raises(SnapshotError) as info:
             read_snapshot(nodes, cells, t=0.0)
         assert str(info.value) == f"{nodes}:3: could not convert string to float: 'abc'"
-    assert table_parses == paths
-    assert snapshots._table.cache_info().currsize == 0
+    assert snapshot_reads.tables == list(map(str, paths))
+    assert snapshots._snapshot.cache_info().currsize == 0
 
 
-def test_the_reader_holds_at_most_four_tables(tmp_path, table_parses):
+def test_a_corrupt_sidecar_raises_on_every_read_naming_its_path(tmp_path, snapshot_reads):
+    paths = write_snapshot(_sample_layer(), tmp_path, step=7, tau=0.0125)
+    paths["meta"].write_text('{"time": 0.5, "step": 7, "cells": 12, "tau": "x"}\n')
+    for _ in range(2):
+        with pytest.raises(SnapshotError) as info:
+            read_snapshot(paths["nodes"], paths["cells"])
+        assert str(info.value) == f"{paths['meta']}: 'tau' must be a finite float, got 'x'"
+    assert snapshots._sidecar.cache_info().misses == 2
+    assert snapshots._sidecar.cache_info().currsize == 0
+
+
+def test_the_reader_holds_at_most_two_snapshots(tmp_path, snapshot_reads):
     layer = _sample_layer()
     written = [write_snapshot(dataclasses.replace(layer, u=layer.u + k, p=layer.p + k), tmp_path, step=k)
                for k in range(3)]
     for paths in written:
         read_snapshot(paths["nodes"], paths["cells"])
-    assert len(table_parses) == 6 and snapshots._table.cache_info().currsize == 4
+    assert len(snapshot_reads.tables) == 6 and snapshots._snapshot.cache_info().currsize == 2
     # the least recently read snapshot was dropped; the last one is still held
     for paths in (written[0], written[2]):
         read_snapshot(paths["nodes"], paths["cells"])
-    assert table_parses[6:] == [written[0]["nodes"], written[0]["cells"]]
-    assert snapshots._table.cache_info().currsize == 4
+    assert snapshot_reads.tables[6:] == [str(written[0]["nodes"]), str(written[0]["cells"])]
+    assert snapshots._snapshot.cache_info().currsize == 2
+    assert snapshots._sidecar.cache_info().currsize == 2
 
 
-def test_tables_handed_out_are_read_only(tmp_path):
+def test_arrays_handed_out_are_read_only(tmp_path):
     paths = write_snapshot(_sample_layer(), tmp_path, step=7)
-    for key, header in (("nodes", NODE_HEADER), ("cells", CELL_HEADER)):
-        for _ in range(2):  # parsed, then held
-            table = snapshots._read_table(paths[key], header)
-            assert not table.flags.writeable
+    nodes, cells = str(paths["nodes"]), str(paths["cells"])
+    for t in (None, None, 0.5):  # parsed, then held, then built at another time
+        layer = read_snapshot(nodes, cells, t=t)
+        held = snapshots._snapshot(nodes, paths["nodes"].read_bytes(), cells, paths["cells"].read_bytes())
+        arrays = [held.nodes, held.cells, layer.mesh.s] + [getattr(layer, f) for f in ("r", "u", "rho", "p", "eps")]
+        for array in arrays:
+            assert not array.flags.writeable
             with pytest.raises(ValueError):
-                table[0, 0] = 1.0
+                array[(0,) * array.ndim] = 1.0
 
 
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
@@ -407,7 +459,8 @@ def test_writers_in_threads_each_spell_their_own_layer(tmp_path, fresh_spellings
 
 def _row_by_row_parse(data, path, header):
     """The table parser as it was before numpy's reader took the conversion:
-    str.split and float() on every field.  The oracle for the tests below."""
+    str.split and float() on every field, and a value column (after the mesh
+    column) finite.  The oracle for the tests below."""
     lines = data.decode(errors="replace").splitlines()
     if not lines:
         raise SnapshotError(f"empty snapshot file: {path}")
@@ -434,6 +487,10 @@ def _row_by_row_parse(data, path, header):
     table = table.reshape(len(rows), width)
     if not np.array_equal(table[:, 0], np.arange(table.shape[0])):
         raise SnapshotError(f"{path}: index column must run 0..{table.shape[0] - 1}")
+    for lineno, row in enumerate(rows, start=2):
+        for field in row[2:]:
+            if not math.isfinite(float(field)):
+                raise SnapshotError(f"{path}:{lineno}: non-finite value {field!r}")
     return table[:, 1:]
 
 
