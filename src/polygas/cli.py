@@ -34,7 +34,7 @@ from .scheme import (
     StepRejected,
     step,
 )
-from .snapshots import SnapshotError, read_snapshot, read_snapshot_meta, write_snapshot
+from .snapshots import SnapshotError, _check_cells, read_snapshot, read_snapshot_meta, write_snapshot
 from .state import GridLayer, LayerError, TwoLayerView, cell_average, exact_sums
 
 log = logging.getLogger("polygas")
@@ -516,10 +516,11 @@ def audit_snapshots(cfg: RunConfig, lo_nodes, lo_cells, hi_nodes, hi_cells) -> l
     producing run byte for byte.
     """
     lo = read_snapshot(lo_nodes, lo_cells)
-    hi = read_snapshot(hi_nodes, hi_cells)
+    meta = read_snapshot_meta(hi_nodes) or {}  # read once: the hi time, tau and step
+    hi = read_snapshot(hi_nodes, hi_cells, t=float(meta.get("time", 0.0)))
+    _check_cells(meta, os.fspath(hi_nodes), hi.mesh.n_cells)
     if lo.mesh is not hi.mesh and not np.array_equal(lo.mesh.s, hi.mesh.s):
         raise SnapshotError("snapshots live on different meshes; audit needs one mesh")
-    meta = read_snapshot_meta(hi_nodes, hi.mesh.n_cells) or {}
     tau = float(meta.get("tau", hi.t - lo.t))
     if not tau > 0.0:
         raise SnapshotError(f"non-positive step length {tau} between snapshots")

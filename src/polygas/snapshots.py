@@ -11,12 +11,16 @@ records the time stamp and step index.  The CSVs are directly plottable
 Tables are converted by numpy's C reader, which rounds as float() does; a
 row-by-row walk with float() names a bad line and reads the spellings only
 float() accepts.  The reader keeps its last two snapshots and sidecars, keyed
-by path and exact bytes, so a file rewritten in place is read afresh.
+by path and exact bytes, so a file rewritten in place is read afresh.  It
+also keeps the last checked table of each header, so a table of as many lines
+converts only the lines whose text changed, as the writer spells only the
+values whose bits changed.
 """
 
 import functools
 import itertools
 import json
+import operator
 import os
 import sys
 from pathlib import Path
@@ -152,6 +156,24 @@ def _snapshot(nodes_path: str, nodes_data: bytes | None,
     return _Snapshot(mesh, nodes, cells)
 
 
+#: the last table under each header that passed _parse_table's checks: its
+#: body lines and its rows, so the next table of that header with as many
+#: lines converts only the lines whose text differs.  A held pair is never
+#: changed, so readers in threads need no lock.
+_PARSED: dict[tuple[str, ...], tuple[list[str], np.ndarray]] = {}
+
+
+def _convert(lines: list[str], width: int) -> np.ndarray | None:
+    """The lines converted by numpy's C reader, or None where it fails.  It
+    skips blank lines (and warns when none are left), so the first line and
+    the shape are checked: a blank line anywhere is None."""
+    try:
+        table = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2) if lines[0] else None
+    except ValueError:
+        return None
+    return table if table is not None and table.shape == (len(lines), width) else None
+
+
 def _parse_table(data: bytes | None, path: str, header: tuple[str, ...]) -> np.ndarray:
     """The read-only columns after the index; every value but the mesh
     column's (checked as a mesh) must be finite.  None is a missing file."""
@@ -167,13 +189,20 @@ def _parse_table(data: bytes | None, path: str, header: tuple[str, ...]) -> np.n
     if not body:
         raise SnapshotError(f"no data rows in {path}")
     width = len(header)
-    try:
-        # numpy's C reader rounds as float() does, but skips blank lines (and
-        # warns when none are left): the first line and the shape are checked
-        table = np.loadtxt(body, delimiter=",", comments=None, ndmin=2) if body[0] else None
-    except ValueError:
-        table = None
-    if table is None or table.shape != (len(body), width):
+    held_body, table = _PARSED.get(header, ((), None))
+    changed = range(len(body))
+    if len(held_body) == len(body):
+        changed = list(itertools.compress(changed, map(operator.ne, body, held_body)))
+    if 8 * len(changed) > 7 * len(body):  # then picking out the lines costs more than it saves
+        table = _convert(body, width)
+    elif changed:  # a line's text gives its row, so only changed lines convert
+        fresh = _convert([body[i] for i in changed], width)
+        if fresh is not None:
+            table = table.copy()
+            table[changed] = fresh
+        else:
+            table = None
+    if table is None:
         # The row walk names the first bad line, and reads what only float()
         # accepts (1_000, non-ASCII digits).
         rows = []
@@ -193,6 +222,7 @@ def _parse_table(data: bytes | None, path: str, header: tuple[str, ...]) -> np.n
         row, col = np.argwhere(~finite)[0].tolist()
         raise SnapshotError(f"{path}:{row + 2}: non-finite value {body[row].split(',')[col + 2]!r}")
     table.setflags(write=False)
+    _PARSED[header] = (body, table)
     return table[:, 1:]
 
 
@@ -219,14 +249,25 @@ def read_snapshot_meta(nodes_path, n_cells: int | None = None) -> dict | None:
     nodes_path = os.fspath(nodes_path)
     if not nodes_path.endswith("_nodes.csv"):
         return None
-    path = nodes_path.removesuffix("_nodes.csv") + "_meta.json"
+    path = _sidecar_path(nodes_path)
     data = _read_file(path)
     if data is None:
         return None
-    meta = _sidecar(path, data)
-    if n_cells is not None and meta.get("cells", n_cells) != n_cells:
-        raise SnapshotError(f"{path}: sidecar says {meta['cells']} cells, expected {n_cells}")
-    return dict(meta)
+    meta = dict(_sidecar(path, data))
+    if n_cells is not None:
+        _check_cells(meta, nodes_path, n_cells)
+    return meta
+
+
+def _sidecar_path(nodes_path: str) -> str:
+    return nodes_path.removesuffix("_nodes.csv") + "_meta.json"
+
+
+def _check_cells(meta: dict, nodes_path: str, n_cells: int) -> None:
+    """A sidecar's 'cells', where it has one, must be its tables' n_cells."""
+    if meta.get("cells", n_cells) != n_cells:
+        raise SnapshotError(f"{_sidecar_path(nodes_path)}: sidecar says {meta['cells']} cells, "
+                            f"expected {n_cells}")
 
 
 @functools.lru_cache(maxsize=2)

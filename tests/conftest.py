@@ -1,6 +1,6 @@
 """Shared helpers: random meshes/layers, small canned runs, the ungated
-quadratic residuals, a zeroed cell pivot, counted, emptied snapshot reader
-caches and an emptied column spelling cache."""
+quadratic residuals, a zeroed cell pivot, one reset of the snapshot module's
+memories, counted snapshot reads and an emptied column spelling cache."""
 
 import dataclasses
 from types import SimpleNamespace
@@ -85,14 +85,22 @@ def zero_cell_pivot(monkeypatch, when=lambda system: True, cell=3):
     monkeypatch.setattr(_StepSystem, "jacobian", jacobian)
 
 
-@pytest.fixture
-def snapshot_reads(monkeypatch):
-    """Empty the snapshot reader's caches for one test and record what it does
-    afresh: the path of every table it parses (`tables`) and the time of every
-    layer it builds (`layers`), so counts do not depend on what earlier tests
-    read.  Sidecar decodes are the misses of `snapshots._sidecar`."""
+def forget_snapshots():
+    """Empty every memory of the snapshot module: the reader's snapshots,
+    sidecars and held tables, and the writer's column spellings."""
     snapshots._snapshot.cache_clear()
     snapshots._sidecar.cache_clear()
+    snapshots._PARSED.clear()
+    snapshots._SPELLED.clear()
+
+
+@pytest.fixture
+def snapshot_reads(monkeypatch):
+    """Empty the snapshot module's memories for one test and record what the
+    reader does afresh: the path of every table it parses (`tables`) and the
+    time of every layer it builds (`layers`), so counts do not depend on what
+    earlier tests read.  Sidecar decodes are the misses of `snapshots._sidecar`."""
+    forget_snapshots()
     reads = SimpleNamespace(tables=[], layers=[])
 
     def parse_table(data, path, header, _real=snapshots._parse_table):
@@ -108,9 +116,8 @@ def snapshot_reads(monkeypatch):
 
 
 @pytest.fixture
-def fresh_spellings(monkeypatch):
-    """Empty the snapshot writer's column spellings for one test, so what it
-    writes does not depend on what earlier tests wrote; returns the cache."""
-    spelled = {}
-    monkeypatch.setattr(snapshots, "_SPELLED", spelled)
-    return spelled
+def fresh_spellings():
+    """Empty the snapshot module's memories for one test, so what it writes
+    does not depend on what earlier tests wrote; returns the column spellings."""
+    forget_snapshots()
+    return snapshots._SPELLED

@@ -35,7 +35,7 @@ from polygas.cli import (
 )
 from polygas.scheme import FLOOR_REASON, step
 
-from conftest import zero_cell_pivot
+from conftest import forget_snapshots, zero_cell_pivot
 
 
 def _pulse_raw(**extra):
@@ -706,13 +706,28 @@ def test_a_series_audit_parses_each_table_once(tmp_path, snapshot_reads):
     assert len(snapshot_reads.layers) == len(set(snapshot_reads.layers)) == 11
 
 
+def test_a_series_audit_reads_six_files_per_pair(tmp_path, monkeypatch):
+    """Four tables and two sidecars: the hi sidecar gives the hi time, tau and
+    step from one read."""
+    cfg, pairs = _series_run(tmp_path, 10)
+    reads = []
+
+    def read_file(path, _real=snapshots._read_file):
+        reads.append(path)
+        return _real(path)
+    monkeypatch.setattr(snapshots, "_read_file", read_file)
+    for pair in pairs:
+        audit_snapshots(cfg, *pair)
+    assert len(pairs) == 10 and len(reads) == 60
+    assert sum(path.endswith("_meta.json") for path in reads) == 20
+
+
 def test_a_series_audit_equals_pairs_audited_with_an_empty_cache(tmp_path, snapshot_reads):
     cfg, pairs = _series_run(tmp_path, 4)
     in_order = [json.dumps(record) for pair in pairs for record in audit_snapshots(cfg, *pair)]
     fresh = []
     for pair in pairs:
-        snapshots._snapshot.cache_clear()
-        snapshots._sidecar.cache_clear()
+        forget_snapshots()
         fresh += [json.dumps(record) for record in audit_snapshots(cfg, *pair)]
     assert len(snapshot_reads.tables) == 10 + 4 * len(pairs)
     assert len(snapshot_reads.layers) == 5 + 2 * len(pairs)

@@ -24,7 +24,7 @@ from polygas import (
 )
 from polygas import snapshots
 from polygas.snapshots import CELL_HEADER, NODE_HEADER, snapshot_basename
-from conftest import advance, pulse_start
+from conftest import advance, forget_snapshots, pulse_start
 
 
 def _sample_layer():
@@ -455,6 +455,41 @@ def test_writers_in_threads_each_spell_their_own_layer(tmp_path, fresh_spellings
     assert wrong == []
 
 
+def test_readers_in_threads_each_get_their_own_layer(tmp_path):
+    """Threads share the held snapshots and tables; every read still gives
+    its own snapshot's layer bit for bit."""
+    forget_snapshots()
+    base = _base_layer(40)
+    # each layer changes its own quarter of the lines, so a row held from
+    # another snapshot than the one compared with is a wrong row
+    layers = [dataclasses.replace(base, t=float(k), u=base.u + 1e-3 * (np.arange(41) % 4 == k),
+                                  p=base.p + 1e-3 * (np.arange(40) % 4 == k))
+              for k in range(4)]
+    written = [write_snapshot(layer, tmp_path, step=k) for k, layer in enumerate(layers)]
+    wrong = []
+
+    def reader(k):
+        for j in range(60):
+            m = (k + j) % len(layers)  # alternate so each read follows another thread's
+            try:
+                _assert_same_layer(read_snapshot(written[m]["nodes"], written[m]["cells"]), layers[m])
+            except AssertionError:
+                wrong.append((k, j))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=reader, args=(k,)) for k in range(len(layers))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []
+
+
 # --- the table parser against the row-by-row reader -----------------------------
 
 def _row_by_row_parse(data, path, header):
@@ -504,7 +539,8 @@ _RESPELLINGS = [lambda f: "1_0", lambda f: "١٢", lambda f: f"\xa0{f}\xa0",
 
 def _table_variants(header, rows, eol):
     """A table's bytes, then those of every change of one field or line: a
-    field dropped, added or respelled, or a blank line inserted."""
+    field dropped, added or respelled, a blank line inserted, or a line
+    blanked."""
     def table(lines):
         return (eol.join([",".join(header), *lines]) + eol).encode(errors="surrogateescape")
     lines = [",".join(row) for row in rows]
@@ -515,19 +551,21 @@ def _table_variants(header, rows, eol):
                 yield table(lines[:r] + [",".join(row[:c] + new + row[c + 1:])] + lines[r + 1:])
     for k in range(len(lines) + 1):
         yield table(lines[:k] + [""] + lines[k:])
+        yield table(lines[:k] + [""] + lines[k + 1:])
 
 
 @st.composite
 def table_bytes(draw):
-    """A table of finite values in repr form (subnormals, signed zeros and the
-    largest doubles among them), LF or CRLF, as written or changed in one
-    field or line."""
+    """The header, a table of finite values in repr form (subnormals, signed
+    zeros and the largest doubles among them), LF or CRLF, as written, and
+    that table as written or changed in one field or line."""
     header = draw(st.sampled_from([NODE_HEADER, CELL_HEADER]))
     values = st.lists(st.one_of(_FINITE, _EDGE_VALUES), min_size=len(header) - 1,
                       max_size=len(header) - 1)
     rows = [[str(i), *map(repr, draw(values))] for i in range(draw(st.integers(1, 6)))]
     eol = draw(st.sampled_from(["\n", "\r\n"]))
-    return header, draw(st.sampled_from(list(_table_variants(header, rows, eol))))
+    variants = list(_table_variants(header, rows, eol))
+    return header, variants[0], draw(st.sampled_from(variants))
 
 
 def _parse_outcome(parse, data, header):
@@ -538,25 +576,112 @@ def _parse_outcome(parse, data, header):
         return str(exc)
 
 
-def _assert_parses_as_the_row_by_row_reader(data, header):
+def _assert_parses_as_the_row_by_row_reader(data, header, base):
+    """Parsed cold, and right after the unchanged base table is held."""
+    want = _parse_outcome(_row_by_row_parse, data, header)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = _parse_outcome(snapshots._parse_table, data, header)
-    assert got == _parse_outcome(_row_by_row_parse, data, header), data
+        snapshots._PARSED.clear()
+        assert _parse_outcome(snapshots._parse_table, data, header) == want, data
+        snapshots._parse_table(base, "base_nodes.csv", header)
+        assert _parse_outcome(snapshots._parse_table, data, header) == want, data
 
 
 @settings(max_examples=600, deadline=None)
 @given(table=table_bytes())
 def test_table_parser_matches_the_row_by_row_reader(table):
-    _assert_parses_as_the_row_by_row_reader(*table[::-1])
+    header, base, data = table
+    _assert_parses_as_the_row_by_row_reader(data, header, base)
 
 
 @pytest.mark.parametrize("eol", ["\n", "\r\n"])
 def test_every_one_field_change_of_the_golden_tables_parses_as_the_row_by_row_reader(eol):
     for golden, header in ((GOLDEN_NODES, NODE_HEADER), (GOLDEN_CELLS, CELL_HEADER)):
         rows = [line.split(",") for line in golden.decode().splitlines()[1:]]
-        for data in _table_variants(header, rows, eol):
-            _assert_parses_as_the_row_by_row_reader(data, header)
+        variants = list(_table_variants(header, rows, eol))
+        for data in variants:
+            _assert_parses_as_the_row_by_row_reader(data, header, variants[0])
+
+
+# --- converting only the lines that changed -------------------------------------
+
+def _cells_bytes(tmp_path, layer, name):
+    return write_snapshot(layer, tmp_path / name, step=0)["cells"].read_bytes()
+
+
+def _with_p_changed(layer, rows):
+    p = layer.p.copy()
+    p[rows] += 1.0
+    return dataclasses.replace(layer, p=p)
+
+
+@pytest.fixture
+def converted(monkeypatch):
+    """The number of lines of every np.loadtxt call."""
+    counts = []
+
+    def loadtxt(lines, *args, _real=np.loadtxt, **kwargs):
+        counts.append(len(lines))
+        return _real(lines, *args, **kwargs)
+    monkeypatch.setattr(np, "loadtxt", loadtxt)
+    return counts
+
+
+@pytest.mark.parametrize("k, lines", [(0, 0), (1, 1), (24, 24), (42, 42), (350, 350), (351, 400), (400, 400)])
+def test_a_table_converts_only_the_lines_that_differ_from_the_held_one(tmp_path, converted, k, lines):
+    """Up to 7 in 8 changed lines convert alone; beyond that, every line."""
+    forget_snapshots()
+    base = _base_layer(400)
+    rows = np.random.default_rng(k).choice(400, k, replace=False)
+    data = _cells_bytes(tmp_path, _with_p_changed(base, rows), "new")
+    snapshots._parse_table(_cells_bytes(tmp_path, base, "base"), "base_cells.csv", CELL_HEADER)
+    converted.clear()
+    got = snapshots._parse_table(data, "new_cells.csv", CELL_HEADER)
+    assert converted == ([lines] if lines else [])
+    snapshots._PARSED.clear()
+    _assert_bit_equal(got, snapshots._parse_table(data, "new_cells.csv", CELL_HEADER))
+
+
+def test_a_table_of_another_length_or_header_converts_every_line(tmp_path, converted):
+    forget_snapshots()
+    base = _base_layer(400)
+    snapshots._parse_table(_cells_bytes(tmp_path, base, "base"), "base_cells.csv", CELL_HEADER)
+    shorter = dataclasses.replace(base, rho=base.rho[:399], p=base.p[:399], eps=base.eps[:399],
+                                  mesh=MassMesh(base.mesh.s[:400]), r=base.r[:400], u=base.u[:400])
+    paths = write_snapshot(shorter, tmp_path / "short", step=0)
+    converted.clear()
+    snapshots._parse_table(paths["cells"].read_bytes(), "short_cells.csv", CELL_HEADER)
+    # 400 nodes lines, as many as the held 400-cell table's, under the other header
+    snapshots._parse_table(paths["nodes"].read_bytes(), "short_nodes.csv", NODE_HEADER)
+    assert converted == [399, 400]
+
+
+@pytest.mark.parametrize("bad, message", [
+    (b"abc", "{path}:12: could not convert string to float: 'abc'"),
+    (b"nan", "{path}:12: non-finite value 'nan'"),
+    (None, "{path}: index column must run 0..399"),
+], ids=["non-numeric", "non-finite", "bad-index"])
+def test_a_failed_parse_leaves_the_held_table_as_it_was(tmp_path, converted, bad, message):
+    forget_snapshots()
+    base = _base_layer(400)
+    held = _cells_bytes(tmp_path, base, "base")
+    snapshots._parse_table(held, "base_cells.csv", CELL_HEADER)
+    kept = snapshots._PARSED[CELL_HEADER]
+    lines = held.split(b"\r\n")
+    row = lines[11].split(b",")  # line 12 of the file, row 10
+    if bad is None:
+        row[0] = b"11"
+    else:
+        row[3] = bad
+    lines[11] = b",".join(row)
+    with pytest.raises(SnapshotError) as info:
+        snapshots._parse_table(b"\r\n".join(lines), "bad_cells.csv", CELL_HEADER)
+    assert str(info.value) == message.format(path="bad_cells.csv")
+    assert snapshots._PARSED[CELL_HEADER] is kept
+    converted.clear()
+    snapshots._parse_table(_cells_bytes(tmp_path, _with_p_changed(base, [3, 7]), "good"),
+                           "good_cells.csv", CELL_HEADER)
+    assert converted == [2]
 
 
 def test_spellings_only_float_accepts_still_read(tmp_path):
