@@ -19,7 +19,7 @@ import numpy as np
 
 from .mesh import MassMesh
 from .scheme import BoundaryCondition, ConfigError, PressureTrace, SchemeParams
-from .state import GridLayer
+from .state import GridLayer, volume_power
 
 
 class ProblemError(ValueError):
@@ -105,7 +105,7 @@ def mass_coordinate(profile: EulerProfile, n: int) -> MassMesh:
     r = profile.r_nodes
     if n >= 1 and r[0] < 0.0:
         raise ProblemError(f"negative radius {float(r[0])!r} with curved geometry n={n}")
-    increments = rho * np.diff(r ** (n + 1)) / (n + 1)
+    increments = rho * np.diff(volume_power(r, n)) / (n + 1)
     s = np.concatenate(([0.0], np.cumsum(increments)))
     return MassMesh(s)
 

@@ -30,7 +30,11 @@ last accepted layers, so a smooth step needs one update (a resting uniform
 state is still returned bitwise after one residual evaluation).  It stops at
 newton_tol or, after an update, once every row is within its round-off
 floor, a few epsilons of the sum of its terms' magnitudes, which grows with
-the cell count and 1/tau; stagnation above the floor still rejects.
+the cell count and 1/tau; stagnation above the floor still rejects.  Update
+components of the node velocities below eps**2 are set to zero, so resting
+gas ahead of a wave stays exactly at rest instead of taking the implicit
+solve's exponential tail of tiny velocities; dropping one moves its row far
+less than the row's round-off floor, so no Newton decision moves.
 
 The difference equations are built so that, at the solution, discrete
 analogues of mass, momentum, energy and center-of-mass balance telescope to
@@ -275,6 +279,11 @@ _PIVOT_RTOL = 1e-8
 #: of the sum of its terms' magnitudes, its round-off floor; Newton's residual
 #: levels off near 1.2 of them on smooth pulses of 1600 to 12800 cells
 _FLOOR_ULPS = 4.0
+#: a node-velocity update component below eps**2 = 2**-104 in magnitude is set
+#: to exactly zero: dropping it moves its row by at most eps**2 |D_jj|, far
+#: below the row's round-off floor, and resting gas ahead of a wave then stays
+#: exactly at rest, not at the implicit solve's tail of ever smaller velocities
+_NEGLIGIBLE_DU = 2.0 ** -104
 FLOOR_REASON = "converged at round-off floor"
 
 
@@ -549,9 +558,12 @@ class _StepSystem:
         Each cell row gives dq_j = -(f_cell_j + c_lo_j du_j + c_hi_j du_{j+1}) / c_q_j;
         put into the node rows, that leaves a tridiagonal system in du, solved
         by LAPACK dgtsv (loaded at the first call, see _dgtsv), and dq follows
-        from the cell rows.  A wall node's update is exact, u_wall - u_hat, not
-        the solve's round-off.  Raises LinAlgError on a cell pivot
-        |c_q_j| <= _PIVOT_RTOL / rho_j or a singular tridiagonal system.
+        from the cell rows.  Every component of du below _NEGLIGIBLE_DU in
+        magnitude is set to +0.0 (a boolean-index store, so no -0.0 is left)
+        before the wall rows and dq are formed, so dq follows the du Newton
+        takes.  A wall node's update is exact, u_wall - u_hat, not the solve's
+        round-off.  Raises LinAlgError on a cell pivot |c_q_j| <= _PIVOT_RTOL /
+        rho_j or a singular tridiagonal system.
         """
         lower, diag, upper, q_lo, q_hi, c_lo, c_q, c_hi = jac
         f_node, f_cell = f
@@ -573,6 +585,7 @@ class _StepSystem:
                                      True, True, True, True)
         if info != 0:
             raise LinAlgError(f"tridiagonal solve failed (dgtsv info {info})")
+        du[np.abs(du) < _NEGLIGIBLE_DU] = 0.0
         # a wall row is the identity; x[0] holds u_hat
         for i, bc in ((0, self.bc_left), (-1, self.bc_right)):
             if bc.kind == "wall":

@@ -85,7 +85,7 @@ class GridLayer:
         if n == 0:
             vol = self.r[1:] - self.r[:-1]
         else:
-            r_pow = self.r ** (n + 1)
+            r_pow = volume_power(self.r, n)
             vol = (r_pow[1:] - r_pow[:-1]) / (n + 1)
         return float((np.abs(self.rho * vol - h) / h).max())
 
@@ -128,6 +128,12 @@ class TwoLayerView:
 
 
 # --- staggered-mesh operators ------------------------------------------------
+
+def volume_power(r: np.ndarray, n: int) -> np.ndarray:
+    """r^(n+1) formed as products: numpy's general power rounds by the host's
+    SIMD level, a product does not."""
+    return r if n == 0 else r * r if n == 1 else r * r * r
+
 
 def interp_nodal_pressure(p_cells: np.ndarray, mesh: MassMesh) -> np.ndarray:
     """Width-weighted interpolation of a cell field to interior nodes.

@@ -9,9 +9,18 @@ that alters the arithmetic on purpose must say so and re-pin them.
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+try:
+    from numpy._core import _multiarray_umath
+except ImportError:  # numpy < 2
+    from numpy.core import _multiarray_umath
 
 from polygas import cli
 from polygas.cli import resolve_config, run_simulation
@@ -68,30 +77,34 @@ RUNS = {
 #: shared one step system (the batches run: before the audit took more than
 #: one step per call), the report digests, over Newton's outcome alone, on
 #: the code before step dropped that check; the cylinder run's three, on the
-#: code before the plane and an inviscid run skipped their zero terms
+#: code before the plane and an inviscid run skipped their zero terms.  Every
+#: final-layer digest was recorded again once Newton set node-velocity updates
+#: below 2**-104 to zero, which moves only u (the other two digests of the
+#: plane and cylinder runs were kept as the check of that), and the sphere
+#: run's three once its mass mesh formed r**3 as products
 GOLDEN = {
     "plane-pointwise-pulse": (
-        "cb4834963d741cc89667156582ada504f0d64a4861b856eafa9835a00c365782",
+        "7a33d11227a0a39bb559b5815e1b9524674d314af31038355a19a0d451c78f86",
         "6a93f73d89e28cfe83a241a2381bf9d45aa4ce8036cead05380091cda93ea714",
         "e67a457356e96929bbec064de1450ee6e8063f6953d1def03e9f8a3c594c9572",
     ),
     "plane-viscous-sod": (
-        "96f0ad9b1372c1bc7f4ab7d6da6abf5e7da39e3689f7cd90cac067a7bc48111b",
+        "841ce4dad68a5bd2752590d18e264628b4743298d27c7d8549a55b5787137eda",
         "f8b650ccab5fd16b1c9a179990468b1f446eade3f97f7d52af56e5c9011ffa12",
         "4907d99d066d38be21474623eddc17f3e1b2ee19dda3084813f5ebefa0ea2775",
     ),
     "sphere-conservative-pulse-gamma-star": (
-        "f9a58872a7a208cadedbfd346fb0f4ccff7dd635519ba295cf2131a6eca3901c",
-        "9815e3a2db252f6a2cd3592ba841687b5d249f36df5cc5831b769d9defd9097e",
-        "b9fec1db4a0b4780e65d850951fe414699d7a88170d1b8099e745ec6ddf82a32",
+        "b7233f6bccf14c5c69375c0d0332a542ad6c02c20cd12b12f41542a5f40821aa",
+        "177b52cbf15aa11bbb7119af003297ef90b297ba6615eed0a1d1fccc4cb2cbef",
+        "d0deb05a1c1226881949e24ff47041b9f2395bf04f915634ef8e70c16d073d01",
     ),
     "plane-conservative-pulse-gamma-star-batches": (
-        "2a7dd3ae94c65d1cb9fdcc09993a6cfdbc3d2f9ca3afd804cc45f47820a35b33",
+        "b6073d5b3e21251d1ea5bb00f421a1dd30f5fbfdcb8ff5000ddfbb1046c13282",
         "9bc8184740d95029d3f0040a934f617ab200771d95224eee6fda2621378bb984",
         "29ff288d55ca2ceb941d634a782924cc3a3d28a3fdffd1105d9f48eb89b0a04d",
     ),
     "cylinder-pointwise-viscous-pressure": (
-        "43423dc2cd4e56a192f5c718911a796760a68fde3333529e5138ce2ce015a32e",
+        "33e1c8d59e725031114b7795fce6a9a7fdb10058abf7e26fda7e6d23b93dc1ad",
         "f92f9f0754c522a7d41d1d82512fa492f168a72854d1f87430447eaa1879c5fe",
         "00e6e8126a55b3f1f7671a3866612440e0dba1c2bc4457af38a8a426544c5e4c",
     ),
@@ -134,18 +147,52 @@ def test_short_runs_keep_their_golden_bits(monkeypatch, name):
 
 #: sha256 over the name and bytes of every file the plane-viscous-sod run
 #: writes with a snapshot every step (snapshots, ledger, summary), in name
-#: order; recorded on the code before a snapshot column reused the spellings
-#: of its previous write
-GOLDEN_FILES = "9fb656086bf771c295df66936775f8f5d6105dce5600f1910986cbfb349e9f59"
+#: order; recorded once Newton set node-velocity updates below 2**-104 to zero
+GOLDEN_FILES = "11ddc467d95ac88841e154db03f190b6c6f713aa8c4c8143731f9a44d63d8d3e"
 
 
-def test_written_files_keep_their_golden_bits(tmp_path):
+def _files_digest(out_dir: Path) -> str:
     result = run_simulation(resolve_config({**RUNS["plane-viscous-sod"], "snapshot_every": 1}),
-                            out_dir=tmp_path)
+                            out_dir=out_dir)
     assert result.exit_code == 0
     digest = hashlib.sha256()
-    files = sorted(tmp_path.iterdir())
+    files = sorted(out_dir.iterdir())
     assert len(files) == 3 * 9 + 2  # steps 0-8, then the ledger and the summary
     for path in files:
         digest.update(path.name.encode() + b"\0" + path.read_bytes())
-    assert digest.hexdigest() == GOLDEN_FILES
+    return digest.hexdigest()
+
+
+def test_written_files_keep_their_golden_bits(tmp_path):
+    assert _files_digest(tmp_path) == GOLDEN_FILES
+
+
+#: run in a process of its own; argv is an output directory.  Prints every
+#: run's digests and the written files' digest as one JSON line
+_CHILD = """
+import json, sys
+from pathlib import Path
+import test_golden_bits as golden
+from polygas.cli import resolve_config, run_simulation
+runs = {name: golden._digests(run_simulation(resolve_config(cfg)))
+        for name, cfg in golden.RUNS.items()}
+print(json.dumps({"runs": runs, "files": golden._files_digest(Path(sys.argv[1]))}))
+"""
+
+
+def test_golden_bits_do_not_depend_on_the_host_simd(tmp_path):
+    """numpy dispatches some float64 kernels (power, cbrt, exp) to SIMD code
+    that rounds differently from libm; with every non-baseline target this
+    host supports disabled, for the child alone, each digest is the same.  On
+    a host with none of them the child runs the same kernels."""
+    targets = [name for name in _multiarray_umath.__cpu_dispatch__
+               if _multiarray_umath.__cpu_features__.get(name)]
+    paths = [str(Path(cli.__file__).resolve().parents[1]), str(Path(__file__).resolve().parent)]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths),
+               NPY_DISABLE_CPU_FEATURES=" ".join(targets))
+    done = subprocess.run([sys.executable, "-W", "error", "-c", _CHILD, str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    found = json.loads(done.stdout.splitlines()[-1])
+    assert {name: tuple(digests) for name, digests in found["runs"].items()} == GOLDEN
+    assert found["files"] == GOLDEN_FILES

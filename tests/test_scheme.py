@@ -23,6 +23,7 @@ from polygas import (
     step,
     step_residuals,
 )
+from polygas import scheme
 from polygas.conservation import _Recomputed
 from polygas.scheme import _StepSystem, _scaled_norm, boundary_pressure
 from polygas.state import exact_sums
@@ -344,6 +345,56 @@ def test_warm_started_steps_meet_their_own_tolerances(n, eos_mode, visc_nu, boun
         hi, report = step(layer, 0.01, params, earlier=earlier)
         _assert_meets_tolerances(layer, hi, report, params)
         earlier, layer = (layer, *earlier[:1]), hi
+
+
+def _run_with_drop(monkeypatch, raw, negligible_du):
+    monkeypatch.setattr(scheme, "_NEGLIGIBLE_DU", negligible_du)
+    result = run_simulation(resolve_config(raw))
+    assert result.exit_code == 0
+    return result
+
+
+_DROP_RUNS = [
+    {"problem": {"name": problem, "cells": 60},
+     "params": {"n": n, "eos_mode": eos_mode, "visc_nu": visc_nu},
+     "time": {"t_end": 0.005, "tau": 1e-3}, "audit": "all"}
+    for problem in ("smooth_pulse", "sod") for n in (0, 1, 2)
+    for eos_mode in ("pointwise", "conservative") for visc_nu in (0.0, 2.0)
+] + [  # a fine mesh at a small tau, C4's closure
+    {"problem": {"name": "smooth_pulse", "cells": 1600},
+     "params": {"n": 0, "gamma": 1.4, "eos_mode": "pointwise"},
+     "time": {"t_end": 2e-3, "tau": 1e-4}, "audit": "all"},
+]
+
+
+@pytest.mark.parametrize("raw", _DROP_RUNS, ids=lambda raw: "-".join(
+    str(v) for part in ("problem", "params") for v in raw[part].values()))
+def test_dropping_negligible_updates_moves_only_sub_eps_squared_velocities(monkeypatch, raw):
+    """Setting |du_j| < 2**-104 to zero leaves every ledger record, step
+    report and the r, rho, p and eps bits as they are without the drop, and
+    moves u by at most 2**-96; resting gas ahead of the wave is exactly 0."""
+    dropped = _run_with_drop(monkeypatch, raw, scheme._NEGLIGIBLE_DU)
+    kept = _run_with_drop(monkeypatch, raw, 0.0)
+    assert dropped.records == kept.records
+    assert dropped.reports == kept.reports
+    a, b = dropped.final_layer, kept.final_layer
+    for name in ("r", "rho", "p", "eps"):
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+    assert float(np.abs(a.u - b.u).max()) <= 2.0 ** -96
+    assert (a.u == 0.0).sum() > (b.u == 0.0).sum()
+
+
+def test_plane_sod_keeps_resting_gas_at_rest_and_its_snapshots_share_lines(tmp_path):
+    raw = {"problem": {"name": "sod", "cells": 400},
+           "params": {"n": 0, "gamma": 1.4, "eos_mode": "conservative", "visc_nu": 2.0},
+           "time": {"t_end": 0.01, "tau": 1e-3}, "snapshot_every": 1}
+    result = run_simulation(resolve_config(raw), out_dir=tmp_path)
+    assert result.exit_code == 0 and result.steps == 10
+    assert (result.final_layer.u == 0.0).sum() >= 300
+    tables = [path.read_text().splitlines() for path in sorted(tmp_path.glob("*_nodes.csv"))]
+    assert len(tables) == 11
+    for lo, hi in zip(tables, tables[1:]):
+        assert sum(a == b for a, b in zip(lo[1:], hi[1:])) >= 300  # after the header
 
 
 @pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf))
