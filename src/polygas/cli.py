@@ -359,6 +359,11 @@ def _steps(cfg: RunConfig, layer: GridLayer):
     yield from _audited(batch, cfg, lo_totals)
 
 
+def _violates(record: dict, cfg: RunConfig) -> bool:
+    """An applicable budget expected to vanish, off by more than cfg.budget_tol: exit code 2."""
+    return record["applicable"] and record["expected_zero"] and record["relative_defect"] > cfg.budget_tol
+
+
 def run_simulation(cfg: RunConfig, out_dir=None) -> SimulationResult:
     """Run iter_steps from the start layer to t_end and collect its records.
 
@@ -373,7 +378,6 @@ def run_simulation(cfg: RunConfig, out_dir=None) -> SimulationResult:
         write_snapshot(layer, out_path, step=0)
 
     records: list[dict] = []
-    violations: list[dict] = []
     reports = []
     failure = None
     step_index = 0
@@ -381,11 +385,7 @@ def run_simulation(cfg: RunConfig, out_dir=None) -> SimulationResult:
     try:
         for view, report, budgets in steps:
             for budget in budgets:
-                record = budget.to_record(step=step_index, t=view.lo.t, tau=view.tau)
-                records.append(record)
-                if budget.applicable and budget.expected_zero \
-                        and budget.relative_defect > cfg.budget_tol:
-                    violations.append(record)
+                records.append(budget.to_record(step=step_index, t=view.lo.t, tau=view.tau))
             reports.append(report)
             layer = view.hi
             step_index += 1
@@ -398,6 +398,7 @@ def run_simulation(cfg: RunConfig, out_dir=None) -> SimulationResult:
         failure = str(exc)
         reports.append(exc.report)
 
+    violations = [record for record in records if _violates(record, cfg)]
     exit_code = 1 if failure else (2 if violations else 0)
     if out_path is not None:
         if step_index != last_written:
@@ -569,7 +570,10 @@ def _cmd_audit(args) -> int:
         write_ledger(records, args.out)
     for record in records:
         print(json.dumps(record))
-    return 0
+    violations = [record for record in records if _violates(record, cfg)]
+    if violations:
+        log.warning("audit found %d budget violations", len(violations))
+    return 2 if violations else 0
 
 
 def _build_parser() -> argparse.ArgumentParser:

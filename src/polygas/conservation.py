@@ -219,7 +219,7 @@ def _nodal(law: LawId, rc: _Recomputed) -> _Terms | str:
     return _Terms(rc.nodal_masses, d_lo, d_hi, res, flux.tolist())
 
 
-def _quadratic(law: LawId, rc: _Recomputed, include_correction: bool = True) -> _Terms:
+def _quadratic(law: LawId, rc: _Recomputed) -> _Terms:
     """One of the quadratic balances, with no applicability gate.
 
     ADDITIONAL_1: density 2 t (eps + <u^2>/2) - <r u>,
@@ -227,8 +227,7 @@ def _quadratic(law: LawId, rc: _Recomputed, include_correction: bool = True) -> 
     ADDITIONAL_2: density t^2 (eps + <u^2>/2) - t <r u> + <r^2>/2
                   + (tau^2/8) <u^2>,
                   flux R p* ((t^2)^{(1/2)} v - t^{(1/2)} r^{(1/2)}).
-    The tau^2/8 term is the step-dependent correction that closes the second
-    balance exactly; include_correction=False measures its contribution.
+    The tau^2/8 term, a correction per step, closes the second balance exactly.
     """
     params = rc.params
     if rc.ru is None:
@@ -241,7 +240,7 @@ def _quadratic(law: LawId, rc: _Recomputed, include_correction: bool = True) -> 
         flux = rc.big_r_star * (rc.t_sq_half * rc.v - rc.t_half * r_half)
         d = rc.t_sq * rc.e_tot - rc.t * rc.ru + 0.5 * cell_average(rc.r * rc.r)
     d_lo, d_hi = d[:-1], d[1:]
-    per_step = law is LawId.ADDITIONAL_2 and include_correction
+    per_step = law is LawId.ADDITIONAL_2
     if per_step:
         d_lo, d_hi = d_lo + rc.correction * rc.ke[:-1], d_hi + rc.correction * rc.ke[1:]
     note = f"gamma={params.gamma!r}, gamma_star={params.gamma_star!r}, visc_nu={params.visc_nu!r}"

@@ -10,13 +10,15 @@ records the time stamp and step index.  The CSVs are directly plottable
 
 Tables are converted by numpy's C reader, which rounds as float() does; a
 row-by-row walk with float() names a bad line and reads the spellings only
-float() accepts.  The reader keeps its last two snapshots and sidecars, keyed
-by path and exact bytes, so a file rewritten in place is read afresh.  It
-also keeps the last checked table of each header, so a table of as many lines
-converts only the lines whose text changed, as the writer spells only the
-values whose bits changed.
+float() accepts.  The reader keeps one memory, the last snapshot it read: a
+read whose two tables' bytes equal its own returns it, and any other read
+converts only the lines whose text differs from its table of that kind, as
+the writer spells only the values whose bits changed, and keeps its mesh
+where the node column's bytes match.  A file rewritten in place is thus read
+afresh, every check runs on every new table, and an error is never kept.
 """
 
+import collections
 import functools
 import itertools
 import json
@@ -40,16 +42,9 @@ CELL_HEADER = ("i", "s_mid", "rho", "p", "eps")
 
 
 @functools.lru_cache(maxsize=4)
-def _mesh(s_bytes: bytes) -> MassMesh:
-    """One mesh per set of node bytes, so the layers of a series share it and
-    its derived arrays.  Bytes, not values: a -0.0 node is another mesh."""
-    return MassMesh(np.frombuffer(s_bytes))
-
-
-@functools.lru_cache(maxsize=4)
 def _mesh_columns(s_bytes: bytes) -> tuple[tuple[str, ...], tuple[str, ...]]:
     """The leading "i,s" and "i,s_mid" fields of every row, keyed by the mesh's node bytes."""
-    mesh = _mesh(s_bytes)
+    mesh = MassMesh(np.frombuffer(s_bytes))
     return tuple(tuple(map("{},{!r}".format, itertools.count(), x.tolist())) for x in (mesh.s, mesh.midpoints))
 
 
@@ -117,11 +112,15 @@ def _read_file(path: str) -> bytes | None:
         raise SnapshotError(f"snapshot file is a directory: {path}") from None
 
 
+#: a checked table: its bytes, its body lines and its read-only rows, index column first
+_Table = collections.namedtuple("_Table", "data body rows")
+
+
 class _Snapshot:
-    """One snapshot's checked tables and the layer last read from them."""
+    """One snapshot's checked tables, its mesh and the layer last read from them."""
     layer = None
 
-    def __init__(self, mesh: MassMesh, nodes: np.ndarray, cells: np.ndarray):
+    def __init__(self, mesh: MassMesh, nodes: _Table, cells: _Table):
         self.mesh, self.nodes, self.cells = mesh, nodes, cells
 
     def at(self, t: float) -> GridLayer:
@@ -129,38 +128,15 @@ class _Snapshot:
         (by repr, so -0.0 is not 0.0)."""
         layer = self.layer
         if layer is None or repr(layer.t) != repr(t):
-            n, c = self.nodes, self.cells
-            layer = self.layer = GridLayer(mesh=self.mesh, t=t, r=n[:, 1], u=n[:, 2],
-                                           rho=c[:, 1], p=c[:, 2], eps=c[:, 3])
+            n, c = self.nodes.rows, self.cells.rows
+            layer = self.layer = GridLayer(mesh=self.mesh, t=t, r=n[:, 2], u=n[:, 3],
+                                           rho=c[:, 2], p=c[:, 3], eps=c[:, 4])
         return layer
 
 
-@functools.lru_cache(maxsize=2)
-def _snapshot(nodes_path: str, nodes_data: bytes | None,
-              cells_path: str, cells_data: bytes | None) -> _Snapshot:
-    """The snapshot parsed and checked from these table bytes.  Two are the lo
-    and hi of an audited pair, so a series audit of consecutive pairs reads
-    the snapshot the pairs share once.  Errors name the paths, so they are in
-    the key.  An error is not cached: it is raised on every read."""
-    nodes = _parse_table(nodes_data, nodes_path, NODE_HEADER)
-    cells = _parse_table(cells_data, cells_path, CELL_HEADER)
-    if cells.shape[0] != nodes.shape[0] - 1:
-        raise SnapshotError(
-            f"{cells_path}: {cells.shape[0]} cells do not match {nodes.shape[0]} nodes")
-    try:
-        mesh = _mesh(nodes[:, 0].tobytes())
-    except MeshError as exc:
-        raise SnapshotError(f"{nodes_path}: {exc}") from None
-    if not (np.abs(cells[:, 0] - mesh.midpoints) <= 1e-12 * (1 + np.abs(mesh.midpoints).max())).all():
-        raise SnapshotError(f"{cells_path}: cell midpoints disagree with the nodal mesh")
-    return _Snapshot(mesh, nodes, cells)
-
-
-#: the last table under each header that passed _parse_table's checks: its
-#: body lines and its rows, so the next table of that header with as many
-#: lines converts only the lines whose text differs.  A held pair is never
-#: changed, so readers in threads need no lock.
-_PARSED: dict[tuple[str, ...], tuple[list[str], np.ndarray]] = {}
+#: the last snapshot read (read_snapshot).  It is replaced whole, and only its
+#: layer ever changes, so readers in threads need no lock.
+_HELD: _Snapshot | None = None
 
 
 def _convert(lines: list[str], width: int) -> np.ndarray | None:
@@ -174,9 +150,11 @@ def _convert(lines: list[str], width: int) -> np.ndarray | None:
     return table if table is not None and table.shape == (len(lines), width) else None
 
 
-def _parse_table(data: bytes | None, path: str, header: tuple[str, ...]) -> np.ndarray:
-    """The read-only columns after the index; every value but the mesh
-    column's (checked as a mesh) must be finite.  None is a missing file."""
+def _parse_table(data: bytes | None, path: str, header: tuple[str, ...],
+                 held: _Table | None) -> _Table:
+    """The checked table in data; every value but the mesh column's (checked
+    as a mesh) must be finite.  None is a missing file.  held, the last table
+    of this header or None, gives the rows of the lines whose text is its own."""
     if data is None:
         raise SnapshotError(f"snapshot file not found: {path}")
     lines = data.decode(errors="replace").splitlines()  # U+FFFD parses as nothing
@@ -189,7 +167,7 @@ def _parse_table(data: bytes | None, path: str, header: tuple[str, ...]) -> np.n
     if not body:
         raise SnapshotError(f"no data rows in {path}")
     width = len(header)
-    held_body, table = _PARSED.get(header, ((), None))
+    held_body, table = (held.body, held.rows) if held is not None else ((), None)
     changed = range(len(body))
     if len(held_body) == len(body):
         changed = list(itertools.compress(changed, map(operator.ne, body, held_body)))
@@ -222,8 +200,7 @@ def _parse_table(data: bytes | None, path: str, header: tuple[str, ...]) -> np.n
         row, col = np.argwhere(~finite)[0].tolist()
         raise SnapshotError(f"{path}:{row + 2}: non-finite value {body[row].split(',')[col + 2]!r}")
     table.setflags(write=False)
-    _PARSED[header] = (body, table)
-    return table[:, 1:]
+    return _Table(data, body, table)
 
 
 def read_snapshot(nodes_path, cells_path, t: float | None = None) -> GridLayer:
@@ -233,8 +210,26 @@ def read_snapshot(nodes_path, cells_path, t: float | None = None) -> GridLayer:
     sidecar _meta.json next to the nodal file, else defaults to 0.  A
     sidecar read here must agree with the tables' cell count.
     """
+    global _HELD
     nodes_path, cells_path = os.fspath(nodes_path), os.fspath(cells_path)
-    held = _snapshot(nodes_path, _read_file(nodes_path), cells_path, _read_file(cells_path))
+    nodes_data, cells_data, held = _read_file(nodes_path), _read_file(cells_path), _HELD
+    # the held snapshot where both tables' bytes are its own, else the one
+    # parsed and checked against it, held in its place once every check passed
+    if held is None or nodes_data != held.nodes.data or cells_data != held.cells.data:
+        nodes = _parse_table(nodes_data, nodes_path, NODE_HEADER, held and held.nodes)
+        cells = _parse_table(cells_data, cells_path, CELL_HEADER, held and held.cells)
+        if cells.rows.shape[0] != nodes.rows.shape[0] - 1:
+            raise SnapshotError(
+                f"{cells_path}: {cells.rows.shape[0]} cells do not match {nodes.rows.shape[0]} nodes")
+        s = nodes.rows[:, 1]
+        try:  # bytes, not values: a -0.0 node is another mesh
+            mesh = held.mesh if held and held.mesh.s.tobytes() == s.tobytes() else MassMesh(s)
+        except MeshError as exc:
+            raise SnapshotError(f"{nodes_path}: {exc}") from None
+        mid = mesh.midpoints
+        if not (np.abs(cells.rows[:, 1] - mid) <= 1e-12 * (1 + np.abs(mid).max())).all():
+            raise SnapshotError(f"{cells_path}: cell midpoints disagree with the nodal mesh")
+        _HELD = held = _Snapshot(mesh, nodes, cells)
     if t is None:
         t = float((read_snapshot_meta(nodes_path, held.mesh.n_cells) or {}).get("time", 0.0))
     return held.at(t)
@@ -253,7 +248,7 @@ def read_snapshot_meta(nodes_path, n_cells: int | None = None) -> dict | None:
     data = _read_file(path)
     if data is None:
         return None
-    meta = dict(_sidecar(path, data))
+    meta = _sidecar(path, data)
     if n_cells is not None:
         _check_cells(meta, nodes_path, n_cells)
     return meta
@@ -270,11 +265,8 @@ def _check_cells(meta: dict, nodes_path: str, n_cells: int) -> None:
                             f"expected {n_cells}")
 
 
-@functools.lru_cache(maxsize=2)
 def _sidecar(path: str, data: bytes) -> dict:
-    """The checked sidecar decoded from these bytes, kept for the two
-    snapshots of an audited pair; callers get copies.  An error is not
-    cached: it is raised on every read."""
+    """The checked sidecar decoded from these bytes."""
     try:
         meta = json.loads(data.decode())
     except ValueError as exc:

@@ -67,10 +67,15 @@ def advance(layer, params, tau, steps):
 
 def worst_ungated(law, views, params: SchemeParams, include_correction=True) -> float:
     """Largest per-cell residual of a quadratic balance over the views, with no
-    applicability gate, so off-design runs serve as controls."""
-    return max(float(np.max(np.abs(conservation._quadratic(
-        law, conservation._Recomputed(v, params), include_correction).residuals)))
-        for v in views)
+    applicability gate, so off-design runs serve as controls.  Without the
+    correction, the second balance's tau^2/8 term has a zero coefficient."""
+    worst = 0.0
+    for v in views:
+        rc = conservation._Recomputed(v, params)
+        if not include_correction:
+            rc.correction = np.zeros_like(rc.correction)
+        worst = max(worst, float(np.max(np.abs(conservation._quadratic(law, rc).residuals))))
+    return worst
 
 
 def zero_cell_pivot(monkeypatch, when=lambda system: True, cell=3):
@@ -86,32 +91,35 @@ def zero_cell_pivot(monkeypatch, when=lambda system: True, cell=3):
 
 
 def forget_snapshots():
-    """Empty every memory of the snapshot module: the reader's snapshots,
-    sidecars and held tables, and the writer's column spellings."""
-    snapshots._snapshot.cache_clear()
-    snapshots._sidecar.cache_clear()
-    snapshots._PARSED.clear()
+    """Empty every memory of the snapshot module: the reader's held snapshot
+    and the writer's column spellings."""
+    snapshots._HELD = None
     snapshots._SPELLED.clear()
 
 
 @pytest.fixture
 def snapshot_reads(monkeypatch):
     """Empty the snapshot module's memories for one test and record what the
-    reader does afresh: the path of every table it parses (`tables`) and the
-    time of every layer it builds (`layers`), so counts do not depend on what
-    earlier tests read.  Sidecar decodes are the misses of `snapshots._sidecar`."""
+    reader does afresh: the path of every table it parses (`tables`), the time
+    of every layer it builds (`layers`) and the path of every sidecar it
+    decodes (`sidecars`), so counts do not depend on what earlier tests read."""
     forget_snapshots()
-    reads = SimpleNamespace(tables=[], layers=[])
+    reads = SimpleNamespace(tables=[], layers=[], sidecars=[])
 
-    def parse_table(data, path, header, _real=snapshots._parse_table):
+    def parse_table(data, path, header, held, _real=snapshots._parse_table):
         reads.tables.append(path)
-        return _real(data, path, header)
+        return _real(data, path, header, held)
 
     def grid_layer(*, t, _real=snapshots.GridLayer, **fields):
         reads.layers.append(t)
         return _real(t=t, **fields)
+
+    def sidecar(path, data, _real=snapshots._sidecar):
+        reads.sidecars.append(path)
+        return _real(path, data)
     monkeypatch.setattr(snapshots, "_parse_table", parse_table)
     monkeypatch.setattr(snapshots, "GridLayer", grid_layer)
+    monkeypatch.setattr(snapshots, "_sidecar", sidecar)
     return reads
 
 

@@ -8,14 +8,17 @@ stays fast enough for routine CI.
 
 from functools import lru_cache
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from polygas import LawId, conservation
 from polygas.cli import convergence_study, iter_steps, resolve_config, run_simulation
+from polygas.scheme import step
 from polygas.state import cell_average, exact_sums
 
-from conftest import worst_ungated
+from conftest import pulse_start, worst_ungated
 
 # pinned tolerances ------------------------------------------------------------------
 TOL_STATIC_DEFECT = 1e-13      # budgets on a resting uniform state
@@ -29,6 +32,11 @@ MIN_SPATIAL_ORDER = 1.8
 MIN_TEMPORAL_ORDER = 0.9
 GAP_RATIO_RANGE = (3.5, 4.5)   # tau -> tau/2 must shrink the mode gap ~4x
 TOL_SHOCK_DEFECT = 1e-9        # linear budgets across a viscous shock run
+# out and back with u flipped: Newton stops at newton_tol, and its warm start
+# leaves about 500x the gap of cold starts
+TOL_REVERSAL_WARM = 1e-10
+TOL_REVERSAL_COLD = 1e-12
+MIN_REVERSAL_CONTROL = 1e-5    # an asymmetric step must miss the start by this
 
 GAMMA_STAR = {0: 3.0, 1: 2.0, 2: 5.0 / 3.0}
 
@@ -288,3 +296,44 @@ def test_c9_reruns_are_byte_identical(capsys, tmp_path):
               ok, f"{len(first)} files compared")
     assert same_names
     assert same_bytes
+
+
+# C10 --------------------------------------------------------------------------------
+
+def _reversal_gap(n: int, warm: bool = True, **params) -> float:
+    """Step a walled smooth pulse 50 steps, flip u, step 50 more and flip u
+    back: the largest difference from the start layer over r, u, rho, p and
+    eps, each relative to its field's largest magnitude.  A warm run starts
+    Newton from the earlier layers, as iter_steps does; each leg starts with
+    no history."""
+    start, scheme = pulse_start(n=n, gamma=1.4, cells=100, **params)
+    layer = start
+    for _ in range(2):
+        earlier = ()
+        for _ in range(50):
+            hi, _report = step(layer, 2e-3, scheme, earlier=earlier if warm else ())
+            earlier, layer = (layer, *earlier[:1]), hi
+        layer = dataclasses.replace(layer, u=-layer.u)
+    return max(float(np.max(np.abs(getattr(layer, f) - getattr(start, f))))
+               / float(np.max(np.abs(getattr(start, f)))) for f in ("r", "u", "rho", "p", "eps"))
+
+
+def test_c10_inviscid_steps_reverse_in_time(capsys):
+    cases = [(n, mode) for n in (0, 1, 2) for mode in ("pointwise", "conservative")]
+    warm = max(_reversal_gap(n, eos_mode=mode) for n, mode in cases)
+    cold = max(_reversal_gap(n, warm=False, eos_mode=mode) for n, mode in cases)
+    controls = {
+        "alpha=0.6 plane": _reversal_gap(0, alpha=0.6),
+        "alpha=1 sphere": _reversal_gap(2, alpha=1.0),
+        "visc_nu=2 plane": _reversal_gap(0, visc_nu=2.0),
+    }
+    ok = (warm <= TOL_REVERSAL_WARM and cold <= TOL_REVERSAL_COLD
+          and min(controls.values()) >= MIN_REVERSAL_CONTROL)
+    _announce(capsys, "C10", "at alpha 1/2 without viscosity, stepping back with u flipped "
+              "returns to the start", ok,
+              f"gap warm={warm:.1e}, cold={cold:.1e}; controls: "
+              + ", ".join(f"{name}={gap:.1e}" for name, gap in controls.items()))
+    assert warm <= TOL_REVERSAL_WARM
+    assert cold <= TOL_REVERSAL_COLD
+    for name, gap in controls.items():
+        assert gap >= MIN_REVERSAL_CONTROL, name

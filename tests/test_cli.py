@@ -694,15 +694,15 @@ def _series_run(tmp_path, steps):
 
 
 def test_a_series_audit_parses_each_table_once(tmp_path, snapshot_reads):
-    """Each table is parsed, each sidecar decoded and each layer built once."""
+    """Each table is parsed and each layer built once; a sidecar is decoded
+    on each read, two per pair."""
     cfg, pairs = _series_run(tmp_path, 10)
     for pair in pairs:
         audit_snapshots(cfg, *pair)
     tables = {os.fspath(path) for pair in pairs for path in pair}
     assert len(pairs) == 10 and len(snapshot_reads.tables) == len(tables) == 22
     assert set(snapshot_reads.tables) == tables
-    # 11 distinct sidecars each miss the cache on their first read
-    assert snapshots._sidecar.cache_info().misses == 11
+    assert len(snapshot_reads.sidecars) == 20
     assert len(snapshot_reads.layers) == len(set(snapshot_reads.layers)) == 11
 
 
@@ -733,6 +733,15 @@ def test_a_series_audit_equals_pairs_audited_with_an_empty_cache(tmp_path, snaps
     assert len(snapshot_reads.layers) == 5 + 2 * len(pairs)
     assert in_order == fresh
     assert in_order == (tmp_path / "ledger.jsonl").read_text().splitlines()
+
+
+def test_auditing_one_pair_twice_in_a_row_gives_the_same_records(tmp_path, snapshot_reads):
+    """The second audit reads its lo against the held hi, then its hi against the lo."""
+    cfg, pairs = _series_run(tmp_path, 1)
+    first, second = ([json.dumps(record) for record in audit_snapshots(cfg, *pairs[0])]
+                     for _ in range(2))
+    assert len(snapshot_reads.tables) == 8
+    assert first == second == (tmp_path / "ledger.jsonl").read_text().splitlines()
 
 
 def test_an_audit_reads_both_snapshots_through_the_cli_name(tmp_path, monkeypatch):
@@ -953,6 +962,37 @@ def test_main_run_and_audit(tmp_path, capsys):
     assert printed == on_disk
     ledger = (out_dir / "ledger.jsonl").read_text().strip().splitlines()
     assert printed == ledger[:len(printed)]
+
+
+def test_main_audit_of_a_tampered_pair_exits_2(tmp_path, capsys, caplog):
+    """One eps of the last cells table scaled by 1.01 breaks the energy budget."""
+    raw = _pulse_raw(problem={"name": "smooth_pulse", "cells": 40, "amplitude": 0.05},
+                     snapshot_every=1, time={"t_end": 0.02, "tau": 0.01})
+    config_path = _write_config(tmp_path, raw)
+    out_dir = tmp_path / "out"
+    assert main(["run", "--config", str(config_path), "--out", str(out_dir)]) == 0
+    nodes = sorted(out_dir.glob("snap_*_nodes.csv"))
+    cells = sorted(out_dir.glob("snap_*_cells.csv"))
+    assert len(cells) == 3
+    lines = cells[2].read_text().splitlines()
+    row = lines[21].split(",")  # cell 20
+    row[4] = repr(float(row[4]) * 1.01)
+    lines[21] = ",".join(row)
+    cells[2].write_text("\r\n".join(lines) + "\r\n", newline="")
+    audit_out = tmp_path / "audit.jsonl"
+    capsys.readouterr()
+    code = main(["audit", "--config", str(config_path),
+                 "--lo-nodes", str(nodes[1]), "--lo-cells", str(cells[1]),
+                 "--hi-nodes", str(nodes[2]), "--hi-cells", str(cells[2]),
+                 "--out", str(audit_out)])
+    assert code == 2
+    printed = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert audit_out.read_text().splitlines() == list(map(json.dumps, printed))
+    broken = [r["law"] for r in printed if r["applicable"] and r["expected_zero"]
+              and r["relative_defect"] > 1e-10]
+    assert broken == [LawId.ENERGY.value]
+    assert [r.getMessage() for r in caplog.records if r.levelname == "WARNING"] == [
+        "audit found 1 budget violations"]
 
 
 def _audit_pair(tmp_path):

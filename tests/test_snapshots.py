@@ -283,12 +283,12 @@ def test_a_snapshot_rewritten_in_place_reads_back_its_new_values(tmp_path, snaps
     _assert_same_layer(read_snapshot(paths["nodes"], paths["cells"]), second)
     tables = [str(paths["nodes"]), str(paths["cells"])]
     assert snapshot_reads.tables == tables * 2
-    # the same sidecar bytes again: decoded once
-    assert snapshots._sidecar.cache_info().misses == 1
+    # a sidecar is decoded on every read
+    assert snapshot_reads.sidecars == [str(paths["meta"])] * 2
     paths["meta"].write_text('{"time": 0.5, "step": 8, "cells": 12}\n')
     _assert_same_layer(read_snapshot(paths["nodes"], paths["cells"]), dataclasses.replace(second, t=0.5))
     assert read_snapshot_meta(paths["nodes"])["step"] == 8
-    assert snapshots._sidecar.cache_info().misses == 2
+    assert snapshot_reads.sidecars == [str(paths["meta"])] * 4
     assert snapshot_reads.tables == tables * 2
     assert snapshot_reads.layers == [first.t, first.t, 0.5]
 
@@ -304,7 +304,7 @@ def test_a_corrupt_table_raises_on_every_read_naming_its_path(tmp_path, snapshot
             read_snapshot(nodes, cells, t=0.0)
         assert str(info.value) == f"{nodes}:3: could not convert string to float: 'abc'"
     assert snapshot_reads.tables == list(map(str, paths))
-    assert snapshots._snapshot.cache_info().currsize == 0
+    assert snapshots._HELD is None
 
 
 def test_a_corrupt_sidecar_raises_on_every_read_naming_its_path(tmp_path, snapshot_reads):
@@ -314,23 +314,23 @@ def test_a_corrupt_sidecar_raises_on_every_read_naming_its_path(tmp_path, snapsh
         with pytest.raises(SnapshotError) as info:
             read_snapshot(paths["nodes"], paths["cells"])
         assert str(info.value) == f"{paths['meta']}: 'tau' must be a finite float, got 'x'"
-    assert snapshots._sidecar.cache_info().misses == 2
-    assert snapshots._sidecar.cache_info().currsize == 0
+    assert snapshot_reads.sidecars == [str(paths["meta"])] * 2
+    assert snapshot_reads.tables == [str(paths["nodes"]), str(paths["cells"])]
 
 
-def test_the_reader_holds_at_most_two_snapshots(tmp_path, snapshot_reads):
+def test_the_reader_holds_at_most_one_snapshot(tmp_path, snapshot_reads):
     layer = _sample_layer()
     written = [write_snapshot(dataclasses.replace(layer, u=layer.u + k, p=layer.p + k), tmp_path, step=k)
                for k in range(3)]
     for paths in written:
         read_snapshot(paths["nodes"], paths["cells"])
-    assert len(snapshot_reads.tables) == 6 and snapshots._snapshot.cache_info().currsize == 2
-    # the least recently read snapshot was dropped; the last one is still held
-    for paths in (written[0], written[2]):
+    assert len(snapshot_reads.tables) == 6
+    assert snapshots._HELD.nodes.data == written[2]["nodes"].read_bytes()
+    # the last snapshot read is held; an earlier one is parsed again, and then held
+    for paths in (written[2], written[0], written[0]):
         read_snapshot(paths["nodes"], paths["cells"])
     assert snapshot_reads.tables[6:] == [str(written[0]["nodes"]), str(written[0]["cells"])]
-    assert snapshots._snapshot.cache_info().currsize == 2
-    assert snapshots._sidecar.cache_info().currsize == 2
+    assert snapshots._HELD.cells.data == written[0]["cells"].read_bytes()
 
 
 def test_arrays_handed_out_are_read_only(tmp_path):
@@ -338,8 +338,8 @@ def test_arrays_handed_out_are_read_only(tmp_path):
     nodes, cells = str(paths["nodes"]), str(paths["cells"])
     for t in (None, None, 0.5):  # parsed, then held, then built at another time
         layer = read_snapshot(nodes, cells, t=t)
-        held = snapshots._snapshot(nodes, paths["nodes"].read_bytes(), cells, paths["cells"].read_bytes())
-        arrays = [held.nodes, held.cells, layer.mesh.s] + [getattr(layer, f) for f in ("r", "u", "rho", "p", "eps")]
+        held = snapshots._HELD
+        arrays = [held.nodes.rows, held.cells.rows, layer.mesh.s] + [getattr(layer, f) for f in ("r", "u", "rho", "p", "eps")]
         for array in arrays:
             assert not array.flags.writeable
             with pytest.raises(ValueError):
@@ -456,8 +456,8 @@ def test_writers_in_threads_each_spell_their_own_layer(tmp_path, fresh_spellings
 
 
 def test_readers_in_threads_each_get_their_own_layer(tmp_path):
-    """Threads share the held snapshots and tables; every read still gives
-    its own snapshot's layer bit for bit."""
+    """Threads share the held snapshot; every read still gives its own
+    snapshot's layer bit for bit."""
     forget_snapshots()
     base = _base_layer(40)
     # each layer changes its own quarter of the lines, so a row held from
@@ -568,6 +568,12 @@ def table_bytes(draw):
     return header, variants[0], draw(st.sampled_from(variants))
 
 
+def _parsed(held):
+    """_parse_table against the held table, giving the columns after the
+    index, as the row-by-row reader does."""
+    return lambda data, path, header: snapshots._parse_table(data, path, header, held).rows[:, 1:]
+
+
 def _parse_outcome(parse, data, header):
     """The parsed table's bits, or the SnapshotError message."""
     try:
@@ -581,10 +587,9 @@ def _assert_parses_as_the_row_by_row_reader(data, header, base):
     want = _parse_outcome(_row_by_row_parse, data, header)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        snapshots._PARSED.clear()
-        assert _parse_outcome(snapshots._parse_table, data, header) == want, data
-        snapshots._parse_table(base, "base_nodes.csv", header)
-        assert _parse_outcome(snapshots._parse_table, data, header) == want, data
+        assert _parse_outcome(_parsed(None), data, header) == want, data
+        held = snapshots._parse_table(base, "base_nodes.csv", header, None)
+        assert _parse_outcome(_parsed(held), data, header) == want, data
 
 
 @settings(max_examples=600, deadline=None)
@@ -630,30 +635,28 @@ def converted(monkeypatch):
 @pytest.mark.parametrize("k, lines", [(0, 0), (1, 1), (24, 24), (42, 42), (350, 350), (351, 400), (400, 400)])
 def test_a_table_converts_only_the_lines_that_differ_from_the_held_one(tmp_path, converted, k, lines):
     """Up to 7 in 8 changed lines convert alone; beyond that, every line."""
-    forget_snapshots()
     base = _base_layer(400)
     rows = np.random.default_rng(k).choice(400, k, replace=False)
     data = _cells_bytes(tmp_path, _with_p_changed(base, rows), "new")
-    snapshots._parse_table(_cells_bytes(tmp_path, base, "base"), "base_cells.csv", CELL_HEADER)
+    held = snapshots._parse_table(_cells_bytes(tmp_path, base, "base"), "base_cells.csv", CELL_HEADER, None)
     converted.clear()
-    got = snapshots._parse_table(data, "new_cells.csv", CELL_HEADER)
+    got = snapshots._parse_table(data, "new_cells.csv", CELL_HEADER, held)
     assert converted == ([lines] if lines else [])
-    snapshots._PARSED.clear()
-    _assert_bit_equal(got, snapshots._parse_table(data, "new_cells.csv", CELL_HEADER))
+    _assert_bit_equal(got.rows, snapshots._parse_table(data, "new_cells.csv", CELL_HEADER, None).rows)
 
 
-def test_a_table_of_another_length_or_header_converts_every_line(tmp_path, converted):
+def test_a_table_of_another_length_converts_every_line(tmp_path, converted):
     forget_snapshots()
     base = _base_layer(400)
-    snapshots._parse_table(_cells_bytes(tmp_path, base, "base"), "base_cells.csv", CELL_HEADER)
+    paths = write_snapshot(base, tmp_path / "base", step=0)
+    read_snapshot(paths["nodes"], paths["cells"], t=0.0)
     shorter = dataclasses.replace(base, rho=base.rho[:399], p=base.p[:399], eps=base.eps[:399],
                                   mesh=MassMesh(base.mesh.s[:400]), r=base.r[:400], u=base.u[:400])
     paths = write_snapshot(shorter, tmp_path / "short", step=0)
     converted.clear()
-    snapshots._parse_table(paths["cells"].read_bytes(), "short_cells.csv", CELL_HEADER)
-    # 400 nodes lines, as many as the held 400-cell table's, under the other header
-    snapshots._parse_table(paths["nodes"].read_bytes(), "short_nodes.csv", NODE_HEADER)
-    assert converted == [399, 400]
+    # 400 nodes lines against the held 401, and 399 cells lines against the held 400
+    read_snapshot(paths["nodes"], paths["cells"], t=0.0)
+    assert converted == [400, 399]
 
 
 @pytest.mark.parametrize("bad, message", [
@@ -661,26 +664,28 @@ def test_a_table_of_another_length_or_header_converts_every_line(tmp_path, conve
     (b"nan", "{path}:12: non-finite value 'nan'"),
     (None, "{path}: index column must run 0..399"),
 ], ids=["non-numeric", "non-finite", "bad-index"])
-def test_a_failed_parse_leaves_the_held_table_as_it_was(tmp_path, converted, bad, message):
+def test_a_failed_read_leaves_the_held_snapshot_as_it_was(tmp_path, converted, bad, message):
     forget_snapshots()
     base = _base_layer(400)
-    held = _cells_bytes(tmp_path, base, "base")
-    snapshots._parse_table(held, "base_cells.csv", CELL_HEADER)
-    kept = snapshots._PARSED[CELL_HEADER]
-    lines = held.split(b"\r\n")
+    paths = write_snapshot(base, tmp_path / "base", step=0)
+    read_snapshot(paths["nodes"], paths["cells"], t=0.0)
+    kept = snapshots._HELD
+    lines = paths["cells"].read_bytes().split(b"\r\n")
     row = lines[11].split(b",")  # line 12 of the file, row 10
     if bad is None:
         row[0] = b"11"
     else:
         row[3] = bad
     lines[11] = b",".join(row)
+    bad_cells = tmp_path / "bad_cells.csv"
+    bad_cells.write_bytes(b"\r\n".join(lines))
     with pytest.raises(SnapshotError) as info:
-        snapshots._parse_table(b"\r\n".join(lines), "bad_cells.csv", CELL_HEADER)
-    assert str(info.value) == message.format(path="bad_cells.csv")
-    assert snapshots._PARSED[CELL_HEADER] is kept
+        read_snapshot(paths["nodes"], bad_cells, t=0.0)
+    assert str(info.value) == message.format(path=bad_cells)
+    assert snapshots._HELD is kept
     converted.clear()
-    snapshots._parse_table(_cells_bytes(tmp_path, _with_p_changed(base, [3, 7]), "good"),
-                           "good_cells.csv", CELL_HEADER)
+    good = write_snapshot(_with_p_changed(base, [3, 7]), tmp_path / "good", step=0)
+    read_snapshot(good["nodes"], good["cells"], t=0.0)  # the same nodes table: held as it is
     assert converted == [2]
 
 
