@@ -151,7 +151,21 @@ def invert_mass_coordinate(profile: EulerProfile, n: int, s: np.ndarray) -> np.n
     rho_k = np.asarray(values)[seg]
     r_lo = np.asarray(starts)[seg]
     s0 = np.asarray(cum)[seg]
-    return ((s - s0) * (n + 1) / rho_k + r_lo ** (n + 1)) ** (1.0 / (n + 1))
+    target = (s - s0) * (n + 1) / rho_k + volume_power(r_lo, n)
+    if n < 2:  # ** 1.0 and ** 0.5 take numpy's exact fast paths
+        return target ** (1.0 / (n + 1))
+    # numpy's t ** (1/3) depends on the host's SIMD and can be ulps off: walk it to the
+    # float whose cube is nearest t, exactly (over the floats, |y^3 - t| falls, then rises),
+    # in integers: the floats near roots[i] are whole multiples of 1 / unit
+    roots = (target ** (1.0 / 3.0)).ravel().tolist()
+    for i, t in enumerate(target.ravel().tolist()):
+        (num, den), unit = t.as_integer_ratio(), 2 ** max(60 - math.frexp(roots[i])[1], 0)
+        gap = lambda y: abs(int(y * unit) ** 3 * den - num * unit ** 3)  # den unit^3 |y^3 - t|
+        best = gap(roots[i])
+        for toward in (0.0, math.inf):
+            while (near := gap(y := math.nextafter(roots[i], toward))) < best:
+                roots[i], best = y, near
+    return np.reshape(roots, target.shape)
 
 
 # --- canned problems ------------------------------------------------------------

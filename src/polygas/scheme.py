@@ -7,8 +7,8 @@ pressure in conservative mode).  Radii, densities and internal energies are
 eliminated in closed form.  Each cell row of the Newton system couples only
 u_j, q_j and u_{j+1}, so every Newton iteration eliminates the cell unknowns
 too and solves one tridiagonal system in the N + 1 node velocities (LAPACK
-dgtsv, loaded from scipy's compiled extension at the first solve, which runs
-no scipy package code).  The Jacobian is assembled analytically from the
+dgtsv from the LAPACK numpy has already loaded, else from scipy's compiled
+extension; see _dgtsv).  The Jacobian is assembled analytically from the
 residual's own intermediates; the tests check it against a finite-difference
 Jacobian, and the elimination against a banded solve of the full system, both
 kept there as oracles.
@@ -288,7 +288,7 @@ FLOOR_REASON = "converged at round-off floor"
 
 
 @functools.cache
-def _dgtsv():
+def _scipy_dgtsv():
     """LAPACK dgtsv from scipy's _flapack extension, loaded under a private name.
 
     scipy.linalg.lapack would import all of scipy.linalg (about 300 modules,
@@ -296,9 +296,7 @@ def _dgtsv():
     __init__ (23 modules), so the extension is found in scipy's directory
     without running any scipy package code.  Only where that load fails, as
     for a scipy whose __init__ must first register its shared-library
-    directory, is scipy imported and the load tried again.  A later
-    `import scipy.linalg` loads its own copy.
-    """
+    directory, is scipy imported and the load tried again."""
     import os
     from importlib import machinery, util
 
@@ -320,6 +318,31 @@ def _dgtsv():
             pass
     import scipy  # ModuleNotFoundError where there is no scipy
     return load(scipy.__path__)
+
+
+@functools.cache
+def _dgtsv():
+    """LAPACK dgtsv as solve(dl, d, du, b) -> (x, info) on writable, contiguous
+    float64 arrays of n - 1, n, n - 1 and n entries, which it overwrites:
+    numpy's ILP64 scipy_dgtsv_64_ (numpy 2's Linux wheels), found by dlsym
+    through numpy's extension, so no library is mapped (that suffix alone
+    makes int64 arguments safe), else _scipy_dgtsv."""
+    import ctypes  # numpy has imported it
+    try:
+        from numpy._core import _multiarray_umath
+        symbol = ctypes.CDLL(_multiarray_umath.__file__).scipy_dgtsv_64_
+    except (ImportError, OSError, AttributeError):  # numpy 1.x, Accelerate, MKL, Windows
+        routine = _scipy_dgtsv()
+        return lambda *arrays: routine(*arrays, True, True, True, True)[3:]
+    symbol.restype = None  # no argtypes, which cost 0.5 us a call
+    int64, byref, at = ctypes.c_int64, ctypes.byref, ctypes.c_char.from_buffer
+    nrhs = byref(int64(1))  # read, never written
+
+    def solve(dl, d, du, b):
+        n, info = byref(int64(d.size)), int64()  # n is also ldb
+        symbol(n, nrhs, byref(at(dl)), byref(at(d)), byref(at(du)), byref(at(b)), n, byref(info))
+        return b, info.value
+    return solve
 
 
 class _Jacobian(NamedTuple):
@@ -356,6 +379,7 @@ class _StepSystem:
         self.h = mesh.h
         self.w = mesh.w
         self.inv_rho = 1.0 / lo.rho
+        self.weak_pivot = _PIVOT_RTOL * self.inv_rho
         self.gm1 = params.gamma - 1.0
         self.alpha_eff = params.alpha_effective
         check_origin_rule(params, float(lo.r[0]))
@@ -419,7 +443,8 @@ class _StepSystem:
         change of specific volume and big_r None in the plane.  Momentum rows
         0 and -1 are the boundary closures: u_hat - u_wall at a wall, else a
         one-sided balance on the half-width cell.  Returns (momentum, gas law,
-        u_t, (bracket)_s), the last None where there is no bracket."""
+        u_t, (bracket)_s, the padded pressure's jump per node), (bracket)_s
+        None where there is no bracket."""
         lo, tau, params = self.lo, self.tau, self.params
         u_t = (u_hat - lo.u) / tau
         pad = self.padded_pressure(p_eff)
@@ -443,7 +468,7 @@ class _StepSystem:
             f_cell = 0.5 * (eps_hat + lo.eps) - rhs
         else:
             f_cell = eps_hat - q * (self.inv_rho + delta) / self.gm1
-        return f_node, f_cell, u_t, brack_s
+        return f_node, f_cell, u_t, brack_s, jump
 
     def residual(self, x: tuple[np.ndarray, np.ndarray]) -> tuple[tuple[np.ndarray, np.ndarray], dict]:
         """Residual (node rows, cell rows) at x = (u_hat, q), with the
@@ -458,10 +483,11 @@ class _StepSystem:
         rho_hat = lo.rho / (1.0 + lo.rho * delta)
         p_eff = self.effective_pressure(v, d_rv, rho_hat, q)
         eps_hat = lo.eps - p_eff * delta  # energy equation, eliminated
-        f_node, f_cell, u_t, brack_s = self.rows(u_hat, q, r_hat, big_r, delta, p_eff, eps_hat)
+        f_node, f_cell, u_t, brack_s, jump = self.rows(u_hat, q, r_hat, big_r, delta, p_eff, eps_hat)
         aux = {"u_hat": u_hat, "q": q, "r_hat": r_hat, "rho_hat": rho_hat,
                "eps_hat": eps_hat, "delta": delta, "v": v, "big_r": big_r,
-               "d_rv": d_rv, "p_eff": p_eff, "u_t": u_t, "brack_s": brack_s}
+               "d_rv": d_rv, "p_eff": p_eff, "u_t": u_t, "brack_s": brack_s,
+               "jump": jump}
         return (f_node, f_cell), aux
 
     def jacobian(self, aux: dict) -> _Jacobian:
@@ -531,8 +557,7 @@ class _StepSystem:
             diag = np.full(v.size, 1.0 / tau)
         else:
             rw = big_r * self.w
-            pad = self.padded_pressure(p_eff)
-            diag = 1.0 / tau + d_big_r * self.w * (pad[1:] - pad[:-1])
+            diag = 1.0 / tau + d_big_r * self.w * aux["jump"]
         if viscous:
             diag[:-1] += rw[:-1] * dp_lo
             diag[1:] -= rw[1:] * dp_hi
@@ -557,7 +582,7 @@ class _StepSystem:
 
         Each cell row gives dq_j = -(f_cell_j + c_lo_j du_j + c_hi_j du_{j+1}) / c_q_j;
         put into the node rows, that leaves a tridiagonal system in du, solved
-        by LAPACK dgtsv (loaded at the first call, see _dgtsv), and dq follows
+        by LAPACK dgtsv (bound at the first call, see _dgtsv), and dq follows
         from the cell rows.  Every component of du below _NEGLIGIBLE_DU in
         magnitude is set to +0.0 (a boolean-index store, so no -0.0 is left)
         before the wall rows and dq are formed, so dq follows the du Newton
@@ -567,7 +592,7 @@ class _StepSystem:
         """
         lower, diag, upper, q_lo, q_hi, c_lo, c_q, c_hi = jac
         f_node, f_cell = f
-        weak = np.abs(c_q) <= _PIVOT_RTOL * self.inv_rho
+        weak = np.abs(c_q) <= self.weak_pivot
         if weak.any():
             j = int(np.argmax(weak))
             raise LinAlgError(f"cell pivot vanishes at cell {j} (|c_q| = {abs(c_q[j]):.3e})")
@@ -581,8 +606,7 @@ class _StepSystem:
         b = -f_node
         b[1:] += q_lo * g
         b[:-1] += q_hi * g
-        _, _, _, du, info = _dgtsv()(lower - q_lo * r_lo, d, upper - q_hi * r_hi, b,
-                                     True, True, True, True)
+        du, info = _dgtsv()(lower - q_lo * r_lo, d, upper - q_hi * r_hi, b)
         if info != 0:
             raise LinAlgError(f"tridiagonal solve failed (dgtsv info {info})")
         du[np.abs(du) < _NEGLIGIBLE_DU] = 0.0
@@ -619,7 +643,7 @@ class _StepSystem:
         delta = 1.0 / hi.rho - self.inv_rho
         q = 0.5 * (lo.p + hi.p) if params.is_conservative else hi.p
         p_eff = self.effective_pressure(v, d_rv, hi.rho, q)
-        momentum, eos, _, _ = self.rows(hi.u, q, hi.r, big_r, delta, p_eff, hi.eps)
+        momentum, eos, *_ = self.rows(hi.u, q, hi.r, big_r, delta, p_eff, hi.eps)
         return {"mass": delta / tau - d_rv, "momentum": momentum,
                 "energy": (hi.eps - lo.eps) / tau + p_eff * d_rv,
                 "trajectory": (hi.r - lo.r) / tau - v, "eos": eos}
@@ -708,18 +732,19 @@ def step(lo: GridLayer, tau: float, params: SchemeParams,
         # f is finite, so a NaN or infinity in jac shows in dx (or is divided
         # away, leaving a usable dx); jac's arrays are tested in place only to
         # name the cause of a non-finite dx
-        if not all(np.isfinite(b).all() for b in dx) and not all(np.isfinite(a).all() for a in jac):
+        finite = np.isfinite(dx[0]).all() and np.isfinite(dx[1]).all()
+        if not finite and not all(np.isfinite(a).all() for a in jac):
             raise reject("non-finite Jacobian")
         # damped update: halve until the scaled norm stops growing
         best = None
-        lam = 1.0
-        for _ in range(9):
-            trial = evaluate((x[0] + lam * dx[0], x[1] + lam * dx[1]))
+        trial_dx = dx  # lam = 1: no product, as 1.0 * dx is dx bit for bit
+        for k in range(9):
+            trial = evaluate((x[0] + trial_dx[0], x[1] + trial_dx[1]))
             if best is None or trial[0] < best[0]:
                 best = trial
             if trial[0] <= params.newton_tol or trial[0] < norm:
                 break
-            lam *= 0.5
+            trial_dx = (0.5 ** (k + 1) * dx[0], 0.5 ** (k + 1) * dx[1])
         if not math.isfinite(best[0]):
             raise reject("Newton iteration diverged (non-finite residual)")
         if best[0] >= norm and best[0] > params.newton_tol and not at_floor(best):

@@ -1,7 +1,9 @@
 """Shared helpers: random meshes/layers, small canned runs, the ungated
-quadratic residuals, a zeroed cell pivot, one reset of the snapshot module's
-memories, counted snapshot reads and an emptied column spelling cache."""
+quadratic residuals, a probe for numpy's dgtsv, a zeroed cell pivot, one
+reset of the snapshot module's memories, counted snapshot reads and an
+emptied column spelling cache."""
 
+import ctypes
 import dataclasses
 from types import SimpleNamespace
 
@@ -76,6 +78,17 @@ def worst_ungated(law, views, params: SchemeParams, include_correction=True) -> 
             rc.correction = np.zeros_like(rc.correction)
         worst = max(worst, float(np.max(np.abs(conservation._quadratic(law, rc).residuals))))
     return worst
+
+
+def numpy_holds_dgtsv() -> bool:
+    """Whether numpy's LAPACK exports scipy_dgtsv_64_, which the Newton solve
+    takes before scipy's (numpy 2's Linux wheels do)."""
+    try:
+        from numpy._core import _multiarray_umath
+        ctypes.CDLL(_multiarray_umath.__file__).scipy_dgtsv_64_
+    except (ImportError, OSError, AttributeError):
+        return False
+    return True
 
 
 def zero_cell_pivot(monkeypatch, when=lambda system: True, cell=3):

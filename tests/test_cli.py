@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import importlib.util
 import json
 import math
 import os
@@ -35,7 +36,7 @@ from polygas.cli import (
 )
 from polygas.scheme import FLOOR_REASON, step
 
-from conftest import forget_snapshots, zero_cell_pivot
+from conftest import forget_snapshots, numpy_holds_dgtsv, zero_cell_pivot
 
 
 def _pulse_raw(**extra):
@@ -827,12 +828,14 @@ def test_python_dash_m_polygas_runs_without_a_warning(tmp_path):
 #: run in a process of its own, with warnings as errors (pytest's filter does
 #: not reach a child), since this one has loaded scipy.linalg; argv is the
 #: action, the config, an output directory and one snapshot pair.  It audits
-#: the pair, then does the action and prints what the action loaded
+#: the pair, then does the action and prints what its first solve loaded:
+#: the modules it added, with their files, and, where /proc/self/maps exists,
+#: the shared objects it mapped
 _LAPACK_CHILD = textwrap.dedent("""
-    import importlib.util, json, os, sys
+    import json, os, sys
     from pathlib import Path
     import polygas
-    from polygas import cli
+    from polygas import cli, scheme
 
     action, config, out, *pair = sys.argv[1:]
     cfg = polygas.resolve_config(json.loads(Path(config).read_text()))
@@ -845,16 +848,29 @@ _LAPACK_CHILD = textwrap.dedent("""
         assert cli.main(["run", "--config", config, "--out", f"{out}/{tag}"]) == 0
         return {f.name: f.read_bytes().hex() for f in sorted(Path(out, tag).iterdir())}
 
-    before = set(sys.modules)
+    def mapped():
+        if not os.path.exists("/proc/self/maps"):
+            return set()
+        with open("/proc/self/maps") as maps:
+            paths = (line.split(maxsplit=5)[5:] for line in maps)
+            return {path[0].strip() for path in paths if path and ".so" in path[0]}
+
+    solves, newton_update = [], scheme._StepSystem.newton_update
+
+    def first_solve(*args):
+        if solves:
+            return newton_update(*args)
+        before, maps_before = set(sys.modules), mapped()
+        try:
+            return newton_update(*args)
+        finally:
+            solves.append({"added": {name: getattr(sys.modules[name], "__file__", None)
+                                     for name in sorted(set(sys.modules) - before)},
+                           "mapped": sorted(mapped() - maps_before)})
+    scheme._StepSystem.newton_update = first_solve
     first = act("first")
-    # the modules the action added that are scipy's or loaded from its directory
-    home = os.path.dirname(importlib.util.find_spec("scipy").origin) + os.sep
-    added = {name: os.path.relpath(getattr(sys.modules[name], "__file__", None) or home, home)
-             for name in set(sys.modules) - before
-             if name.partition(".")[0] == "scipy"
-             or (getattr(sys.modules[name], "__file__", None) or "").startswith(home)}
-    found = {"linalg": "scipy.linalg" in sys.modules, "scipy": "scipy" in sys.modules,
-             "added": added, "first": first}
+    found = {**solves[0], "linalg": "scipy.linalg" in sys.modules,
+             "scipy": "scipy" in sys.modules, "first": first}
     import scipy.linalg.lapack
     from scipy.linalg import _flapack
     found["public_copy"] = (scipy.linalg.lapack._flapack is _flapack
@@ -862,6 +878,19 @@ _LAPACK_CHILD = textwrap.dedent("""
                             and sys.modules[_flapack.__name__] is _flapack)
     found["same_again"] = act("again") == first
     print(json.dumps(found))
+""")
+
+#: a prelude for _LAPACK_CHILD that hides numpy's scipy_dgtsv_64_ from ctypes,
+#: as a numpy built on another LAPACK would, so the solve takes scipy's
+_NO_NUMPY_DGTSV = textwrap.dedent("""
+    import ctypes
+
+    class _NoNumpyDgtsv(ctypes.CDLL):
+        def __getattr__(self, name):
+            if name == "scipy_dgtsv_64_":
+                raise AttributeError(name)
+            return super().__getattr__(name)
+    ctypes.CDLL = _NoNumpyDgtsv
 """)
 
 
@@ -878,25 +907,58 @@ def _lapack_child(tmp_path, action, *, prelude=""):
     return json.loads(done.stdout.splitlines()[-1]), pairs[0]
 
 
-@pytest.mark.parametrize("action", ["step", "run"])
-def test_a_read_and_an_audit_load_no_lapack_until_the_first_solve(tmp_path, action):
-    """The first solve adds one module, scipy's LAPACK extension under a private
-    name, and runs no scipy package code; a later `import scipy.linalg` still
-    binds its own copy and solves the same."""
-    found, _ = _lapack_child(tmp_path, action)
+def _stepped_here(pair):
+    """The layer fields this process steps from the pair's lo snapshot, as hex."""
+    cfg = resolve_config(_pulse_raw(snapshot_every=1, time={"t_end": 0.01, "tau": 0.01}))
+    layer, _ = step(read_snapshot(*pair[:2]), cfg.tau, cfg.params)
+    return [getattr(layer, f).tobytes().hex() for f in ("r", "u", "rho", "p", "eps")]
+
+
+def _assert_only_scipy_s_extension_was_added(found):
+    """The first solve added one module, scipy's LAPACK extension under a
+    private name, and ran no scipy package code."""
     [(name, path)] = found["added"].items()
-    assert not name.startswith("scipy")
+    assert name == "polygas._flapack"
+    path = os.path.relpath(path, os.path.dirname(importlib.util.find_spec("scipy").origin))
     assert os.path.dirname(path) == "linalg"
     assert os.path.basename(path).startswith("_flapack.")
     assert not found["scipy"] and not found["linalg"]
+
+
+@pytest.mark.parametrize("action", ["step", "run"])
+def test_a_read_and_an_audit_load_no_lapack_until_the_first_solve(tmp_path, action):
+    """Where numpy's LAPACK holds dgtsv, the first solve takes it: it adds no
+    module, maps no shared object and leaves scipy unimported; elsewhere it
+    loads scipy's extension alone.  After a later `import scipy.linalg`, which
+    binds its own copy, the action solves the same."""
+    found, pair = _lapack_child(tmp_path, action)
+    if numpy_holds_dgtsv():
+        assert found["added"] == {} and found["mapped"] == []
+        assert not found["scipy"] and not found["linalg"]
+    else:
+        _assert_only_scipy_s_extension_was_added(found)
+    if action == "step":
+        assert found["first"] == _stepped_here(pair)
+    assert found["public_copy"] and found["same_again"]
+
+
+@pytest.mark.parametrize("action", ["step", "run"])
+def test_without_numpy_s_dgtsv_the_first_solve_loads_scipy_s_extension_alone(tmp_path, action):
+    """Where numpy's LAPACK lacks the symbol, the first solve loads scipy's
+    extension under a private name, runs no scipy package code and solves the
+    bits numpy's dgtsv solves; a later `import scipy.linalg` binds its own copy."""
+    found, pair = _lapack_child(tmp_path, action, prelude=_NO_NUMPY_DGTSV)
+    _assert_only_scipy_s_extension_was_added(found)
+    if action == "step":
+        assert found["first"] == _stepped_here(pair)
     assert found["public_copy"] and found["same_again"]
 
 
 def test_a_failed_private_load_retries_after_importing_scipy(tmp_path):
-    """Where the extension cannot be created before scipy's __init__ has run,
-    the first solve imports scipy alone, loads the extension again and solves
-    the same bits."""
-    prelude = textwrap.dedent("""
+    """Where numpy's LAPACK lacks the symbol and scipy's extension cannot be
+    created before scipy's __init__ has run, the first solve imports scipy
+    alone, loads the extension again and solves the same bits."""
+    prelude = _NO_NUMPY_DGTSV + textwrap.dedent("""
         from importlib import machinery
         _create = machinery.ExtensionFileLoader.create_module
         _failed = []
@@ -911,16 +973,14 @@ def test_a_failed_private_load_retries_after_importing_scipy(tmp_path):
     found, pair = _lapack_child(tmp_path, "step", prelude=prelude)
     assert found["scipy"] and not found["linalg"]
     assert [name for name in found["added"] if name.endswith("._flapack")] == ["polygas._flapack"]
-    cfg = resolve_config(_pulse_raw(snapshot_every=1, time={"t_end": 0.01, "tau": 0.01}))
-    layer, _ = step(read_snapshot(*pair[:2]), cfg.tau, cfg.params)
-    assert found["first"] == [getattr(layer, f).tobytes().hex()
-                              for f in ("r", "u", "rho", "p", "eps")]
+    assert found["first"] == _stepped_here(pair)
     assert found["public_copy"] and found["same_again"]
 
 
 def test_a_solve_falls_back_to_scipy_linalg_where_it_finds_no_extension(tmp_path):
-    """Without a _flapack file to load, the first solve takes the public import."""
-    prelude = textwrap.dedent("""
+    """Where numpy's LAPACK lacks the symbol and there is no _flapack file to
+    load, the first solve takes the public import."""
+    prelude = _NO_NUMPY_DGTSV + textwrap.dedent("""
         from importlib import machinery
         _find_spec = machinery.PathFinder.find_spec
 
@@ -934,10 +994,7 @@ def test_a_solve_falls_back_to_scipy_linalg_where_it_finds_no_extension(tmp_path
     assert found["linalg"]
     assert [name for name in found["added"] if name.endswith("._flapack")] == [
         "scipy.linalg._flapack"]
-    cfg = resolve_config(_pulse_raw(snapshot_every=1, time={"t_end": 0.01, "tau": 0.01}))
-    layer, _ = step(read_snapshot(*pair[:2]), cfg.tau, cfg.params)
-    assert found["first"] == [getattr(layer, f).tobytes().hex()
-                              for f in ("r", "u", "rho", "p", "eps")]
+    assert found["first"] == _stepped_here(pair)
     assert found["public_copy"] and found["same_again"]
 
 

@@ -167,8 +167,29 @@ def test_written_files_keep_their_golden_bits(tmp_path):
     assert _files_digest(tmp_path) == GOLDEN_FILES
 
 
+def _mass_meshes() -> dict[str, str]:
+    """sha256 of the node radii of 330-cell curved sod meshes built by both
+    mass-coordinate forms, whose radii are roots of the swept volume: the
+    uniform s_min/s_max/cells form, with a node on the density jump, and an
+    s_nodes form with s growing as x**3 on the dense side, so the sphere's
+    nodes there are uniform in r and the smallest cube roots (of about 1e-7),
+    where numpy's t ** (1/3) is furthest off, are taken too."""
+    digests = {}
+    x = np.linspace(0.0, 1.0, 111)
+    for n in (1, 2):
+        jump, light = 0.5 ** (n + 1) / (n + 1), 0.125 * (1.0 - 0.5 ** (n + 1)) / (n + 1)
+        nodes = np.concatenate((jump * (x * x * x),
+                                jump + light * np.linspace(0.0, 1.0, 221)[1:] ** 2))
+        for form, mesh in (("uniform", {"s_min": 0.0, "s_max": jump + light, "cells": 330}),
+                           ("s_nodes", {"s_nodes": nodes.tolist()})):
+            cfg = resolve_config({"problem": {"name": "sod"}, "params": {"n": n}, "mesh": mesh,
+                                  "time": {"t_end": 0.01, "tau": 0.01}})
+            digests[f"n={n} {form}"] = hashlib.sha256(cfg.profile.r_nodes.tobytes()).hexdigest()
+    return digests
+
+
 #: run in a process of its own; argv is an output directory.  Prints every
-#: run's digests and the written files' digest as one JSON line
+#: run's digests, the written files' digest and the mass meshes' as one JSON line
 _CHILD = """
 import json, sys
 from pathlib import Path
@@ -176,15 +197,17 @@ import test_golden_bits as golden
 from polygas.cli import resolve_config, run_simulation
 runs = {name: golden._digests(run_simulation(resolve_config(cfg)))
         for name, cfg in golden.RUNS.items()}
-print(json.dumps({"runs": runs, "files": golden._files_digest(Path(sys.argv[1]))}))
+print(json.dumps({"runs": runs, "files": golden._files_digest(Path(sys.argv[1])),
+                  "meshes": golden._mass_meshes()}))
 """
 
 
 def test_golden_bits_do_not_depend_on_the_host_simd(tmp_path):
     """numpy dispatches some float64 kernels (power, cbrt, exp) to SIMD code
     that rounds differently from libm; with every non-baseline target this
-    host supports disabled, for the child alone, each digest is the same.  On
-    a host with none of them the child runs the same kernels."""
+    host supports disabled, for the child alone, each digest is the same, and
+    so are the radii of the curved mass-coordinate meshes.  On a host with
+    none of them the child runs the same kernels."""
     targets = [name for name in _multiarray_umath.__cpu_dispatch__
                if _multiarray_umath.__cpu_features__.get(name)]
     paths = [str(Path(cli.__file__).resolve().parents[1]), str(Path(__file__).resolve().parent)]
@@ -196,3 +219,4 @@ def test_golden_bits_do_not_depend_on_the_host_simd(tmp_path):
     found = json.loads(done.stdout.splitlines()[-1])
     assert {name: tuple(digests) for name, digests in found["runs"].items()} == GOLDEN
     assert found["files"] == GOLDEN_FILES
+    assert found["meshes"] == _mass_meshes()

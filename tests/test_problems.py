@@ -1,5 +1,6 @@
 import math
 import re
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -77,6 +78,22 @@ def test_invert_mass_coordinate_round_trip():
     # interior probe: halfway in mass through the first cell
     r_mid = invert_mass_coordinate(profile, params.n, np.array([0.5 * mesh.s[1]]))
     assert profile.r_nodes[0] < r_mid[0] < profile.r_nodes[1]
+
+
+def test_a_sphere_s_mass_radii_are_the_floats_whose_cubes_are_nearest():
+    """For n = 2 each radius is the float whose cube is nearest its target
+    3 s / rho, exactly, also for the tiny targets near the centre, where
+    numpy's t ** (1/3) is several ulps off."""
+    profile = EulerProfile(r_nodes=np.linspace(0.0, 1.0, 3), rho=1.0, u=0.0, p=1.0,
+                           gamma=5.0 / 3.0, density_segments=((0.0, 1.0),))
+    x = np.linspace(0.0, 1.0, 2001)[1:]
+    s = np.concatenate((x / 3.0, np.ldexp(x, -40) / 3.0)).reshape(2, -1)
+    r = invert_mass_coordinate(profile, 2, s)
+    assert r.shape == s.shape
+    for radius, target in zip(r.ravel().tolist(), (s * 3.0).ravel().tolist()):
+        gap = [abs(Fraction(math.nextafter(radius, toward)) ** 3 - Fraction(target))
+               for toward in (0.0, math.inf)]
+        assert abs(Fraction(radius) ** 3 - Fraction(target)) < min(gap)
 
 
 def test_invert_mass_coordinate_needs_density_segments():
